@@ -42,7 +42,6 @@ from .errors import (
     GroupoidLabError,
     MissingDataError,
     SamplingError,
-    SignConsistencyError,
     SingularJacobianError,
 )
 from .grids import Axis, GridSpec, SampledSymbol, scale_of

@@ -151,12 +151,6 @@ class AlgebroidData:
         )
         return float(np.max(np.abs(total))) if total.size else 0.0
 
-    def index_of(self, point: np.ndarray) -> int:
-        matches = np.where(np.all(self.base_points == point, axis=-1))[0]
-        if matches.size == 0:
-            raise KeyError(f"no tabulated data at base point {point}")
-        return int(matches[0])
-
 
 def extract_algebroid(
     chart: GroupoidChart, base_points, step: float = DEFAULT_FD_STEP

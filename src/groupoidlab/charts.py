@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SamplingError, SingularJacobianError
+from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError
 from .expressions import compile_expression, compile_vector
 
 Array = np.ndarray
@@ -60,7 +60,6 @@ class GroupoidChart:
     product_w_jacobian: Optional[Callable[[Array, Array, Array], Array]] = None
     exact_anchor: Optional[Callable[[Array], Array]] = None
     exact_structure: Optional[Callable[[Array], Array]] = None
-    exact_log_weight_grad: Optional[Callable[[Array], Array]] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -145,6 +144,10 @@ def invert_element(chart: GroupoidChart, u, v, tol: float = 1e-12) -> Array:
     return w
 
 
+# the residual fields of AxiomReport, in report order
+AXIOMS = ("associativity", "source_compatibility", "left_unit", "right_unit", "source_unit", "inverse_law")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Max residuals of the groupoid axioms over the sampled triples."""
@@ -162,14 +165,7 @@ class AxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.associativity,
-            self.source_compatibility,
-            self.left_unit,
-            self.right_unit,
-            self.source_unit,
-            self.inverse_law,
-        )
+        return max(getattr(self, name) for name in AXIOMS)
 
     def as_dict(self) -> dict:
         return {
@@ -323,18 +319,18 @@ def _centered_box(dim: int, half_width: float) -> Array:
 def _resolve_weight(mu_e, dim: int):
     """Accept a callable, an expression tree, or None (constant 1)."""
     if mu_e is None:
-        return _constant_weight(1.0), None
+        return _constant_weight(1.0)
     if callable(mu_e):
-        return mu_e, None
+        return mu_e
     expr = compile_expression(mu_e, dim, 0, slots="u")
-    return (lambda u: expr(u=np.asarray(u, dtype=float))), mu_e
+    return lambda u: expr(u=np.asarray(u, dtype=float))
 
 
 def pair_chart(n: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Pair groupoid on R^n x R^n: source u + v, additive product."""
     if n < 1:
         raise ValueError("pair chart needs n >= 1")
-    weight, _ = _resolve_weight(mu_e, n)
+    weight = _resolve_weight(mu_e, n)
     eye = np.eye(n)
 
     return GroupoidChart(
@@ -362,7 +358,7 @@ def abelian_bundle_chart(
     n: int, m: int, half_width: float = 10.0, mu_e=None
 ) -> GroupoidChart:
     """Bundle of abelian groups R^m over R^n (n = 0 gives the group R^m)."""
-    weight, _ = _resolve_weight(mu_e, n)
+    weight = _resolve_weight(mu_e, n)
     eye = np.eye(m)
 
     return GroupoidChart(
@@ -539,7 +535,7 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
 
     source_fn = compile_vector(source_exprs, n, m, slots="uv")
     product_fn = compile_vector(product_exprs, n, m, slots="uvw")
-    weight, _ = _resolve_weight(spec.get("unit_weight"), n)
+    weight = _resolve_weight(spec.get("unit_weight"), n)
 
     inverse_fn = None
     if "inverse" in spec:

@@ -9,14 +9,15 @@ can find rather than stopping at the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .charts import BUILTIN_CHARTS, GroupoidChart, builtin_chart, chart_from_spec
-from .deformation import deformation_domain_problems
+from .deformation import deformation_domain_problems, sweep_problems
 from .errors import ConfigError
 from .grids import Axis, GridSpec
-from .symbols import SymbolSpec, decay_report, parse_symbol, DECAY_THRESHOLD
+from .symbols import SymbolSpec, decay_problems, parse_symbol
 
 MIN_AXIS_INTERVALS = 8
 
@@ -69,9 +70,8 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
         if name not in BUILTIN_CHARTS:
             problems.append(f"unknown built-in chart {name!r}; have {sorted(BUILTIN_CHARTS)}")
             return None
-        params = dict(chart_cfg.get("params", {}))
         try:
-            return builtin_chart(name, **params)
+            return builtin_chart(name, **dict(chart_cfg.get("params", {})))
         except (TypeError, ValueError, ConfigError) as exc:
             problems.append(f"chart {name!r}: {exc}")
             return None
@@ -93,8 +93,11 @@ def _build_axis(axis_cfg: dict, where: str, fiber: bool, problems: list[str]) ->
         half_width = float(axis_cfg["half_width"])
         intervals = int(axis_cfg["intervals"])
         center = float(axis_cfg.get("center", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{where}: malformed axis ({exc})")
+        return None
+    if not (math.isfinite(half_width) and math.isfinite(center)):
+        problems.append(f"{where}: half_width and center must be finite")
         return None
     if half_width <= 0:
         problems.append(f"{where}: half_width must be positive")
@@ -160,8 +163,8 @@ def build_config(raw: dict) -> RunConfig:
     grid = _build_grid(raw, chart, problems)
 
     fd_step = raw.get("fd_step", 1e-3)
-    if not isinstance(fd_step, (int, float)) or fd_step <= 0:
-        problems.append("fd_step must be a positive number")
+    if not _finite_number(fd_step) or fd_step <= 0:
+        problems.append("fd_step must be a positive finite number")
         fd_step = 1e-3
     seed = raw.get("seed", 2024)
     if not isinstance(seed, int):
@@ -184,17 +187,20 @@ def build_config(raw: dict) -> RunConfig:
         unknown = sorted(set(tol_cfg) - known)
         if unknown:
             problems.append(f"unknown tolerance name(s) {unknown}")
-        else:
+        non_finite = sorted(k for k, v in tol_cfg.items() if not _finite_number(v))
+        if non_finite:
+            problems.append(f"tolerance(s) {non_finite} must be finite numbers")
+        if not unknown and not non_finite:
             tolerances = replace(tolerances, **{k: float(v) for k, v in tol_cfg.items()})
     elif tol_cfg is not None:
         problems.append("tolerances must be an object")
 
-    t_values = tuple(float(t) for t in raw.get("t_values", []))
-    if any(t == 0.0 for t in t_values):
-        problems.append("t must be nonzero in sweep")
-    mags = [abs(t) for t in t_values]
-    if any(b >= a for a, b in zip(mags, mags[1:])):
-        problems.append("t values must decrease strictly in magnitude")
+    t_values = raw.get("t_values", [])
+    if isinstance(t_values, list) and all(_finite_number(t) for t in t_values):
+        t_values = tuple(float(t) for t in t_values)
+    else:
+        problems.append("t_values must be a list of finite numbers")
+        t_values = ()
 
     symbols: dict[str, SymbolSpec] = {}
     sym_cfg = raw.get("symbols", {})
@@ -203,29 +209,27 @@ def build_config(raw: dict) -> RunConfig:
         sym_cfg = {}
     if chart is not None:
         for name, terms in sym_cfg.items():
+            if not isinstance(terms, list) or not all(isinstance(e, dict) for e in terms):
+                problems.append(f"symbol {name!r}: terms must be a list of objects")
+                continue
             try:
                 symbols[name] = parse_symbol(terms, chart.base_dim, chart.fiber_dim)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
                 problems.append(f"symbol {name!r}: {exc}")
 
-    if chart is not None and grid is not None:
-        nonzero_ts = [t for t in t_values if t != 0.0]
-        problems.extend(deformation_domain_problems(chart, grid, nonzero_ts))
+    if chart is None or grid is None:
+        problems.extend(sweep_problems(t_values))
+    else:
+        problems.extend(deformation_domain_problems(chart, grid, t_values))
         for j, ax in enumerate(grid.base):
             lo, hi = chart.base_box[j]
             if ax.start < lo + fd_step or ax.start + ax.step * (ax.count - 1) > hi - fd_step:
                 problems.append(
                     f"base axis {j} leaves no fd_step margin inside the chart base box"
                 )
-        for name, spec in symbols.items():
-            for idx, ratio in decay_report(spec, grid):
-                if ratio >= DECAY_THRESHOLD:
-                    message = (
-                        f"symbol {name!r} term {idx} only decays to {ratio:.3e} "
-                        f"of its peak at the grid boundary"
-                    )
-                    if strict:
-                        problems.append(message)
+        if strict:
+            for name, spec in symbols.items():
+                problems.extend(decay_problems(spec, grid, f"symbol {name!r}"))
 
     if problems:
         raise ConfigError(problems)
@@ -243,6 +247,10 @@ def build_config(raw: dict) -> RunConfig:
         workers=workers,
         tolerances=tolerances,
     )
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def load_config(path) -> RunConfig:

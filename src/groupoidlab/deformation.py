@@ -44,14 +44,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .algebroid import AlgebroidData
-from .charts import GroupoidChart, _in_box
+from .charts import GroupoidChart, _in_box, _sample_box
 from .errors import (
     ConvergenceError,
     DomainError,
     GroupoidLabError,
     SingularJacobianError,
 )
-from .grids import GridSpec, SampledSymbol, interpolate, scale_of
+from .grids import GridSpec, SampledSymbol, scale_of
 from .poisson import TWO_PI_I, _mu_base, poisson_bracket
 from .symbols import SymbolSpec
 
@@ -151,17 +151,9 @@ def left_invariance_residual(
 ) -> float:
     """Max violation of the density's left-invariance identity at random points."""
     rng = np.random.default_rng(seed)
-
-    def draw(box):
-        if box.shape[0] == 0:
-            return np.empty((sample_count, 0))
-        center = 0.5 * (box[:, 0] + box[:, 1])
-        half = 0.5 * (box[:, 1] - box[:, 0]) * shrink
-        return center + (2.0 * rng.random((sample_count, box.shape[0])) - 1.0) * half
-
-    u = draw(chart.base_box)
-    v = draw(chart.fiber_box)
-    w = draw(chart.fiber_box)
+    u = _sample_box(rng, chart.base_box, sample_count, shrink)
+    v = _sample_box(rng, chart.fiber_box, sample_count, shrink)
+    w = _sample_box(rng, chart.fiber_box, sample_count, shrink)
     keep = _in_box(chart.product(u, v, w), chart.fiber_box)
     keep &= _in_box(chart.source_map(u, v), chart.base_box)
     u, v, w = u[keep], v[keep], w[keep]
@@ -185,8 +177,8 @@ class DeformationField:
 
     The sections are constant in blow-up coordinates: at every ``t`` the same
     coordinate expressions ``f0`` and ``g0`` are used.  Every ``t`` must keep
-    all evaluation points inside the chart boxes and the sweep must decrease
-    strictly in magnitude toward 0.
+    all evaluation points inside the chart boxes, and the sweep must follow
+    the rule of :func:`sweep_problems` (t nonzero, |t| strictly decreasing).
     """
 
     chart: GroupoidChart
@@ -202,22 +194,27 @@ class DeformationField:
             raise GroupoidLabError("; ".join(problems))
 
 
+def sweep_problems(t_values: Sequence[float]) -> list[str]:
+    """Violations of the sweep rule: every t nonzero, |t| strictly decreasing."""
+    problems = []
+    if any(t == 0.0 for t in t_values):
+        problems.append("t must be nonzero in sweep")
+    mags = [abs(t) for t in t_values]
+    if any(b >= a for a, b in zip(mags, mags[1:])):
+        problems.append("t values must decrease strictly in magnitude toward 0")
+    return problems
+
+
 def deformation_domain_problems(
     chart: GroupoidChart, grid: GridSpec, t_values: Sequence[float]
 ) -> list[str]:
     """All violations of the sweep preconditions (empty list when admissible)."""
-    problems = []
     if grid.fiber_dim != chart.fiber_dim or grid.base_dim != chart.base_dim:
-        problems.append(
+        return [
             f"grid dims ({grid.base_dim},{grid.fiber_dim}) do not match chart "
             f"dims ({chart.base_dim},{chart.fiber_dim})"
-        )
-        return problems
-    mags = [abs(t) for t in t_values]
-    if any(t == 0.0 for t in t_values):
-        problems.append("t must be nonzero in sweep")
-    if any(b >= a for a, b in zip(mags, mags[1:])):
-        problems.append("t values must decrease strictly in magnitude toward 0")
+        ]
+    problems = sweep_problems(t_values)
     for k, ax in enumerate(grid.fiber):
         lo, hi = chart.fiber_box[k]
         for t in t_values:
@@ -235,18 +232,12 @@ def deformation_domain_problems(
     return problems
 
 
-def _evaluate_left(op: Operand, base_pts: np.ndarray, fiber_pts: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _evaluate_left(op: Operand, base_pts: np.ndarray, fiber_pts: np.ndarray) -> np.ndarray:
     if isinstance(op, SymbolSpec):
         return op.evaluate(base_pts, fiber_pts)
     # left factor is only read at grid nodes: reshape its samples
     K = base_pts.shape[0] if base_pts.ndim == 3 else 1
     return op.values.reshape(K, -1)
-
-
-def _evaluate_right(op: Operand, base_pts: np.ndarray, fiber_pts: np.ndarray) -> np.ndarray:
-    if isinstance(op, SymbolSpec):
-        return op.evaluate(base_pts, fiber_pts)
-    return interpolate(op, base_pts, fiber_pts)
 
 
 def deformed_product(
@@ -284,7 +275,7 @@ def deformed_product(
     sigma = chart.source_map(u3, v_eta)  # (K, H, n)
     rho = haar_density(chart, u3, v_eta)  # (K, H)
     weights = grid.fiber_weights().reshape(-1)  # (H,)
-    left = _evaluate_left(f0, u3, eta, grid)  # (K, H)
+    left = _evaluate_left(f0, u3, eta)  # (K, H)
     coeff = left * rho * weights
 
     out = np.zeros((K, H), dtype=complex)
@@ -302,7 +293,7 @@ def deformed_product(
         )
         scaled = w / t
         gpts_base = np.broadcast_to(sigma[:, :, None, :], (K, H, stop - start, chart.base_dim))
-        gvals = _evaluate_right(g0, gpts_base, scaled)  # (K, H, A)
+        gvals = g0.evaluate(gpts_base, scaled)  # (K, H, A)
         out[:, start:stop] = np.einsum("kh,kha->ka", coeff, gvals, optimize=False)
 
     if workers <= 1 or len(starts) == 1:

@@ -37,10 +37,6 @@ class DecayWarning(UserWarning):
     """Non-strict counterpart of DecayError."""
 
 
-class SignConsistencyError(GroupoidLabError):
-    """Different symbol pairs selected different dual-bracket sign conventions."""
-
-
 class ConfigError(GroupoidLabError):
     """Configuration failed to parse or validate.
 

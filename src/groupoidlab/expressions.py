@@ -105,14 +105,19 @@ def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
         missing = [s for s in slots if env[s] is None and _tree_uses(tree, s)]
         if missing:
             raise ConfigError([f"expression needs coordinate group(s) {missing}"])
-        out = body(env)
-        # Constants broadcast to the batch shape of whichever array is present.
-        for arr in (u, v, w):
-            if arr is not None:
-                return np.broadcast_to(np.asarray(out, dtype=float), np.shape(arr)[:-1]).copy()
-        return np.asarray(out, dtype=float)
+        out = np.asarray(body(env), dtype=float)
+        # The result spans the batch shape of every array present, also where
+        # the tree reads only some of them (or none: a constant).
+        batch = _batch_shape(u, v, w)
+        return out if batch is None else np.broadcast_to(out, batch).copy()
 
     return evaluate
+
+
+def _batch_shape(*arrays):
+    """Broadcast batch shape (all axes but the last) of the arrays given, or None."""
+    present = [np.shape(a)[:-1] for a in arrays if a is not None]
+    return np.broadcast_shapes(*present) if present else None
 
 
 def _tree_uses(tree, slot: str) -> bool:
@@ -130,10 +135,8 @@ def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):
     def evaluate(u=None, v=None, w=None):
         cols = [p(u, v, w) for p in parts]
         if not cols:
-            for arr in (u, v, w):
-                if arr is not None:
-                    return np.empty(np.shape(arr)[:-1] + (0,), dtype=float)
-            return np.empty((0,), dtype=float)
+            batch = _batch_shape(u, v, w)
+            return np.empty((() if batch is None else batch) + (0,), dtype=float)
         return np.stack(cols, axis=-1)
 
     return evaluate

@@ -70,18 +70,19 @@ class Axis:
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return abs(self.center) <= tol * max(1.0, self.half_width)
 
-    def dual(self, widen: int = 1) -> "Axis":
+    def refined(self) -> "Axis":
+        """Same span with half the spacing."""
+        return Axis(self.start, self.step / 2.0, 2 * self.count - 1)
+
+    def dual(self) -> "Axis":
         """Frequency axis conjugate to this one.
 
         Spacing is the reciprocal of the span, so the inverse transform's
-        periodization sits exactly one span away; ``widen`` multiplies the
-        covered frequency half-width without changing the spacing.
+        periodization sits exactly one span away.
         """
-        if widen < 1:
-            raise ValueError("widen must be >= 1")
         span = self.step * (self.count - 1)
         dstep = 1.0 / span
-        half = widen * (self.count - 1) // 2 * 2  # even interval count
+        half = (self.count - 1) // 2 * 2  # even interval count
         count = half + 1
         return Axis(start=-0.5 * dstep * (count - 1), step=dstep, count=count)
 
@@ -154,26 +155,16 @@ class GridSpec:
 
     def fiber_weights(self) -> np.ndarray:
         """fiber_shape array of tensor-product trapezoid weights."""
-        out = np.ones(self.fiber_shape)
-        for axis_index, ax in enumerate(self.fiber):
-            shape = [1] * self.fiber_dim
-            shape[axis_index] = ax.count
-            out = out * ax.trapezoid_weights().reshape(shape)
-        return out
+        return _tensor_weights(self.fiber)
 
     def base_weights(self) -> np.ndarray:
-        out = np.ones(self.base_shape)
-        for axis_index, ax in enumerate(self.base):
-            shape = [1] * self.base_dim
-            shape[axis_index] = ax.count
-            out = out * ax.trapezoid_weights().reshape(shape)
-        return out
+        return _tensor_weights(self.base)
 
-    def dual(self, widen: int = 1) -> "GridSpec":
+    def dual(self) -> "GridSpec":
         """Grid with each fiber axis replaced by its frequency conjugate."""
         return GridSpec(
             base=self.base,
-            fiber=tuple(ax.dual(widen) for ax in self.fiber),
+            fiber=tuple(ax.dual() for ax in self.fiber),
             quadrature=self.quadrature,
         )
 
@@ -181,18 +172,26 @@ class GridSpec:
         """Halve every fiber spacing, keeping spans."""
         return GridSpec(
             base=self.base,
-            fiber=tuple(
-                Axis(ax.start, ax.step / 2.0, 2 * ax.count - 1) for ax in self.fiber
-            ),
+            fiber=tuple(ax.refined() for ax in self.fiber),
             quadrature=self.quadrature,
         )
 
     def refine_all(self) -> "GridSpec":
         return GridSpec(
-            base=tuple(Axis(ax.start, ax.step / 2.0, 2 * ax.count - 1) for ax in self.base),
-            fiber=tuple(Axis(ax.start, ax.step / 2.0, 2 * ax.count - 1) for ax in self.fiber),
+            base=tuple(ax.refined() for ax in self.base),
+            fiber=tuple(ax.refined() for ax in self.fiber),
             quadrature=self.quadrature,
         )
+
+
+def _tensor_weights(axes: tuple[Axis, ...]) -> np.ndarray:
+    """Tensor product of the axes' trapezoid weights, shaped like their node grid."""
+    out = np.ones(tuple(ax.count for ax in axes))
+    for axis_index, ax in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[axis_index] = ax.count
+        out = out * ax.trapezoid_weights().reshape(shape)
+    return out
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,8 @@ class SampledSymbol:
 
     ``decay_ok`` records whether the boundary-layer magnitude stays below
     1e-10 of the max magnitude; operations that rely on compact support may
-    warn or refuse when it is False.
+    warn or refuse when it is False.  The calculus methods mirror those of
+    :class:`groupoidlab.symbols.SymbolSpec`, on node values.
     """
 
     values: np.ndarray
@@ -215,24 +215,44 @@ class SampledSymbol:
             raise GridMismatchError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        return SampledSymbol(values=values, grid=grid, decay_ok=_boundary_ok(values))
+        return SampledSymbol(values=values, grid=grid, decay_ok=boundary_fraction(values) < 1e-10)
 
     @property
     def sup(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
+    def fiber_multiply(self, index: int) -> "SampledSymbol":
+        """Multiply by the fiber coordinate ``xi_index`` at every node."""
+        ax = self.grid.fiber[index]
+        shape = [1] * self.values.ndim
+        shape[self.grid.base_dim + index] = ax.count
+        vals = self.values * ax.nodes.reshape(shape)
+        return SampledSymbol(values=vals, grid=self.grid, decay_ok=self.decay_ok)
 
-def _boundary_ok(values: np.ndarray, threshold: float = 1e-10) -> bool:
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    def derivative(self, kind: str, index: int) -> "SampledSymbol":
+        """Stencil partial derivative; ``kind`` is ``"x"`` or ``"xi"``."""
+        if kind not in ("x", "xi"):
+            raise ValueError("kind must be 'x' or 'xi'")
+        axes, offset = (self.grid.base, 0) if kind == "x" else (self.grid.fiber, self.grid.base_dim)
+        vals = stencil_derivative(self.values, axes[index].step, offset + index)
+        return SampledSymbol(values=vals, grid=self.grid, decay_ok=self.decay_ok)
+
+    def evaluate(self, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
+        """Values at arbitrary points by multilinear interpolation (see :func:`interpolate`)."""
+        return interpolate(self, base_points, fiber_points)
+
+
+def boundary_fraction(values: np.ndarray) -> float:
+    """Largest magnitude on any edge of the array, relative to the peak (0 for zero data)."""
+    mags = np.abs(values)
+    peak = float(np.max(mags)) if mags.size else 0.0
     if peak == 0.0:
-        return True
+        return 0.0
     worst = 0.0
-    for axis in range(values.ndim):
-        sl = [slice(None)] * values.ndim
+    for axis in range(mags.ndim):
         for edge in (0, -1):
-            sl[axis] = edge
-            worst = max(worst, float(np.max(np.abs(values[tuple(sl)]))))
-    return worst < threshold * peak
+            worst = max(worst, float(np.max(np.take(mags, edge, axis=axis))))
+    return worst / peak
 
 
 def require_same_grid(*sampled: SampledSymbol) -> GridSpec:
@@ -287,25 +307,42 @@ def stencil_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray
     return out / step
 
 
-def derive_base(sym: SampledSymbol, axis_index: int) -> SampledSymbol:
-    ax = sym.grid.base[axis_index]
-    vals = stencil_derivative(sym.values, ax.step, axis_index)
-    return SampledSymbol(values=vals, grid=sym.grid, decay_ok=sym.decay_ok)
+def interpolation_corners(axes, coords):
+    """Corners of multilinear interpolation on the node grid of ``axes``.
 
+    ``coords`` holds one coordinate array per axis; their shapes broadcast to
+    a common batch shape.  Yields ``(flat_index, weight)`` corner by corner,
+    both of that batch shape: the C-order index of the corner node and its
+    interpolation weight, which is 0 where the corner lies outside the grid
+    (the index is then clamped into it).
+    """
+    batch_shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    lows, fracs, valid_low, valid_high = [], [], [], []
+    for c, ax in zip(coords, axes):
+        tpos = (np.asarray(c, dtype=float) - ax.start) / ax.step
+        low = np.floor(tpos).astype(np.int64)
+        lows.append(low)
+        fracs.append(tpos - low)
+        valid_low.append((low >= 0) & (low <= ax.count - 1))
+        valid_high.append((low + 1 >= 0) & (low + 1 <= ax.count - 1))
+    counts = [ax.count for ax in axes]
+    strides = [int(np.prod(counts[k + 1 :], dtype=np.int64)) for k in range(len(axes))]
 
-def derive_fiber(sym: SampledSymbol, axis_index: int) -> SampledSymbol:
-    ax = sym.grid.fiber[axis_index]
-    vals = stencil_derivative(sym.values, ax.step, sym.grid.base_dim + axis_index)
-    return SampledSymbol(values=vals, grid=sym.grid, decay_ok=sym.decay_ok)
-
-
-def fiber_coordinate_multiply(sym: SampledSymbol, axis_index: int) -> SampledSymbol:
-    grid = sym.grid
-    ax = grid.fiber[axis_index]
-    shape = [1] * sym.values.ndim
-    shape[grid.base_dim + axis_index] = ax.count
-    vals = sym.values * ax.nodes.reshape(shape)
-    return SampledSymbol(values=vals, grid=grid, decay_ok=sym.decay_ok)
+    for corner in range(1 << len(axes)):
+        weight = np.ones(batch_shape, dtype=float)
+        index = np.zeros(batch_shape, dtype=np.int64)
+        ok = np.ones(batch_shape, dtype=bool)
+        for k in range(len(axes)):
+            if corner >> k & 1:
+                idx_k = lows[k] + 1
+                weight = weight * fracs[k]
+                ok = ok & valid_high[k]
+            else:
+                idx_k = lows[k]
+                weight = weight * (1.0 - fracs[k])
+                ok = ok & valid_low[k]
+            index = index + np.clip(idx_k, 0, counts[k] - 1) * strides[k]
+        yield index, np.where(ok, weight, 0.0)
 
 
 def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
@@ -315,47 +352,12 @@ def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.nd
     batch shape; returns complex values of that batch shape.
     """
     grid = sym.grid
-    axes = list(grid.base) + list(grid.fiber)
     coords = []
     if grid.base_dim:
         coords.extend(np.moveaxis(np.asarray(base_points, dtype=float), -1, 0))
     coords.extend(np.moveaxis(np.asarray(fiber_points, dtype=float), -1, 0))
-    batch_shape = np.broadcast_shapes(
-        *(c.shape for c in coords)
-    ) if coords else ()
-
-    lows, fracs, valid_low, valid_high = [], [], [], []
-    for c, ax in zip(coords, axes):
-        tpos = (np.asarray(c, dtype=float) - ax.start) / ax.step
-        low = np.floor(tpos).astype(np.int64)
-        frac = tpos - low
-        lows.append(low)
-        fracs.append(frac)
-        valid_low.append((low >= 0) & (low <= ax.count - 1))
-        valid_high.append((low + 1 >= 0) & (low + 1 <= ax.count - 1))
-
-    values = sym.values
-    strides = np.array(
-        [int(np.prod(values.shape[k + 1 :], dtype=np.int64)) for k in range(values.ndim)],
-        dtype=np.int64,
-    )
-    flat = values.reshape(-1)
-
-    out = np.zeros(batch_shape, dtype=complex)
-    ndim = len(axes)
-    for corner in range(1 << ndim):
-        weight = np.ones(batch_shape, dtype=float)
-        index = np.zeros(batch_shape, dtype=np.int64)
-        ok = np.ones(batch_shape, dtype=bool)
-        for k in range(ndim):
-            if corner >> k & 1:
-                idx_k = lows[k] + 1
-                weight = weight * fracs[k]
-                ok = ok & valid_high[k]
-            else:
-                idx_k = lows[k]
-                weight = weight * (1.0 - fracs[k])
-                ok = ok & valid_low[k]
-            index = index + np.clip(idx_k, 0, axes[k].count - 1) * strides[k]
-        out += np.where(ok, weight, 0.0) * flat[index]
+    flat = sym.values.reshape(-1)
+    out = 0.0
+    for index, weight in interpolation_corners(grid.base + grid.fiber, coords):
+        out = out + weight * flat[index]
     return out

@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .charts import GroupoidChart
-from .deformation import haar_density, solve_product
+from .deformation import deformation_domain_problems, haar_density, solve_product, sweep_problems
 from .errors import ConvergenceError, DomainError, GroupoidLabError
-from .grids import GridSpec
-from .poisson import _mu_base, fourier_transform
+from .grids import GridSpec, interpolation_corners
+from .poisson import _mu_base, fourier_transform, select_dual_grid
 from .symbols import SymbolSpec, eval_symbol
 
 POWER_TOL = 1e-8
@@ -51,7 +51,6 @@ class NormCurve:
 
     rows: tuple[NormRow, ...]
     zero: NormRow
-    reduced_equals_full: bool = True  # amenable built-ins only
 
     def deltas(self) -> list[float]:
         return [abs(r.value - self.zero.value) for r in self.rows]
@@ -112,17 +111,15 @@ def zero_fiber_norm(
 ) -> NormRow:
     """Sup of the fiberwise Fourier transform over base and dual nodes.
 
-    The dual grid is first widened until the transform decays at its
-    boundary, then refined (spacing halved) until the sup moves by less than
-    ``rel_tol`` relatively; more than ``max_refine`` refinements raise
-    ConvergenceError.
+    Starts on the conjugate dual grid (:func:`select_dual_grid` warns when
+    the transform has not decayed at its boundary), then refines it (spacing
+    halved) until the sup moves by less than ``rel_tol`` relatively; more
+    than ``max_refine`` refinements raise ConvergenceError.
     """
     sampled = eval_symbol(f0, grid, strict=strict, name="f0")
     mu = _mu_base(mu_on_base, grid)
     if not f0.terms:
         return NormRow(t=0.0, value=0.0, residual=0.0, size=0)
-
-    from .poisson import select_dual_grid
 
     dual = select_dual_grid(grid, [sampled], mu_on_base=mu, strict=strict)
     sup = float(np.max(np.abs(fourier_transform(sampled, mu, dual).values)))
@@ -210,47 +207,11 @@ def _interp_scatter(points: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.
     """Multilinear weights of arbitrary fiber points onto the fiber nodes.
 
     Returns ``(flat_indices, weights)`` of shape (..., 2^m); contributions
-    outside the grid get weight 0 (their index is clamped to 0).
+    outside the grid get weight 0 (their index is clamped into the grid).
     """
-    m = grid.fiber_dim
-    axes = grid.fiber
-    lows, fracs, ok_low, ok_high = [], [], [], []
-    for k in range(m):
-        ax = axes[k]
-        tpos = (points[..., k] - ax.start) / ax.step
-        low = np.floor(tpos).astype(np.int64)
-        frac = tpos - low
-        lows.append(low)
-        fracs.append(frac)
-        ok_low.append((low >= 0) & (low <= ax.count - 1))
-        ok_high.append((low + 1 >= 0) & (low + 1 <= ax.count - 1))
-    strides = []
-    acc = 1
-    for c in reversed(grid.fiber_shape):
-        strides.append(acc)
-        acc *= c
-    strides = list(reversed(strides))
-
-    batch = points.shape[:-1]
-    n_corners = 1 << m
-    indices = np.zeros(batch + (n_corners,), dtype=np.int64)
-    weights = np.ones(batch + (n_corners,), dtype=float)
-    for corner in range(n_corners):
-        idx = np.zeros(batch, dtype=np.int64)
-        wgt = np.ones(batch, dtype=float)
-        valid = np.ones(batch, dtype=bool)
-        for k in range(m):
-            if corner >> k & 1:
-                component = lows[k] + 1
-                wgt = wgt * fracs[k]
-                valid &= ok_high[k]
-            else:
-                component = lows[k]
-                wgt = wgt * (1.0 - fracs[k])
-                valid &= ok_low[k]
-            idx = idx + np.clip(component, 0, axes[k].count - 1) * strides[k]
-        indices[..., corner] = idx
-        weights[..., corner] = np.where(valid, wgt, 0.0)
+    corners = list(interpolation_corners(grid.fiber, list(np.moveaxis(points, -1, 0))))
+    indices = np.stack([index for index, _ in corners], axis=-1)
+    weights = np.stack([weight for _, weight in corners], axis=-1)
     return indices, weights
 
 
@@ -273,15 +234,12 @@ def group_regular_norm(
         raise GroupoidLabError("regular-action norms are implemented for base dimension 0")
     if t == 0.0:
         raise GroupoidLabError("regular-action norm needs t != 0")
-    from .deformation import deformation_domain_problems
-
     problems = deformation_domain_problems(chart, grid, [t])
     if problems:
         raise DomainError("; ".join(problems))
 
     eta = grid.fiber_points_flat()  # (H, m)
     H = eta.shape[0]
-    u = np.zeros((1, 0))
     f_vals = f0.evaluate(np.zeros((H, 0)), eta)
     rho = haar_density(chart, np.zeros((H, 0)), t * eta)
     coeff = f_vals * rho * grid.fiber_weights().reshape(-1)
@@ -319,10 +277,9 @@ def norm_curve(
 ) -> NormCurve:
     """Operator norms along the sweep plus the commutative value at 0."""
     ts = [float(t) for t in t_values]
-    if any(t == 0.0 for t in ts):
-        raise GroupoidLabError("the sweep must not contain t = 0; the 0 row is separate")
-    if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise GroupoidLabError("t values must decrease strictly")
+    problems = sweep_problems(ts)
+    if problems:
+        raise GroupoidLabError("; ".join(problems))
     rows = []
     for t in ts:
         if chart.kind == "pair":

@@ -37,15 +37,7 @@ from .errors import (
     GroupoidLabError,
     MissingDataError,
 )
-from .grids import (
-    GridSpec,
-    SampledSymbol,
-    derive_base,
-    derive_fiber,
-    fiber_coordinate_multiply,
-    require_same_grid,
-    scale_of,
-)
+from .grids import GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
 
 TWO_PI_I = 2j * np.pi
@@ -137,6 +129,21 @@ def _check_base_axes(a: GridSpec, b: GridSpec):
         raise GridMismatchError("grids disagree on base axes")
 
 
+def _fiber_transform(values: np.ndarray, src: GridSpec, dst: GridSpec, sign: float) -> np.ndarray:
+    """Apply the kernel ``exp(sign 2 pi i <dst, src>)`` times the ``src`` weights, axis by axis."""
+    nb = src.base_dim
+    vals = values.astype(complex)
+    for k in range(src.fiber_dim):
+        src_ax, dst_ax = src.fiber[k], dst.fiber[k]
+        phase = sign * TWO_PI_I * np.outer(dst_ax.nodes, src_ax.nodes)
+        kernel = np.exp(phase) * src_ax.trapezoid_weights()
+        moved = np.moveaxis(vals, nb + k, -1)
+        vals = np.moveaxis(
+            np.einsum("da,...a->...d", kernel, moved, optimize=False), -1, nb + k
+        )
+    return vals
+
+
 def fourier_transform(f: SampledSymbol, mu_on_base=None, dual: GridSpec | None = None) -> SampledSymbol:
     """Fiberwise transform with kernel ``exp(-2 pi i <zeta, xi>)``.
 
@@ -148,17 +155,7 @@ def fourier_transform(f: SampledSymbol, mu_on_base=None, dual: GridSpec | None =
         dual = grid.dual()
     _check_base_axes(grid, dual)
     mu = _mu_base(mu_on_base, grid)
-    nb = grid.base_dim
-    vals = f.values.astype(complex)
-    for k in range(grid.fiber_dim):
-        ax = grid.fiber[k]
-        dax = dual.fiber[k]
-        kernel = np.exp(-TWO_PI_I * np.outer(dax.nodes, ax.nodes)) * ax.trapezoid_weights()
-        moved = np.moveaxis(vals, nb + k, -1)
-        vals = np.moveaxis(
-            np.einsum("da,...a->...d", kernel, moved, optimize=False), -1, nb + k
-        )
-    vals = vals * _with_fiber_axes(mu, dual)
+    vals = _fiber_transform(f.values, grid, dual, -1.0) * _with_fiber_axes(mu, dual)
     return SampledSymbol.wrap(vals, dual)
 
 
@@ -169,17 +166,7 @@ def inverse_fourier(F: SampledSymbol, mu_on_base=None, primal: GridSpec | None =
         raise ValueError("inverse_fourier needs the primal grid")
     _check_base_axes(dual, primal)
     mu = _mu_base(mu_on_base, primal)
-    nb = dual.base_dim
-    vals = F.values.astype(complex)
-    for k in range(dual.fiber_dim):
-        dax = dual.fiber[k]
-        ax = primal.fiber[k]
-        kernel = np.exp(+TWO_PI_I * np.outer(ax.nodes, dax.nodes)) * dax.trapezoid_weights()
-        moved = np.moveaxis(vals, nb + k, -1)
-        vals = np.moveaxis(
-            np.einsum("da,...a->...d", kernel, moved, optimize=False), -1, nb + k
-        )
-    vals = vals / _with_fiber_axes(mu, primal)
+    vals = _fiber_transform(F.values, dual, primal, 1.0) / _with_fiber_axes(mu, primal)
     return SampledSymbol.wrap(vals, primal)
 
 
@@ -203,7 +190,7 @@ def select_dual_grid(
     worst = 0.0
     for s in sampled:
         F = fourier_transform(s, mu_on_base, dual)
-        worst = max(worst, _boundary_fraction(F.values))
+        worst = max(worst, boundary_fraction(F.values))
     if worst >= threshold:
         message = (
             f"a transform only decays to {worst:.3e} of its peak at the dual "
@@ -213,19 +200,6 @@ def select_dual_grid(
             raise DecayError(message)
         warnings.warn(message, DecayWarning, stacklevel=2)
     return dual
-
-
-def _boundary_fraction(values: np.ndarray) -> float:
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    worst = 0.0
-    for axis in range(values.ndim):
-        sl = [slice(None)] * values.ndim
-        for edge in (0, -1):
-            sl[axis] = edge
-            worst = max(worst, float(np.max(np.abs(values[tuple(sl)]))))
-    return worst / peak
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +217,6 @@ def _check_alignment(data: AlgebroidData, grid: GridSpec):
 def _op_grid_check(op: Operand, grid: GridSpec):
     if isinstance(op, SampledSymbol) and op.grid != grid:
         raise GridMismatchError("sampled operand lives on a different grid")
-
-
-def _op_fiber_mult(op: Operand, index: int, grid: GridSpec) -> Operand:
-    if isinstance(op, SymbolSpec):
-        return op.fiber_multiply(index)
-    return fiber_coordinate_multiply(op, index)
-
-
-def _op_derive(op: Operand, kind: str, index: int, grid: GridSpec) -> Operand:
-    if isinstance(op, SymbolSpec):
-        return op.derivative(kind, index)
-    return derive_base(op, index) if kind == "x" else derive_fiber(op, index)
 
 
 def _op_values(op: Operand, grid: GridSpec, strict: bool) -> np.ndarray:
@@ -293,10 +255,10 @@ def poisson_bracket(
 
     f_vals = _op_values(f, grid, strict)
     g_vals = _op_values(g, grid, strict)
-    f_mult = [_op_values(_op_fiber_mult(f, i, grid), grid, strict) for i in range(m)]
-    g_mult = [_op_values(_op_fiber_mult(g, i, grid), grid, strict) for i in range(m)]
-    f_dx = [_op_values(_op_derive(f, "x", j, grid), grid, strict) for j in range(n)]
-    g_dx = [_op_values(_op_derive(g, "x", j, grid), grid, strict) for j in range(n)]
+    f_mult = [_op_values(f.fiber_multiply(i), grid, strict) for i in range(m)]
+    g_mult = [_op_values(g.fiber_multiply(i), grid, strict) for i in range(m)]
+    f_dx = [_op_values(f.derivative("x", j), grid, strict) for j in range(n)]
+    g_dx = [_op_values(g.derivative("x", j), grid, strict) for j in range(n)]
 
     out = np.zeros(grid.shape, dtype=complex)
 
@@ -322,8 +284,7 @@ def poisson_bracket(
         key = (which, i, k)
         if key not in d_cache:
             source = f if which == "f" else g
-            op = _op_derive(_op_fiber_mult(source, i, grid), "xi", k, grid)
-            d_cache[key] = _op_values(op, grid, strict)
+            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid, strict)
         return d_cache[key]
 
     for i in range(m):
@@ -366,10 +327,10 @@ def dual_poisson_bracket(
     anchor = data.anchor.reshape(base_shape + (m, n))
     structure = data.structure.reshape(base_shape + (m, m, m))
 
-    F_zeta = [derive_fiber(F, i).values for i in range(m)]
-    G_zeta = [derive_fiber(G, i).values for i in range(m)]
-    F_x = [derive_base(F, j).values for j in range(n)]
-    G_x = [derive_base(G, j).values for j in range(n)]
+    F_zeta = [F.derivative("xi", i).values for i in range(m)]
+    G_zeta = [G.derivative("xi", i).values for i in range(m)]
+    F_x = [F.derivative("x", j).values for j in range(n)]
+    G_x = [G.derivative("x", j).values for j in range(n)]
 
     out = np.zeros(grid.shape, dtype=complex)
     for i in range(m):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DecayError, DecayWarning
-from .grids import GridSpec, SampledSymbol
+from .grids import GridSpec, SampledSymbol, boundary_fraction
 
 DECAY_THRESHOLD = 1e-12
 
@@ -208,13 +208,6 @@ class SymbolSpec:
             out = out + t.coeff * poly * np.exp(exponent)
         return out
 
-    def conjugated(self) -> "SymbolSpec":
-        return SymbolSpec(
-            self.base_dim,
-            self.fiber_dim,
-            tuple(SymbolTerm(np.conj(t.coeff), *t._key()) for t in self.terms),
-        )
-
 
 # ---------------------------------------------------------------------------
 # grid interaction
@@ -224,49 +217,8 @@ def _term_spec(term: SymbolTerm, n: int, m: int) -> SymbolSpec:
     return SymbolSpec(n, m, (term,))
 
 
-def decay_report(spec: SymbolSpec, grid: GridSpec) -> list[tuple[int, float]]:
-    """Per-term ratio of boundary magnitude to peak magnitude on the grid."""
-    if grid.base_dim != spec.base_dim or grid.fiber_dim != spec.fiber_dim:
-        raise ValueError("symbol and grid dimensions differ")
-    base = grid.base_mesh()
-    fiber = grid.fiber_mesh()
-    if grid.base_dim:
-        base_b = base.reshape(grid.base_shape + (1,) * grid.fiber_dim + (grid.base_dim,))
-    else:
-        base_b = np.zeros((1,) * grid.fiber_dim + (0,))
-    fiber_b = fiber.reshape((1,) * grid.base_dim + grid.fiber_shape + (grid.fiber_dim,))
-    report = []
-    for idx, term in enumerate(spec.terms):
-        vals = np.abs(_term_spec(term, spec.base_dim, spec.fiber_dim).evaluate(base_b, fiber_b))
-        peak = float(np.max(vals)) if vals.size else 0.0
-        worst = 0.0
-        if peak > 0:
-            for axis in range(vals.ndim):
-                sl = [slice(None)] * vals.ndim
-                for edge in (0, -1):
-                    sl[axis] = edge
-                    worst = max(worst, float(np.max(vals[tuple(sl)])))
-            worst /= peak
-        report.append((idx, worst))
-    return report
-
-
-def check_decay(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol"):
-    """Warn (or raise under strict) when a term fails the box-decay contract."""
-    for idx, ratio in decay_report(spec, grid):
-        if ratio >= DECAY_THRESHOLD:
-            message = (
-                f"{name}: term {idx} only decays to {ratio:.3e} of its peak at the "
-                f"grid boundary (threshold {DECAY_THRESHOLD:.0e})"
-            )
-            if strict:
-                raise DecayError(message)
-            warnings.warn(message, DecayWarning, stacklevel=2)
-
-
-def eval_symbol(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol") -> SampledSymbol:
-    """Sample the symbol at every grid node."""
-    check_decay(spec, grid, strict=strict, name=name)
+def _node_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Base and fiber node arrays shaped to broadcast over ``grid.shape``."""
     if grid.base_dim:
         base_b = grid.base_mesh().reshape(
             grid.base_shape + (1,) * grid.fiber_dim + (grid.base_dim,)
@@ -276,7 +228,43 @@ def eval_symbol(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: st
     fiber_b = grid.fiber_mesh().reshape(
         (1,) * grid.base_dim + grid.fiber_shape + (grid.fiber_dim,)
     )
-    values = spec.evaluate(base_b, fiber_b)
+    return base_b, fiber_b
+
+
+def decay_report(spec: SymbolSpec, grid: GridSpec) -> list[tuple[int, float]]:
+    """Per-term ratio of boundary magnitude to peak magnitude on the grid."""
+    if grid.base_dim != spec.base_dim or grid.fiber_dim != spec.fiber_dim:
+        raise ValueError("symbol and grid dimensions differ")
+    base_b, fiber_b = _node_points(grid)
+    report = []
+    for idx, term in enumerate(spec.terms):
+        vals = _term_spec(term, spec.base_dim, spec.fiber_dim).evaluate(base_b, fiber_b)
+        report.append((idx, boundary_fraction(vals)))
+    return report
+
+
+def decay_problems(spec: SymbolSpec, grid: GridSpec, name: str = "symbol") -> list[str]:
+    """One message per term that fails the box-decay contract on the grid."""
+    return [
+        f"{name} term {idx} only decays to {ratio:.3e} of its peak at the grid "
+        f"boundary (threshold {DECAY_THRESHOLD:.0e})"
+        for idx, ratio in decay_report(spec, grid)
+        if ratio >= DECAY_THRESHOLD
+    ]
+
+
+def check_decay(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol"):
+    """Warn (or raise under strict) when a term fails the box-decay contract."""
+    for message in decay_problems(spec, grid, name):
+        if strict:
+            raise DecayError(message)
+        warnings.warn(message, DecayWarning, stacklevel=2)
+
+
+def eval_symbol(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol") -> SampledSymbol:
+    """Sample the symbol at every grid node."""
+    check_decay(spec, grid, strict=strict, name=name)
+    values = spec.evaluate(*_node_points(grid))
     values = np.broadcast_to(values, grid.shape).astype(complex)
     return SampledSymbol.wrap(values, grid)
 
@@ -292,10 +280,14 @@ def parse_symbol(entries: Iterable[dict], base_dim: int, fiber_dim: int) -> Symb
     def vector(entry, key, dim, default, cast):
         raw = entry.get(key, default)
         if np.isscalar(raw):
-            return tuple(cast(raw) for _ in range(dim))
-        if len(raw) != dim:
+            out = tuple(cast(raw) for _ in range(dim))
+        elif len(raw) != dim:
             raise ValueError(f"{key} needs {dim} entries, got {len(raw)}")
-        return tuple(cast(r) for r in raw)
+        else:
+            out = tuple(cast(r) for r in raw)
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{key} must be finite")
+        return out
 
     terms = []
     for entry in entries:
@@ -304,6 +296,8 @@ def parse_symbol(entries: Iterable[dict], base_dim: int, fiber_dim: int) -> Symb
             coeff = complex(float(raw_coeff[0]), float(raw_coeff[1]))
         else:
             coeff = complex(float(raw_coeff), 0.0)
+        if not np.isfinite(coeff):
+            raise ValueError("coeff must be finite")
         terms.append(
             SymbolTerm(
                 coeff=coeff,

@@ -1,4 +1,5 @@
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -50,6 +51,27 @@ def heis_grid16():
 @pytest.fixture(scope="session")
 def heis_data16(heisenberg, heis_grid16):
     return gl.extract_algebroid(heisenberg, heis_grid16.base_points_flat())
+
+
+@pytest.fixture(scope="session")
+def heis_limit_table16(heisenberg, heis_grid16):
+    """Heisenberg 16^3 classical-limit table and the seconds its computation took.
+
+    Shared by the acceptance line and the second-order test, which assert on
+    the same chart, grid, symbols and sweep.
+    """
+    start = time.perf_counter()
+    field = gl.DeformationField(
+        chart=heisenberg,
+        grid=heis_grid16,
+        f0=gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2]),
+        g0=gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3]),
+        t_values=(0.2, 0.1, 0.05),
+    )
+    with warnings.catch_warnings():  # set up before the per-test filter above applies
+        warnings.simplefilter("ignore", DecayWarning)
+        table = gl.classical_limit_error_table(field)
+    return table, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")

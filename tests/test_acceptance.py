@@ -87,19 +87,11 @@ def test_c2_classical_limit_pair():
     )
 
 
-def test_c2_classical_limit_heisenberg():
-    start = time.perf_counter()
-    chart = gl.builtin_chart("heisenberg")
-    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 16) for _ in range(3)))
-    field = gl.DeformationField(
-        chart=chart,
-        grid=grid,
-        f0=G(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2]),
-        g0=G(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3]),
-        t_values=(0.2, 0.1, 0.05),
-    )
-    table = gl.classical_limit_error_table(field)
-    elapsed = time.perf_counter() - start
+def test_c2_classical_limit_heisenberg(heis_limit_table16):
+    # heisenberg chart, 16^3 grid of half width 5.5, t = 0.2, 0.1, 0.05 (see
+    # conftest.py); the table is computed once per session and ``elapsed`` is
+    # the time that computation took
+    table, elapsed = heis_limit_table16
     ratios = table.ratios()
     target = 1 / (2 * np.pi)
     constant_error = abs(table.observed_constant - target) / target

@@ -240,3 +240,106 @@ def test_seed_flag_changes_sampling(tmp_path):
     a = json.loads((out1 / "validate_summary.json").read_text())
     b = json.loads((out2 / "validate_summary.json").read_text())
     assert a["results"]["associativity"] != b["results"]["associativity"]
+
+
+# -- malformed configs and the shared sweep rule -------------------------------------
+
+# the affine group of the line written as a custom chart; the same group as the
+# built-in ax_plus_b chart with half_width 4
+CUSTOM_AX_PLUS_B = {
+    "name": "custom_ax_plus_b",
+    "base_dim": 0,
+    "fiber_dim": 2,
+    "source_map": [],
+    "product": [["+", "v1", "w1"], ["+", "v2", ["*", ["exp", "v1"], "w2"]]],
+    "unit_weight": 1.0,
+    "base_box": [],
+    "fiber_box": [[-4.0, 4.0], [-4.0, 4.0]],
+}
+
+
+def _custom_chart_with_one_product_expression():
+    raw = json.loads((CONFIGS / "ax_plus_b_deform.json").read_text())
+    chart = dict(CUSTOM_AX_PLUS_B, product=CUSTOM_AX_PLUS_B["product"][:1])
+    raw["chart"] = {"custom": chart}
+    return raw
+
+
+def _nan_half_width():
+    raw = minimal_config()
+    raw["grid"]["base"][0]["half_width"] = float("nan")
+    return raw
+
+
+MALFORMED = [
+    ("custom_expression_count", _custom_chart_with_one_product_expression(), "product needs 2"),
+    ("string_tolerance", minimal_config(tolerances={"axiom": "tight"}), "tolerance"),
+    ("string_t_value", minimal_config(t_values=[0.2, "0.1"]), "t_values"),
+    ("symbol_terms_object", minimal_config(symbols={"f": {"xi_widths": [1.0]}}), "symbol 'f'"),
+    ("nan_t_value", minimal_config(t_values=[0.2, float("nan")]), "t_values"),
+    ("nan_half_width", _nan_half_width(), "grid.base[0]"),
+    ("nan_fd_step", minimal_config(fd_step=float("nan")), "fd_step"),
+    ("infinite_tolerance", minimal_config(tolerances={"axiom": float("inf")}), "tolerance"),
+    ("chart_params_not_object", minimal_config(chart={"builtin": "pair", "params": 5}), "chart 'pair'"),
+    ("nan_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [float("nan")]}]}), "xi_widths"),
+    ("infinite_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [float("inf")]}]}), "symbol 'f'"),
+]
+
+
+@pytest.mark.parametrize("raw, violation", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_config_exits_2(raw, violation, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # Python's json writes and reads NaN / Infinity
+    assert main(["deform", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert any(violation in line for line in lines), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sweep, accepted",
+    [([0.1, 0.2], False), ([0.2, 0.0], False), ([-0.4, -0.2, -0.1], True)],
+)
+def test_config_field_and_norm_curve_share_the_sweep_rule(sweep, accepted):
+    f = gl.SymbolSpec.gaussian(1, 1)
+    config = gl.build_config(minimal_config())
+    attempts = [
+        lambda: gl.build_config(minimal_config(t_values=sweep)),
+        lambda: gl.DeformationField(config.chart, config.grid, f, f, tuple(sweep)),
+        lambda: gl.norm_curve(f, config.chart, sweep, config.grid),
+    ]
+    verdicts = []
+    for attempt in attempts:
+        try:
+            attempt()
+            verdicts.append(True)
+        except gl.GroupoidLabError:
+            verdicts.append(False)
+    assert verdicts == [accepted] * 3
+
+
+@pytest.mark.parametrize("fiber_intervals", [16, 15])  # 15: no grid, so no chart-domain check
+def test_config_lists_the_decrease_violation_once(fiber_intervals):
+    raw = minimal_config(t_values=[0.1, 0.2])
+    raw["grid"]["fiber"][0]["intervals"] = fiber_intervals
+    with pytest.raises(ConfigError) as excinfo:
+        gl.build_config(raw)
+    assert sum("decrease" in v for v in excinfo.value.violations) == 1
+
+
+def test_deform_on_custom_chart_matches_builtin():
+    builtin = json.loads((CONFIGS / "ax_plus_b_deform.json").read_text())
+    for axis in builtin["grid"]["fiber"]:
+        axis["intervals"] = 16
+    custom = dict(builtin, chart={"custom": CUSTOM_AX_PLUS_B})
+    expected = run_command("deform", gl.build_config(builtin)).summary
+    got = run_command("deform", gl.build_config(custom)).summary
+    assert [row[0] for row in got["rows"]] == [0.2, 0.1, 0.05]
+    for mine, reference in zip(got["rows"], expected["rows"]):
+        for value, ref in zip(mine[1:], reference[1:]):
+            if ref is not None:
+                assert value == pytest.approx(ref, rel=1e-6)
+    assert got["observed_limit_constant"] == pytest.approx(
+        expected["observed_limit_constant"], rel=1e-6
+    )

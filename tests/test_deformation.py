@@ -240,15 +240,10 @@ def test_classical_limit_ax_plus_b_first_order():
         assert 0.35 <= ratio <= 0.65
 
 
-def test_classical_limit_heisenberg_is_second_order(heisenberg, heis_grid16):
+def test_classical_limit_heisenberg_is_second_order(heis_limit_table16):
     # the midpoint-symmetric product law makes the deformed commutator odd in t,
     # so the error is O(t^2): super-convergent, ratios near 1/4 rather than 1/2
-    f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
-    g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
-    field = gl.DeformationField(
-        chart=heisenberg, grid=heis_grid16, f0=f, g0=g, t_values=(0.2, 0.1, 0.05)
-    )
-    table = gl.classical_limit_error_table(field)
+    table, _ = heis_limit_table16
     assert table.errors_decreasing()
     for ratio in table.ratios():
         assert 0.2 <= ratio <= 0.3

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import groupoidlab as gl
 from groupoidlab.errors import DecayError, DecayWarning, GridMismatchError
 from groupoidlab.grids import interpolate
+from groupoidlab.normfield import _interp_scatter
 from groupoidlab.symbols import decay_report
 
 
@@ -118,10 +119,7 @@ def test_fiber_multiply_matches_node_multiplication():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(6.0, 16), gl.Axis.centered(6.0, 16)))
     spec = gl.SymbolSpec.gaussian(0, 2, xi_widths=[1.0, 1.3])
     left = gl.eval_symbol(spec.fiber_multiply(1), grid).values
-    sampled = gl.eval_symbol(spec, grid)
-    from groupoidlab.grids import fiber_coordinate_multiply
-
-    right = fiber_coordinate_multiply(sampled, 1).values
+    right = gl.eval_symbol(spec, grid).fiber_multiply(1).values
     np.testing.assert_allclose(left, right, atol=1e-14)
 
 
@@ -164,6 +162,22 @@ def test_interpolation_zero_outside():
     s = gl.SampledSymbol(values=np.ones(grid.shape, dtype=complex), grid=grid, decay_ok=True)
     out = interpolate(s, np.zeros((2, 0)), np.array([[5.0], [-1.7]]))
     np.testing.assert_array_equal(out, 0.0)
+
+
+def test_interpolation_is_the_sum_over_scatter_corners():
+    # gather (interpolate) and scatter (_interp_scatter) share one corner routine
+    grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.0, 10), gl.Axis.centered(2.5, 12)))
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    s = gl.SampledSymbol(values=vals, grid=grid, decay_ok=True)
+    pts = rng.uniform(-3.5, 3.5, (6, 9, 2))  # some fall outside the grid
+    indices, weights = _interp_scatter(pts, grid)
+    expected = np.zeros(pts.shape[:-1], dtype=complex)
+    for corner in range(indices.shape[-1]):
+        expected += weights[..., corner] * vals.reshape(-1)[indices[..., corner]]
+    got = interpolate(s, np.zeros(pts.shape[:-1] + (0,)), pts)
+    assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(s.evaluate(np.zeros(pts.shape[:-1] + (0,)), pts), got)
 
 
 def test_parse_symbol_defaults_and_complex_coeff():

@@ -113,15 +113,11 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
     header = [f"x_{j + 1}" for j in range(grid.base_dim)]
     header += [f"xi_{i + 1}" for i in range(grid.fiber_dim)]
     header += ["real", "imag"]
-    values = forward.values.reshape(base_pts.shape[0], fiber_pts.shape[0])
-    rows = []
-    for p in range(base_pts.shape[0]):
-        for q in range(fiber_pts.shape[0]):
-            rows.append(
-                list(base_pts[p])
-                + list(fiber_pts[q])
-                + [float(values[p, q].real), float(values[p, q].imag)]
-            )
+    K, H = base_pts.shape[0], fiber_pts.shape[0]
+    values = forward.values.reshape(-1)
+    rows = np.column_stack(
+        (np.repeat(base_pts, H, 0), np.tile(fiber_pts, (K, 1)), values.real, values.imag)
+    )
     bundle = ReportBundle(
         command="bracket",
         summary={
@@ -245,9 +241,7 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
         raise ConfigError(["normfield needs a t sweep"])
     mu = unit_weight_on_grid(chart, grid)
     f = config.symbols["f"]
-    curve = norm_curve(
-        f, chart, config.t_values, grid, mu, tol=tol.power_iteration, strict=config.strict
-    )
+    curve = norm_curve(f, chart, config.t_values, grid, mu, strict=config.strict)
     deltas = curve.deltas()
     checks = [
         Check("deltas_decreasing", curve.deltas_decreasing(), float(len(deltas)), 0.0, "monotone"),

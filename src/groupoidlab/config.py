@@ -37,7 +37,6 @@ class Tolerances:
     degenerate: float = 1e-10
     norm_delta_fraction: float = 0.05
     cstar_identity: float = 1e-5
-    power_iteration: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,10 @@ def build_config(raw: dict) -> RunConfig:
     if not isinstance(workers, int) or workers < 1:
         problems.append("workers must be a positive integer")
         workers = 1
-    strict = bool(raw.get("strict", False))
+    strict = raw.get("strict", False)
+    if not isinstance(strict, bool):
+        problems.append("strict must be true or false")
+        strict = False
 
     tol_cfg = raw.get("tolerances", {})
     tolerances = Tolerances()

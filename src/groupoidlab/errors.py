@@ -14,7 +14,7 @@ class SamplingError(GroupoidLabError):
 
 
 class ConvergenceError(GroupoidLabError):
-    """An iteration (Newton, power iteration, grid refinement) failed to converge."""
+    """An iteration (Newton, grid refinement) failed to converge."""
 
 
 class SingularJacobianError(GroupoidLabError):

@@ -78,30 +78,16 @@ def _with_fiber_axes(base_array: np.ndarray, grid: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _convolve_values(fv: np.ndarray, gv: np.ndarray, grid: GridSpec, mu: np.ndarray) -> np.ndarray:
+    # zero-padded FFT over the fiber axes; length 2 * count is even and
+    # composite (2 * count - 1 can be prime) and leaves no wrap-around
     counts = grid.fiber_shape
-    nb = grid.base_dim
-    m = grid.fiber_dim
-    half = [(c - 1) // 2 for c in counts]
-
-    pad_shape = fv.shape[:nb] + tuple(2 * c - 1 for c in counts)
-    padded = np.zeros(pad_shape, dtype=complex)
-    insert = (slice(None),) * nb + tuple(
-        slice(half[i], half[i] + counts[i]) for i in range(m)
-    )
-    padded[insert] = gv
-
-    weights = grid.fiber_weights()
-    out = np.zeros(fv.shape, dtype=complex)
-    for b in np.ndindex(*counts):
-        fb = fv[(Ellipsis,) + b]
-        coeff = weights[b]
-        if nb:
-            fb = fb.reshape(fb.shape + (1,) * m)
-        window = (slice(None),) * nb + tuple(
-            slice(2 * half[i] - b[i], 2 * half[i] - b[i] + counts[i]) for i in range(m)
-        )
-        out += (coeff * fb) * padded[window]
-    return out * _with_fiber_axes(mu, grid)
+    axes = tuple(range(grid.base_dim, grid.base_dim + grid.fiber_dim))
+    size = [2 * c for c in counts]
+    spectrum = np.fft.fftn(fv * grid.fiber_weights(), size, axes)
+    spectrum *= np.fft.fftn(gv, size, axes)
+    full = np.fft.ifftn(spectrum, size, axes)
+    window = (Ellipsis,) + tuple(slice((c - 1) // 2, (c - 1) // 2 + c) for c in counts)
+    return full[window] * _with_fiber_axes(mu, grid)
 
 
 def fiber_convolve(f: SampledSymbol, g: SampledSymbol, mu_on_base=None) -> SampledSymbol:
@@ -138,9 +124,7 @@ def _fiber_transform(values: np.ndarray, src: GridSpec, dst: GridSpec, sign: flo
         phase = sign * TWO_PI_I * np.outer(dst_ax.nodes, src_ax.nodes)
         kernel = np.exp(phase) * src_ax.trapezoid_weights()
         moved = np.moveaxis(vals, nb + k, -1)
-        vals = np.moveaxis(
-            np.einsum("da,...a->...d", kernel, moved, optimize=False), -1, nb + k
-        )
+        vals = np.moveaxis(moved @ kernel.T, -1, nb + k)
     return vals
 
 
@@ -387,6 +371,7 @@ def intertwining_residual(
     Requires a constant unit weight.  Returns the smallest relative sup
     mismatch over the four sign orientations of the dual bracket, with the
     minimizing pair; callers compare the pair across symbol pairs and charts.
+    Raises GroupoidLabError when no orientation gives a finite mismatch.
     """
     mu = _mu_base(mu_on_base, grid)
     if mu.size and float(np.max(np.abs(mu - 1.0))) > 1e-13:
@@ -412,6 +397,8 @@ def intertwining_residual(
         if residual < best:
             best = residual
             best_signs = signs
+    if best_signs is None:
+        raise GroupoidLabError("intertwining residual is not finite for any sign pair")
     return IntertwiningResult(residual=best, signs=best_signs, per_sign=per_sign, dual=dual)
 
 

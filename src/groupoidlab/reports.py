@@ -37,11 +37,12 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_csv(path: Path, header: list[str], rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` (lists, or a 2-D array) line by line as they are formatted."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(format_number(cell) for cell in row) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:

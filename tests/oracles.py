@@ -22,6 +22,33 @@ def gaussian_self_convolution(xi):
     return np.sqrt(np.pi / 2.0) * np.exp(-np.asarray(xi) ** 2 / 2.0)
 
 
+def direct_fiber_convolution(f, g, fiber_axes, mu):
+    """``mu(x) sum_eta w(eta) f(x, eta) g(x, xi - eta)`` by a plain loop over nodes.
+
+    ``f`` and ``g`` hold node values of shape ``(K, n_1, ..., n_m)`` on the
+    symmetric fiber axes ``fiber_axes = [(half_width, count), ...]``, with
+    trapezoid weights per axis; ``g`` is zero off the grid and ``mu`` has
+    one entry per base point.
+    """
+    axes = [trapezoid_axis(-half, half, count) for half, count in fiber_axes]
+    shape = tuple(count for _, count in fiber_axes)
+    out = np.zeros(f.shape, dtype=complex)
+    for k in range(f.shape[0]):
+        for i in np.ndindex(*shape):
+            total = 0j
+            for j in np.ndindex(*shape):
+                weight = 1.0
+                shifted = []
+                for a, (xs, w) in enumerate(axes):
+                    weight *= w[j[a]]
+                    offset = (xs[i[a]] - xs[j[a]]) / (xs[1] - xs[0])
+                    shifted.append(int(round(offset)) + (shape[a] - 1) // 2)
+                if all(0 <= s < n for s, n in zip(shifted, shape)):
+                    total += weight * f[(k,) + j] * g[(k,) + tuple(shifted)]
+            out[(k,) + i] = mu[k] * total
+    return out
+
+
 def bracket_point_additive_chart(x: float, xi: float) -> complex:
     """Single-point bracket for the additive 1-d chart with unit weight.
 

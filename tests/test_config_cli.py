@@ -283,6 +283,8 @@ MALFORMED = [
     ("chart_params_not_object", minimal_config(chart={"builtin": "pair", "params": 5}), "chart 'pair'"),
     ("nan_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [float("nan")]}]}), "xi_widths"),
     ("infinite_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [float("inf")]}]}), "symbol 'f'"),
+    ("string_strict", minimal_config(strict="no"), "strict"),
+    ("power_iteration_tolerance", minimal_config(tolerances={"power_iteration": 1e-8}), "unknown tolerance"),
 ]
 
 

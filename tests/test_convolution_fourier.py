@@ -4,7 +4,7 @@ import pytest
 import groupoidlab as gl
 from groupoidlab.errors import DecayError, GridMismatchError
 
-from oracles import gaussian_self_convolution
+from oracles import direct_fiber_convolution, gaussian_self_convolution
 
 
 def grid_1d(half=8.0, intervals=256):
@@ -45,6 +45,24 @@ def test_convolution_respects_unit_weight():
     weighted = gl.fiber_convolve(f, f, mu)
     plain = gl.fiber_convolve(f, f)
     np.testing.assert_allclose(weighted.values, 2.0 * plain.values, rtol=1e-15)
+
+
+def test_convolution_matches_direct_sum_oracle():
+    # a base axis, a 2-d fiber with unequal node counts and a non-constant unit weight
+    fiber_axes = [(3.0, 9), (2.5, 11)]
+    grid = gl.GridSpec(
+        base=(gl.Axis.centered(1.5, 4),),
+        fiber=tuple(gl.Axis.centered(half, count - 1) for half, count in fiber_axes),
+    )
+    rng = np.random.default_rng(3)
+    fv = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    gv = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    mu = 1.0 + 0.5 * np.sin(grid.base[0].nodes)
+    f = gl.SampledSymbol(values=fv, grid=grid, decay_ok=True)
+    g = gl.SampledSymbol(values=gv, grid=grid, decay_ok=True)
+    got = gl.fiber_convolve(f, g, mu).values
+    expected = direct_fiber_convolution(fv, gv, fiber_axes, mu)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_grid_mismatch_raises():

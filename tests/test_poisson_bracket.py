@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import groupoidlab as gl
+from groupoidlab import poisson
+from groupoidlab.cli import main
 from groupoidlab.errors import GridMismatchError, GroupoidLabError, MissingDataError
 
 from oracles import BRACKET_POINT_VALUES, bracket_closed_additive_chart, bracket_point_additive_chart
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +209,22 @@ def test_intertwining_requires_unit_weight():
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="unit weight"):
         gl.intertwining_residual(f, f, data, grid, mu)
+
+
+def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
+    chart, grid, data, mu = pair_setup
+
+    def nan_bracket(F, G, data, signs):
+        return gl.SampledSymbol(values=np.full(F.grid.shape, np.nan + 0j), grid=F.grid, decay_ok=True)
+
+    monkeypatch.setattr(poisson, "dual_poisson_bracket", nan_bracket)
+    f = gl.SymbolSpec.gaussian(1, 1)
+    with pytest.raises(GroupoidLabError, match="not finite for any sign pair"):
+        gl.intertwining_residual(f, f, data, grid, mu)
+    assert main(["fourier-check", "--config", str(CONFIGS / "pair1_fourier.json")]) == 1
+    err = capsys.readouterr().err
+    assert "computation failed: intertwining residual is not finite" in err
+    assert "Traceback" not in err
 
 
 def test_misaligned_data_raises(pair_setup):

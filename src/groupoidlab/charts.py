@@ -387,9 +387,7 @@ def _heisenberg_product(u, v, w):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     out = v + w
-    cross = 0.5 * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
-    out = out.copy()
-    out[..., 2] += cross
+    out[..., 2] += 0.5 * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
     return out
 
 
@@ -398,10 +396,7 @@ def _heisenberg_solver(u, v, target):
     target = np.asarray(target, dtype=float)
     w = target - v
     # third component: solve v3 + w3 + (v1 w2 - v2 w1)/2 = t3 with w1, w2 known
-    w = w.copy()
-    w[..., 2] = target[..., 2] - v[..., 2] - 0.5 * (
-        v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-    )
+    w[..., 2] -= 0.5 * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
     return w
 
 

@@ -29,7 +29,11 @@ no ``1/t`` powers ever appear numerically) yields
                        * g0(source_map(u, t eta), w(u, t eta, t xi) / t)
                        * rho(u, t eta) * quad_weight(eta),
 
-where ``w(u, v', v)`` solves ``product(u, v', w) = v``.  As ``t -> 0`` the
+where ``w(u, v', v)`` solves ``product(u, v', w) = v``.  The transport, that
+is ``w``, ``source_map(u, t eta)`` and ``rho(u, t eta)``, depends on ``t`` and
+the grid only: :func:`scaled_commutator` solves it once per ``t`` and chunk and
+evaluates ``g0`` for ``f *_t g`` and ``f0`` for ``g *_t f`` on it, and
+:func:`deformed_product` is the one-pair case of the same loop.  As ``t -> 0`` the
 scaled commutator ``(f *_t g - g *_t f) / t`` converges to ``1/(2 pi i)``
 times the bracket computed by :func:`groupoidlab.poisson.poisson_bracket`;
 :func:`classical_limit_error_table` measures that convergence.
@@ -79,6 +83,23 @@ def product_w_jacobian(chart: GroupoidChart, u, v, w) -> np.ndarray:
     return jac
 
 
+def _product_residual(chart: GroupoidChart, u, v, w, target) -> np.ndarray:
+    """``product(u, v, w) - target``, subtracted in place when the product is a fresh array."""
+    out = chart.product(u, v, w)
+    fresh = (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.flags.owndata
+        and out.flags.writeable
+        and out.shape == np.broadcast_shapes(out.shape, target.shape)
+        and not any(np.may_share_memory(out, a) for a in (u, v, w, target))
+    )
+    if not fresh:
+        return np.asarray(out, dtype=float) - target
+    out -= target
+    return out
+
+
 def solve_product(
     chart: GroupoidChart,
     u,
@@ -98,8 +119,8 @@ def solve_product(
     target = np.asarray(target, dtype=float)
     if chart.product_solver is not None:
         w = np.asarray(chart.product_solver(u, v, target), dtype=float)
-        residual = chart.product(u, v, w) - target
-        worst = float(np.max(np.abs(residual))) if residual.size else 0.0
+        residual = _product_residual(chart, u, v, w, target)
+        worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
         if worst > tol:
             raise ConvergenceError(
                 f"closed-form product solver violates its contract: residual {worst:.3e}"
@@ -110,7 +131,7 @@ def solve_product(
     batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1])
     w = np.broadcast_to(w, batch + (chart.fiber_dim,)).copy()
     for _ in range(max_iter):
-        residual = chart.product(u, v, w) - target
+        residual = _product_residual(chart, u, v, w, target)
         worst = float(np.max(np.abs(residual))) if residual.size else 0.0
         if worst <= tol:
             return w
@@ -240,22 +261,17 @@ def _evaluate_left(op: Operand, base_pts: np.ndarray, fiber_pts: np.ndarray) -> 
     return op.values.reshape(K, -1)
 
 
-def deformed_product(
+def _deformed_products(
     chart: GroupoidChart,
     grid: GridSpec,
-    f0: Operand,
-    g0: Operand,
+    pairs: Sequence[tuple[Operand, Operand]],
     t: float,
-    workers: int = 1,
-) -> SampledSymbol:
-    """Deformed convolution of two sections at parameter ``t`` (see module docs).
+    workers: int,
+) -> list[np.ndarray]:
+    """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
-    The unit weight enters through the fiber density ``rho``, so no separate
-    weight argument exists here.  ``f0`` is only evaluated at grid nodes;
-    ``g0`` is evaluated at the transported points, exactly for analytic
-    symbols and by multilinear interpolation for sampled ones.  The output is
-    sampled on ``grid``.  Workers only split the output into fixed chunks;
-    results are identical at any worker count.
+    The transport (product solve, source map, density) depends on ``t`` and
+    the grid only, so each chunk solves it once and every pair reads it.
     """
     if t == 0.0:
         raise GroupoidLabError("deformed product needs t != 0")
@@ -275,10 +291,9 @@ def deformed_product(
     sigma = chart.source_map(u3, v_eta)  # (K, H, n)
     rho = haar_density(chart, u3, v_eta)  # (K, H)
     weights = grid.fiber_weights().reshape(-1)  # (H,)
-    left = _evaluate_left(f0, u3, eta)  # (K, H)
-    coeff = left * rho * weights
+    coeffs = [_evaluate_left(f0, u3, eta) * rho * weights for f0, _ in pairs]  # (K, H) each
 
-    out = np.zeros((K, H), dtype=complex)
+    outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
     chunk = max(1, min(H, (1 << 22) // max(1, K * H * m)))
     starts = list(range(0, H, chunk))
 
@@ -292,9 +307,13 @@ def deformed_product(
             np.broadcast_to(target, (K, H, stop - start, m)),
         )
         scaled = w / t
+        del w
         gpts_base = np.broadcast_to(sigma[:, :, None, :], (K, H, stop - start, chart.base_dim))
-        gvals = g0.evaluate(gpts_base, scaled)  # (K, H, A)
-        out[:, start:stop] = np.einsum("kh,kha->ka", coeff, gvals, optimize=False)
+        for (_, g0), coeff, out in zip(pairs, coeffs, outs):
+            # the (K, H, A) values of g0 die with this statement, before the next pair's
+            out[:, start:stop] = np.einsum(
+                "kh,kha->ka", coeff, g0.evaluate(gpts_base, scaled), optimize=False
+            )
 
     if workers <= 1 or len(starts) == 1:
         for s in starts:
@@ -302,10 +321,28 @@ def deformed_product(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, starts))
+    return outs
 
-    return SampledSymbol(
-        values=out.reshape(grid.shape), grid=grid, decay_ok=True
-    )
+
+def deformed_product(
+    chart: GroupoidChart,
+    grid: GridSpec,
+    f0: Operand,
+    g0: Operand,
+    t: float,
+    workers: int = 1,
+) -> SampledSymbol:
+    """Deformed convolution of two sections at parameter ``t`` (see module docs).
+
+    The unit weight enters through the fiber density ``rho``, so no separate
+    weight argument exists here.  ``f0`` is only evaluated at grid nodes;
+    ``g0`` is evaluated at the transported points, exactly for analytic
+    symbols and by multilinear interpolation for sampled ones.  The output is
+    sampled on ``grid``.  Workers only split the output into fixed chunks;
+    results are identical at any worker count.
+    """
+    (values,) = _deformed_products(chart, grid, [(f0, g0)], t, workers)
+    return SampledSymbol(values=values.reshape(grid.shape), grid=grid, decay_ok=True)
 
 
 def deformed_convolution(field: DeformationField, t: float, workers: int = 1) -> SampledSymbol:
@@ -313,11 +350,16 @@ def deformed_convolution(field: DeformationField, t: float, workers: int = 1) ->
 
 
 def scaled_commutator(field: DeformationField, t: float, workers: int = 1) -> SampledSymbol:
-    """(f *_t g - g *_t f) / t, the quantity whose ``t -> 0`` limit is checked."""
-    fg = deformed_product(field.chart, field.grid, field.f0, field.g0, t, workers=workers)
-    gf = deformed_product(field.chart, field.grid, field.g0, field.f0, t, workers=workers)
+    """(f *_t g - g *_t f) / t, the quantity whose ``t -> 0`` limit is checked.
+
+    Both orderings share one transport; the values equal those of two
+    :func:`deformed_product` calls bit for bit.
+    """
+    fg, gf = _deformed_products(
+        field.chart, field.grid, [(field.f0, field.g0), (field.g0, field.f0)], t, workers
+    )
     return SampledSymbol(
-        values=(fg.values - gf.values) / t, grid=field.grid, decay_ok=True
+        values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid, decay_ok=True
     )
 
 

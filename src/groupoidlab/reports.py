@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .errors import GroupoidLabError
 
 
 def format_number(x) -> str:
@@ -46,9 +47,25 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write ``payload`` as standard JSON; a NaN or infinity in it raises GroupoidLabError."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        where = ", ".join(_non_finite_keys(payload))
+        raise GroupoidLabError(f"{Path(path).name} would hold a non-finite number at {where}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _non_finite_keys(node, prefix: str = ""):
+    """Paths of the NaN and infinite floats in a JSON-like tree."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield prefix
+    elif isinstance(node, dict):
+        for key in sorted(node):
+            yield from _non_finite_keys(node[key], f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(node, (list, tuple)):
+        for i, child in enumerate(node):
+            yield from _non_finite_keys(child, f"{prefix}[{i}]")
 
 
 @dataclass

@@ -19,6 +19,25 @@ def _quiet_decay_warnings():
         yield
 
 
+# the affine group of the line written as a custom chart; the same group as the
+# built-in ax_plus_b chart with half_width 4
+CUSTOM_AX_PLUS_B = {
+    "name": "custom_ax_plus_b",
+    "base_dim": 0,
+    "fiber_dim": 2,
+    "source_map": [],
+    "product": [["+", "v1", "w1"], ["+", "v2", ["*", ["exp", "v1"], "w2"]]],
+    "unit_weight": 1.0,
+    "base_box": [],
+    "fiber_box": [[-4.0, 4.0], [-4.0, 4.0]],
+}
+
+
+@pytest.fixture(scope="session")
+def custom_ax_plus_b():
+    return gl.chart_from_spec(CUSTOM_AX_PLUS_B)
+
+
 @pytest.fixture(scope="session")
 def pair1():
     return gl.builtin_chart("pair", n=1)

@@ -6,6 +6,8 @@ closed-form Gaussian integrals.  A few frozen constants computed from these
 oracles are asserted verbatim in the tests.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -107,3 +109,129 @@ def dense_transform_sup(values, nodes, step_weights, zeta_span=4.0, zeta_count=4
     phases = np.exp(-2j * np.pi * np.outer(zetas, nodes))
     transform = phases @ (np.asarray(values) * step_weights)
     return float(np.max(np.abs(transform)))
+
+
+def gaussian_integral(A, b, c):
+    """``int_{R^m} exp(-eta^T A eta + b^T eta + c) d eta`` for symmetric positive definite A.
+
+    Completing the square gives ``sqrt(pi^m / det A) exp(b^T A^{-1} b / 4 + c)``.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = A.shape[0]
+    return np.sqrt(np.pi**m / np.linalg.det(A)) * np.exp(b @ np.linalg.solve(A, b) / 4.0 + c)
+
+
+def integral_of_gaussian_forms(forms, m):
+    """``int_{R^m} exp(-sum_k a_k (L_k . eta + l_k)^2) d eta`` for affine forms ``(a_k, L_k, l_k)``.
+
+    Expanding each square gives the quadratic ``A``, linear ``b`` and constant
+    ``c`` of :func:`gaussian_integral`.
+    """
+    A = np.zeros((m, m))
+    b = np.zeros(m)
+    c = 0.0
+    for a, L, l in forms:
+        L = np.asarray(L, dtype=float)
+        A += a * np.outer(L, L)
+        b -= 2.0 * a * l * L
+        c -= a * l * l
+    return gaussian_integral(A, b, c)
+
+
+def pair_deformed_gaussians(x, xi, t, f, g):
+    """``(f *_t g)(x, xi)`` on the pair groupoid of R with unit weight, in closed form.
+
+    ``f`` and ``g`` are ``(x_width, x_center, xi_width, xi_center)`` of the
+    Gaussians ``exp(-a (x - c)^2 - b (xi - d)^2)``.  Arrows compose additively,
+    the source of ``(x, t eta)`` is ``x + t eta`` and the fiber density is 1,
+    so ``(f *_t g)(x, xi) = int f(x, eta) g(x + t eta, xi - eta) d eta``: the
+    exponent is a sum of squares of forms affine in eta.
+    """
+    (a1, c1, b1, d1), (a2, c2, b2, d2) = f, g
+    forms = [
+        (a1, [0.0], x - c1),
+        (b1, [1.0], -d1),
+        (a2, [t], x - c2),
+        (b2, [-1.0], xi - d2),
+    ]
+    return integral_of_gaussian_forms(forms, 1)
+
+
+def heisenberg_deformed_gaussians(xi, t, f, g):
+    """``(f *_t g)(xi)`` on the Heisenberg group in exponential coordinates, in closed form.
+
+    ``f`` and ``g`` are ``(widths, centers)`` of ``exp(-sum_k b_k (xi_k - d_k)^2)``.
+    The group law ``v w = v + w + (0, 0, (v_1 w_2 - v_2 w_1) / 2)`` has unit
+    Haar density, and ``(t eta) w = t xi`` gives ``w / t = xi - eta - (0, 0,
+    t (eta_1 xi_2 - eta_2 xi_1) / 2)``, affine in eta; so
+    ``(f *_t g)(xi) = int f(eta) g(w / t) d eta`` is a Gaussian integral.
+    """
+    (bf, df), (bg, dg) = f, g
+    eye = np.eye(3)
+    forms = [(bf[k], eye[k], -df[k]) for k in range(3)]
+    forms += [(bg[k], -eye[k], xi[k] - dg[k]) for k in range(2)]
+    forms.append((bg[2], [-0.5 * t * xi[1], 0.5 * t * xi[0], -1.0], xi[2] - dg[2]))
+    return integral_of_gaussian_forms(forms, 3)
+
+
+def regular_action_norm(f, transport, density, axes, t):
+    """Norm of the regular action of ``f`` at scale ``t``, one integration node at a time.
+
+    ``axes`` lists ``(half_width, count)`` of symmetric trapezoid axes whose
+    nodes serve both as integration and as output nodes; ``f(nodes)`` gives
+    the symbol's values, ``density(v)`` the Haar density and
+    ``transport(v, target)`` the ``w`` with ``product(v, w) = target``.
+    Integration node ``eta_b`` adds ``f(eta_b) density(t eta_b)
+    weight(eta_b)`` to row ``a`` at the multilinear interpolation corners of
+    ``w / t``, ``w = transport(t eta_b, t eta_a)``; corners off the grid drop
+    out.  The matrix is conjugated by the square roots of the quadrature
+    weights, and the norm is its largest singular value from numpy's SVD.
+    """
+    lines = [trapezoid_axis(-half, half, count) for half, count in axes]
+    m = len(lines)
+    counts = [count for _, count in axes]
+    nodes = np.stack(np.meshgrid(*[xs for xs, _ in lines], indexing="ij"), axis=-1).reshape(-1, m)
+    weights = np.ones(counts)
+    for k, (_, w) in enumerate(lines):
+        weights = weights * w.reshape([-1 if j == k else 1 for j in range(m)])
+    weights = weights.reshape(-1)
+    H = nodes.shape[0]
+    coeff = f(nodes) * density(t * nodes) * weights
+    rows = np.arange(H)
+    matrix = np.zeros((H, H), dtype=complex)
+    for b in range(H):
+        point = transport(np.tile(t * nodes[b], (H, 1)), t * nodes) / t
+        low, frac = [], []
+        for k, (xs, _) in enumerate(lines):
+            position = (point[:, k] - xs[0]) / (xs[1] - xs[0])
+            low.append(np.floor(position).astype(int))
+            frac.append(position - low[-1])
+        for corner in itertools.product((0, 1), repeat=m):
+            index = [low[k] + corner[k] for k in range(m)]
+            share = np.ones(H)
+            inside = np.ones(H, dtype=bool)
+            for k in range(m):
+                share = share * (frac[k] if corner[k] else 1.0 - frac[k])
+                inside &= (index[k] >= 0) & (index[k] < counts[k])
+            column = np.ravel_multi_index([i[inside] for i in index], counts)
+            np.add.at(matrix, (rows[inside], column), coeff[b] * share[inside])
+    root = np.sqrt(weights)
+    return np.linalg.svd(root[:, None] * matrix / root[None, :], compute_uv=False)[0]
+
+
+def ax_plus_b_transport(v, target):
+    """``w`` with ``(v_1 + w_1, v_2 + e^{v_1} w_2) = target``."""
+    return np.stack([target[:, 0] - v[:, 0], (target[:, 1] - v[:, 1]) * np.exp(-v[:, 0])], axis=-1)
+
+
+def ax_plus_b_density(v):
+    """Haar density ``1 / |det d_w (v w)|_{w=0}| = e^{-v_1}`` of the affine group."""
+    return np.exp(-v[:, 0])
+
+
+def heisenberg_transport(v, target):
+    """``w`` with ``v + w + (0, 0, (v_1 w_2 - v_2 w_1) / 2) = target``."""
+    w = target - v
+    w[:, 2] -= 0.5 * (v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0])
+    return w

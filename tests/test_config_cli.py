@@ -9,6 +9,8 @@ from groupoidlab.cli import main, run_command
 from groupoidlab.errors import ConfigError
 from groupoidlab.reports import config_hash, format_number
 
+from conftest import CUSTOM_AX_PLUS_B
+
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 
@@ -244,20 +246,6 @@ def test_seed_flag_changes_sampling(tmp_path):
 
 # -- malformed configs and the shared sweep rule -------------------------------------
 
-# the affine group of the line written as a custom chart; the same group as the
-# built-in ax_plus_b chart with half_width 4
-CUSTOM_AX_PLUS_B = {
-    "name": "custom_ax_plus_b",
-    "base_dim": 0,
-    "fiber_dim": 2,
-    "source_map": [],
-    "product": [["+", "v1", "w1"], ["+", "v2", ["*", ["exp", "v1"], "w2"]]],
-    "unit_weight": 1.0,
-    "base_box": [],
-    "fiber_box": [[-4.0, 4.0], [-4.0, 4.0]],
-}
-
-
 def _custom_chart_with_one_product_expression():
     raw = json.loads((CONFIGS / "ax_plus_b_deform.json").read_text())
     chart = dict(CUSTOM_AX_PLUS_B, product=CUSTOM_AX_PLUS_B["product"][:1])
@@ -345,3 +333,33 @@ def test_deform_on_custom_chart_matches_builtin():
     assert got["observed_limit_constant"] == pytest.approx(
         expected["observed_limit_constant"], rel=1e-6
     )
+
+
+def test_non_finite_summary_value_fails_without_traceback(tmp_path, capsys):
+    # a unit weight of 0/0 puts NaN into min_unit_weight; standard JSON has no NaN
+    raw = minimal_config()
+    raw["chart"] = {
+        "custom": {
+            "name": "nan_weight",
+            "base_dim": 1,
+            "fiber_dim": 1,
+            "source_map": [["+", "u1", "v1"]],
+            "product": [["+", "v1", "w1"]],
+            "unit_weight": ["/", ["-", "u1", "u1"], ["-", "u1", "u1"]],
+            "base_box": [[-10.0, 10.0]],
+            "fiber_box": [[-10.0, 10.0]],
+        }
+    }
+    path = tmp_path / "nan_weight.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # numpy's 0/0
+        code = main(["validate", "--config", str(path), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "computation failed" in err and "results.min_unit_weight" in err, err
+    assert "Traceback" not in err
+    assert not (out / "validate_summary.json").exists()
+    reject = lambda name: pytest.fail(f"non-standard JSON constant {name}")
+    error = json.loads((out / "validate_error.json").read_text(), parse_constant=reject)
+    assert "non-finite" in error["error"]

@@ -5,7 +5,11 @@ from dataclasses import replace
 import groupoidlab as gl
 from groupoidlab.errors import ConvergenceError, GroupoidLabError
 
-from oracles import kernel_composition_additive
+from oracles import (
+    heisenberg_deformed_gaussians,
+    kernel_composition_additive,
+    pair_deformed_gaussians,
+)
 
 
 def test_solve_product_additive_is_exact():
@@ -167,6 +171,68 @@ def test_workers_do_not_change_bits(pair1, pair1_grid64, gauss11, xxigauss11):
     one = gl.deformed_product(pair1, pair1_grid64, gauss11, xxigauss11, 0.1, workers=1)
     three = gl.deformed_product(pair1, pair1_grid64, gauss11, xxigauss11, 0.1, workers=3)
     assert np.array_equal(one.values, three.values)
+
+
+def _commutator_case(name, request):
+    t_values = (0.2, 0.1, 0.05)
+    if name == "heisenberg":
+        # 11^3 nodes take two chunks of the product loop, so workers run them on threads
+        grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 10) for _ in range(3)))
+        f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
+        g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
+    else:
+        grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.5, 16), gl.Axis.centered(3.5, 16)))
+        f = gl.SymbolSpec.gaussian(0, 2, xi_widths=[2.5, 2.5])
+        g = gl.SymbolSpec.gaussian(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6])
+    return gl.DeformationField(
+        chart=request.getfixturevalue(name), grid=grid, f0=f, g0=g, t_values=t_values
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chart_name", ["heisenberg", "custom_ax_plus_b"])
+def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, request):
+    # both orderings read one transport per t (closed form on heisenberg, Newton
+    # on the custom chart); the values are those of two separate products, bit for bit
+    field = _commutator_case(chart_name, request)
+    t = field.t_values[0]
+    fg = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, t, workers=workers)
+    gf = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, t, workers=workers)
+    commutator = gl.scaled_commutator(field, t, workers=workers)
+    assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
+
+
+def test_pair_product_matches_gaussian_closed_form(pair1, pair1_grid64):
+    # the transported argument is affine in eta, so f *_t g of Gaussians is a
+    # Gaussian integral; the trapezoid rule on decayed Gaussians is exact to roundoff
+    t = 0.2
+    fp, gp = (1.0, 0.3, 0.8, 0.2), (0.7, -0.4, 1.2, -0.1)
+    f = gl.SymbolSpec.gaussian(1, 1, x_widths=fp[0], x_centers=fp[1], xi_widths=fp[2], xi_centers=fp[3])
+    g = gl.SymbolSpec.gaussian(1, 1, x_widths=gp[0], x_centers=gp[1], xi_widths=gp[2], xi_centers=gp[3])
+    got = gl.deformed_product(pair1, pair1_grid64, f, g, t).values
+    want = np.array(
+        [
+            [pair_deformed_gaussians(x, xi, t, fp, gp) for xi in pair1_grid64.fiber[0].nodes]
+            for x in pair1_grid64.base[0].nodes
+        ]
+    )
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_heisenberg_product_matches_gaussian_closed_form(heisenberg):
+    # same closed form through the Heisenberg law; the 15^3 trapezoid grid
+    # integrates these Gaussians to ~1.4e-6 of the product's sup
+    t = 0.2
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(6.0, 14) for _ in range(3)))
+    fw, fc = [0.45, 0.5, 0.45], [0.3, 0.0, -0.2]
+    gw, gc = [0.45, 0.4, 0.5], [0.0, -0.25, 0.1]
+    f = gl.SymbolSpec.gaussian(0, 3, xi_widths=fw, xi_centers=fc)
+    g = gl.SymbolSpec.gaussian(0, 3, xi_widths=gw, xi_centers=gc)
+    got = gl.deformed_product(heisenberg, grid, f, g, t).values.reshape(-1)
+    want = np.array(
+        [heisenberg_deformed_gaussians(xi, t, (fw, fc), (gw, gc)) for xi in grid.fiber_points_flat()]
+    )
+    assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 def test_associativity_at_fixed_scale(pair1):

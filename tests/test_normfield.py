@@ -4,7 +4,13 @@ import pytest
 import groupoidlab as gl
 from groupoidlab.errors import DomainError, GroupoidLabError
 
-from oracles import dense_transform_sup
+from oracles import (
+    ax_plus_b_density,
+    ax_plus_b_transport,
+    dense_transform_sup,
+    heisenberg_transport,
+    regular_action_norm,
+)
 
 
 def test_power_iteration_on_diagonal():
@@ -12,6 +18,23 @@ def test_power_iteration_on_diagonal():
     sigma, residual, iterations = gl.power_iteration_sigma(m)
     assert sigma == pytest.approx(3.0, rel=1e-10)
     assert residual <= 1e-8
+    assert iterations == 0
+
+
+@pytest.mark.parametrize(
+    "matrix, sigma",
+    [
+        (np.eye(4), 1.0),  # the top eigenvalue repeats
+        (np.diag([0.5, 3.0, 1.0]), 3.0),  # the eigensolver returns the top eigenvalue exactly
+        (np.zeros((3, 3)), 0.0),
+        (np.array([[3.0 + 4.0j]]), 5.0),
+    ],
+    ids=["identity", "diagonal", "zero", "one_by_one"],
+)
+def test_power_iteration_edge_cases(matrix, sigma):
+    value, residual, iterations = gl.power_iteration_sigma(matrix)
+    assert value == pytest.approx(sigma, rel=1e-14, abs=0.0)
+    assert np.isfinite(residual) and residual <= 1e-8
     assert iterations == 0
 
 
@@ -170,4 +193,39 @@ def test_heisenberg_regular_norm_smoke(heisenberg):
     f = gl.SymbolSpec.gaussian(0, 3, xi_widths=1.3)
     row = gl.group_regular_norm(f, heisenberg, 0.2, grid)
     assert row.value > 0
+    assert row.residual <= 1e-8
+
+
+REGULAR_ACTION_CASES = {
+    # chart: (fiber intervals, half width, t, transport, density)
+    "heisenberg": ((6, 6, 6), 4.0, 0.3, heisenberg_transport, lambda v: np.ones(len(v))),
+    "ax_plus_b": ((16, 12), 3.0, 0.2, ax_plus_b_transport, ax_plus_b_density),
+    "custom_ax_plus_b": ((16, 12), 3.0, 0.2, ax_plus_b_transport, ax_plus_b_density),
+}
+
+
+@pytest.mark.parametrize(
+    "chart_name, rel",
+    [
+        ("heisenberg", 1e-12),
+        ("ax_plus_b", 1e-12),
+        # the custom chart has no closed-form Jacobian: its Haar density comes from
+        # central differences of step 1e-6, ~1e-10 off exp(-v1) in rounding
+        ("custom_ax_plus_b", 1e-9),
+    ],
+)
+def test_group_regular_norm_matches_per_node_oracle(chart_name, rel, request):
+    if chart_name == "ax_plus_b":
+        chart = gl.builtin_chart("ax_plus_b", half_width=4.0)
+    else:
+        chart = request.getfixturevalue(chart_name)
+    intervals, half_width, t, transport, density = REGULAR_ACTION_CASES[chart_name]
+    m = len(intervals)
+    f = gl.SymbolSpec.gaussian(0, m, xi_widths=1.3, xi_centers=[0.2, -0.1, -0.3][:m])
+    f = f + gl.SymbolSpec.gaussian(0, m, coeff=0.5j, xi_powers=[1] + [0] * (m - 1))
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(half_width, n) for n in intervals))
+    row = gl.group_regular_norm(f, chart, t, grid)
+    symbol = lambda nodes: f.evaluate(np.zeros((len(nodes), 0)), nodes)
+    axes = [(half_width, n + 1) for n in intervals]
+    assert row.value == pytest.approx(regular_action_norm(symbol, transport, density, axes, t), rel=rel)
     assert row.residual <= 1e-8

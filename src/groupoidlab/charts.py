@@ -37,8 +37,8 @@ class GroupoidChart:
 
     Optional closed forms (``inverse``, ``product_solver``,
     ``product_w_jacobian``) are used when present; otherwise Newton iteration
-    and finite differences take over.  The ``exact_*`` callables are analytic
-    structure data for the built-ins, kept as test oracles for the
+    and finite differences take over.  ``exact_structure`` holds the analytic
+    structure constants of the built-ins, kept as a test oracle for the
     finite-difference extraction path.
 
     The chart is assumed to intersect the unit space exactly in the zero
@@ -58,7 +58,6 @@ class GroupoidChart:
     inverse: Optional[Callable[[Array, Array], Array]] = None
     product_solver: Optional[Callable[[Array, Array, Array], Array]] = None
     product_w_jacobian: Optional[Callable[[Array, Array, Array], Array]] = None
-    exact_anchor: Optional[Callable[[Array], Array]] = None
     exact_structure: Optional[Callable[[Array], Array]] = None
     params: dict = field(default_factory=dict)
 
@@ -348,7 +347,6 @@ def pair_chart(n: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
         product_w_jacobian=lambda u, v, w: np.broadcast_to(
             eye, np.shape(v)[:-1] + (n, n)
         ).copy(),
-        exact_anchor=lambda u: eye.copy(),
         exact_structure=lambda u: np.zeros((n, n, n)),
         params={"n": n, "half_width": half_width},
     )
@@ -377,7 +375,6 @@ def abelian_bundle_chart(
         product_w_jacobian=lambda u, v, w: np.broadcast_to(
             eye, np.shape(v)[:-1] + (m, m)
         ).copy(),
-        exact_anchor=lambda u: np.zeros((m, n)),
         exact_structure=lambda u: np.zeros((m, m, m)),
         params={"n": n, "m": m, "half_width": half_width},
     )
@@ -431,7 +428,6 @@ def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
         inverse=lambda u, v: -np.asarray(v, dtype=float),
         product_solver=_heisenberg_solver,
         product_w_jacobian=w_jacobian,
-        exact_anchor=lambda u: np.zeros((3, 0)),
         exact_structure=_heisenberg_structure,
         params={"half_width": half_width},
     )
@@ -489,7 +485,6 @@ def ax_plus_b_chart(half_width: float = 2.0) -> GroupoidChart:
         inverse=inverse,
         product_solver=solver,
         product_w_jacobian=w_jacobian,
-        exact_anchor=lambda u: np.zeros((2, 0)),
         exact_structure=_ax_plus_b_structure,
         params={"half_width": half_width},
     )

@@ -94,6 +94,10 @@ def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
                 if len(args) != 2:
                     raise ConfigError(["operator '/' takes two arguments"])
                 num, den = args
+                # a constant denominator is evaluated here: Python floats
+                # raise on division by zero where numpy arrays give inf/nan
+                if not any(_tree_uses(node[2], slot) for slot in "uvw") and den(None) == 0.0:
+                    raise ConfigError([f"division by a constant zero in expression {node!r}"])
                 return lambda env: num(env) / den(env)
             raise ConfigError([f"unknown operator {op!r}"])
         raise ConfigError([f"malformed expression node {node!r}"])

@@ -125,8 +125,8 @@ def zero_fiber_norm(
     if not f0.terms:
         return NormRow(t=0.0, value=0.0, residual=0.0, size=0)
 
-    dual = select_dual_grid(grid, [sampled], mu_on_base=mu, strict=strict)
-    sup = float(np.max(np.abs(fourier_transform(sampled, mu, dual).values)))
+    dual, (transform,) = select_dual_grid(grid, [sampled], mu_on_base=mu, strict=strict)
+    sup = float(np.max(np.abs(transform.values)))
     for _ in range(max_refine):
         dual_next = dual.refine_fiber()
         sup_next = float(np.max(np.abs(fourier_transform(sampled, mu, dual_next).values)))

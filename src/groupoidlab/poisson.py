@@ -160,8 +160,12 @@ def select_dual_grid(
     mu_on_base=None,
     threshold: float = 1e-10,
     strict: bool = False,
-) -> GridSpec:
+) -> tuple[GridSpec, list[SampledSymbol]]:
     """Conjugate dual grid, with a decay check at its boundary.
+
+    Returns the dual grid and the transforms of ``sampled`` on it, in order;
+    the decay check computes them anyway, so callers reuse them rather than
+    transforming again.
 
     The conjugate grid already spans every frequency the primal sampling can
     represent (the discrete transform is periodic beyond it), so no widening
@@ -171,10 +175,8 @@ def select_dual_grid(
     residuals then sit at the quadrature-limited level.
     """
     dual = grid.dual()
-    worst = 0.0
-    for s in sampled:
-        F = fourier_transform(s, mu_on_base, dual)
-        worst = max(worst, boundary_fraction(F.values))
+    transforms = [fourier_transform(s, mu_on_base, dual) for s in sampled]
+    worst = max([0.0] + [boundary_fraction(F.values) for F in transforms])
     if worst >= threshold:
         message = (
             f"a transform only decays to {worst:.3e} of its peak at the dual "
@@ -183,7 +185,7 @@ def select_dual_grid(
         if strict:
             raise DecayError(message)
         warnings.warn(message, DecayWarning, stacklevel=2)
-    return dual
+    return dual, transforms
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,59 @@ def poisson_bracket(
 # bracket on the dual side
 # ---------------------------------------------------------------------------
 
+def _dual_bracket_parts(
+    F: SampledSymbol, G: SampledSymbol, data: AlgebroidData
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor part and structure-constant part of the dual bracket, without signs.
+
+    Each central-difference derivative of ``F`` and ``G`` is taken once.
+    """
+    grid = require_same_grid(F, G)
+    _check_alignment(data, grid)
+    n, m = grid.base_dim, grid.fiber_dim
+    base_shape = grid.base_shape
+
+    anchor = data.anchor.reshape(base_shape + (m, n))
+    structure = data.structure.reshape(base_shape + (m, m, m))
+
+    F_zeta = [F.derivative("xi", i).values for i in range(m)]
+    G_zeta = [G.derivative("xi", i).values for i in range(m)]
+    F_x = [F.derivative("x", j).values for j in range(n)]
+    G_x = [G.derivative("x", j).values for j in range(n)]
+
+    anchor_part = np.zeros(grid.shape, dtype=complex)
+    for i in range(m):
+        for j in range(n):
+            a_ij = anchor[..., i, j]
+            if np.any(a_ij != 0.0):
+                anchor_part += _with_fiber_axes(a_ij, grid) * (
+                    F_zeta[i] * G_x[j] - G_zeta[i] * F_x[j]
+                )
+    structure_part = np.zeros(grid.shape, dtype=complex)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                c_ijk = structure[..., i, j, k]
+                if not np.any(c_ijk != 0.0):
+                    continue
+                ax = grid.fiber[k]
+                shape = [1] * len(grid.shape)
+                shape[grid.base_dim + k] = ax.count
+                zeta_k = ax.nodes.reshape(shape)
+                structure_part += (
+                    _with_fiber_axes(c_ijk, grid)
+                    * zeta_k
+                    * (F_zeta[i] * G_zeta[j] - F_zeta[j] * G_zeta[i])
+                )
+    return anchor_part, structure_part
+
+
+def _oriented_dual_bracket(parts: tuple[np.ndarray, np.ndarray], signs) -> np.ndarray:
+    """``s1 * anchor_part + s2 * structure_part`` for ``signs = (s1, s2)``."""
+    anchor_part, structure_part = parts
+    return float(signs[0]) * anchor_part + float(signs[1]) * structure_part
+
+
 def dual_poisson_bracket(
     F: SampledSymbol,
     G: SampledSymbol,
@@ -302,47 +357,8 @@ def dual_poisson_bracket(
     that matches the convolution-side bracket through the Fourier transform.
     Derivatives are central differences on the dual grid.
     """
-    grid = require_same_grid(F, G)
-    _check_alignment(data, grid)
-    s1, s2 = float(signs[0]), float(signs[1])
-    n, m = grid.base_dim, grid.fiber_dim
-    base_shape = grid.base_shape
-
-    anchor = data.anchor.reshape(base_shape + (m, n))
-    structure = data.structure.reshape(base_shape + (m, m, m))
-
-    F_zeta = [F.derivative("xi", i).values for i in range(m)]
-    G_zeta = [G.derivative("xi", i).values for i in range(m)]
-    F_x = [F.derivative("x", j).values for j in range(n)]
-    G_x = [G.derivative("x", j).values for j in range(n)]
-
-    out = np.zeros(grid.shape, dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            a_ij = anchor[..., i, j]
-            if np.any(a_ij != 0.0):
-                out += (
-                    s1
-                    * _with_fiber_axes(a_ij, grid)
-                    * (F_zeta[i] * G_x[j] - G_zeta[i] * F_x[j])
-                )
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                c_ijk = structure[..., i, j, k]
-                if not np.any(c_ijk != 0.0):
-                    continue
-                ax = grid.fiber[k]
-                shape = [1] * len(grid.shape)
-                shape[grid.base_dim + k] = ax.count
-                zeta_k = ax.nodes.reshape(shape)
-                out += (
-                    s2
-                    * _with_fiber_axes(c_ijk, grid)
-                    * zeta_k
-                    * (F_zeta[i] * G_zeta[j] - F_zeta[j] * G_zeta[i])
-                )
-    return SampledSymbol(values=out, grid=grid, decay_ok=True)
+    values = _oriented_dual_bracket(_dual_bracket_parts(F, G, data), signs)
+    return SampledSymbol(values=values, grid=F.grid, decay_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +388,12 @@ def intertwining_residual(
     mismatch over the four sign orientations of the dual bracket, with the
     minimizing pair; callers compare the pair across symbol pairs and charts.
     Raises GroupoidLabError when no orientation gives a finite mismatch.
+
+    ``f``, ``g`` and their bracket are transformed once: the transforms come
+    from :func:`select_dual_grid`, or are computed on ``dual`` when it is
+    passed in.  The dual-side derivatives are taken once too; each
+    orientation only recombines the unsigned anchor and structure-constant
+    parts.
     """
     mu = _mu_base(mu_on_base, grid)
     if mu.size and float(np.max(np.abs(mu - 1.0))) > 1e-13:
@@ -382,16 +404,19 @@ def intertwining_residual(
     bracket = poisson_bracket(f, g, data, grid, mu_on_base=mu, strict=strict)
 
     if dual is None:
-        dual = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu, strict=strict)
-    lhs = fourier_transform(bracket, mu, dual).values
-    Ff = fourier_transform(fs, mu, dual)
-    Fg = fourier_transform(gs, mu, dual)
+        dual, (Ff, Fg, Fbracket) = select_dual_grid(
+            grid, [fs, gs, bracket], mu_on_base=mu, strict=strict
+        )
+    else:
+        Ff, Fg, Fbracket = (fourier_transform(s, mu, dual) for s in (fs, gs, bracket))
+    lhs = Fbracket.values
+    parts = _dual_bracket_parts(Ff, Fg, data)
 
     per_sign = {}
     best_signs = None
     best = np.inf
     for signs in SIGN_CHOICES:
-        rhs = dual_poisson_bracket(Ff, Fg, data, signs).values
+        rhs = _oriented_dual_bracket(parts, signs)
         residual = float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)
         per_sign[signs] = residual
         if residual < best:
@@ -410,8 +435,9 @@ def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None, dual=None
     fs = eval_symbol(f, grid, strict=strict)
     mu = _mu_base(mu_on_base, grid)
     if dual is None:
-        dual = select_dual_grid(grid, [fs], mu_on_base=mu, strict=strict)
-    F = fourier_transform(fs, mu, dual)
+        dual, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu, strict=strict)
+    else:
+        F = fourier_transform(fs, mu, dual)
     back = inverse_fourier(F, mu, grid)
     return float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
 
@@ -424,7 +450,9 @@ def convolution_theorem_residual(
     mu = _mu_base(mu_on_base, grid)
     conv = fiber_convolve(fs, gs, mu)
     if dual is None:
-        dual = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu, strict=strict)
-    lhs = fourier_transform(conv, mu, dual).values
-    rhs = fourier_transform(fs, mu, dual).values * fourier_transform(gs, mu, dual).values
+        dual, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu, strict=strict)
+    else:
+        Ff, Fg, Fconv = (fourier_transform(s, mu, dual) for s in (fs, gs, conv))
+    lhs = Fconv.values
+    rhs = Ff.values * Fg.values
     return float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)

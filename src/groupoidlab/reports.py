@@ -15,8 +15,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import GroupoidLabError
+
+# rows of a float table formatted by one string operation in write_csv
+_CSV_BLOCK_ROWS = 4096
 
 
 def format_number(x) -> str:
@@ -39,9 +44,22 @@ def config_hash(raw: dict) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` (lists, or a 2-D array) line by line as they are formatted."""
+    """Write ``rows`` (lists, or a 2-D array) as CSV lines.
+
+    A 2-D float array is written in blocks of ``_CSV_BLOCK_ROWS`` rows, each
+    block formatted by one ``%`` operation with ``%.17g`` per cell: the same
+    bytes as :func:`format_number`, without a Python call per cell, and
+    without the whole file in memory at once.  Rows given as lists (which
+    may hold strings, bools and ints) go through :func:`format_number`.
+    """
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+                block = rows[start : start + _CSV_BLOCK_ROWS]
+                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+            return
         for row in rows:
             handle.write(",".join(format_number(cell) for cell in row) + "\n")
 

@@ -1,13 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import groupoidlab as gl
 from groupoidlab.cli import main, run_command
 from groupoidlab.errors import ConfigError
-from groupoidlab.reports import config_hash, format_number
+from groupoidlab.reports import _CSV_BLOCK_ROWS, config_hash, format_number, write_csv
 
 from conftest import CUSTOM_AX_PLUS_B
 
@@ -223,6 +224,28 @@ def test_format_number_roundtrips_floats(x):
     assert float(format_number(x)) == x
 
 
+SPECIAL_FLOATS = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1 / 3]
+
+
+@pytest.mark.parametrize("ncol", [1, 5])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_float_table_blocks_write_the_bytes_of_format_number(edge, ncol, tmp_path):
+    # a float array goes through the row-block path, the same rows as lists
+    # through format_number; rows around the block edge cover a short last block
+    rows = _CSV_BLOCK_ROWS + edge
+    rng = np.random.default_rng(rows * ncol)
+    table = rng.standard_normal((rows, ncol)) * 10.0 ** rng.integers(-300, 300, (rows, ncol))
+    flat = table.reshape(-1)
+    flat[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    flat[-len(SPECIAL_FLOATS) :] = SPECIAL_FLOATS
+    header = [f"c{i}" for i in range(ncol)]
+    write_csv(tmp_path / "blocks.csv", header, table)
+    write_csv(tmp_path / "cells.csv", header, table.tolist())
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "cells.csv").read_bytes()
+    assert written.count(b"\n") == rows + 1
+
+
 def test_seed_flag_changes_sampling(tmp_path):
     # the corrupted chart's associativity residual varies continuously with the
     # sample set, so distinct seeds must produce distinct residuals
@@ -259,6 +282,24 @@ def _nan_half_width():
     return raw
 
 
+def _custom_pair_chart(unit_weight) -> dict:
+    """``minimal_config`` with the pair chart written as a custom chart of the given unit weight."""
+    return minimal_config(
+        chart={
+            "custom": {
+                "name": "custom_pair",
+                "base_dim": 1,
+                "fiber_dim": 1,
+                "source_map": [["+", "u1", "v1"]],
+                "product": [["+", "v1", "w1"]],
+                "unit_weight": unit_weight,
+                "base_box": [[-10.0, 10.0]],
+                "fiber_box": [[-10.0, 10.0]],
+            }
+        }
+    )
+
+
 MALFORMED = [
     ("custom_expression_count", _custom_chart_with_one_product_expression(), "product needs 2"),
     ("string_tolerance", minimal_config(tolerances={"axiom": "tight"}), "tolerance"),
@@ -273,6 +314,7 @@ MALFORMED = [
     ("infinite_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [float("inf")]}]}), "symbol 'f'"),
     ("string_strict", minimal_config(strict="no"), "strict"),
     ("power_iteration_tolerance", minimal_config(tolerances={"power_iteration": 1e-8}), "unknown tolerance"),
+    ("constant_zero_division", _custom_pair_chart(["/", 1.0, 0.0]), "division by a constant zero"),
 ]
 
 
@@ -337,19 +379,7 @@ def test_deform_on_custom_chart_matches_builtin():
 
 def test_non_finite_summary_value_fails_without_traceback(tmp_path, capsys):
     # a unit weight of 0/0 puts NaN into min_unit_weight; standard JSON has no NaN
-    raw = minimal_config()
-    raw["chart"] = {
-        "custom": {
-            "name": "nan_weight",
-            "base_dim": 1,
-            "fiber_dim": 1,
-            "source_map": [["+", "u1", "v1"]],
-            "product": [["+", "v1", "w1"]],
-            "unit_weight": ["/", ["-", "u1", "u1"], ["-", "u1", "u1"]],
-            "base_box": [[-10.0, 10.0]],
-            "fiber_box": [[-10.0, 10.0]],
-        }
-    }
+    raw = _custom_pair_chart(["/", ["-", "u1", "u1"], ["-", "u1", "u1"]])
     path = tmp_path / "nan_weight.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"

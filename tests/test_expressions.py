@@ -51,18 +51,18 @@ def test_missing_coordinate_group_raises():
 
 
 @st.composite
-def trees(draw, depth=0):
+def trees(draw, depth=0, ops=("+", "*", "-", "neg", "exp", "sin", "cos"), constants=st.floats(-2, 2)):
     if depth >= 3 or draw(st.booleans()):
         return draw(
             st.one_of(
-                st.floats(-2.0, 2.0).map(float),
+                constants.map(float),
                 st.sampled_from(["u1", "v1", "w1"]),
             )
         )
-    op = draw(st.sampled_from(["+", "*", "-", "neg", "exp", "sin", "cos"]))
+    op = draw(st.sampled_from(ops))
     if op in ("neg", "exp", "sin", "cos"):
-        return [op, draw(trees(depth=depth + 1))]
-    return [op, draw(trees(depth=depth + 1)), draw(trees(depth=depth + 1))]
+        return [op, draw(trees(depth + 1, ops, constants))]
+    return [op, draw(trees(depth + 1, ops, constants)), draw(trees(depth + 1, ops, constants))]
 
 
 def _reference_eval(tree, u, v, w):
@@ -92,3 +92,23 @@ def test_matches_reference_interpreter(tree, point):
     expected = _reference_eval(tree, u, v, w)
     got = compiled(u=u, v=v, w=w)
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+
+@given(
+    tree=trees(
+        ops=("+", "-", "*", "/", "neg", "exp", "sin", "cos"),
+        constants=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0)),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_compiles_to_a_config_error_or_a_batch_shaped_evaluator(tree):
+    # any exception but ConfigError fails the test; overflow and 0/0 on arrays
+    # are numbers (inf, nan), not exceptions
+    u, v, w = (np.linspace(-1.0, 1.0, 6).reshape(2, 3, 1) + shift for shift in (0.0, 0.1, 0.2))
+    with np.errstate(all="ignore"):
+        try:
+            compiled = compile_expression(tree, 1, 1)
+        except ConfigError as exc:
+            assert "division by a constant zero" in str(exc)
+            return
+        assert compiled(u=u, v=v, w=w).shape == (2, 3)

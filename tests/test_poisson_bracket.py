@@ -214,10 +214,10 @@ def test_intertwining_requires_unit_weight():
 def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
     chart, grid, data, mu = pair_setup
 
-    def nan_bracket(F, G, data, signs):
-        return gl.SampledSymbol(values=np.full(F.grid.shape, np.nan + 0j), grid=F.grid, decay_ok=True)
+    def nan_bracket(parts, signs):
+        return np.full(parts[0].shape, np.nan + 0j)
 
-    monkeypatch.setattr(poisson, "dual_poisson_bracket", nan_bracket)
+    monkeypatch.setattr(poisson, "_oriented_dual_bracket", nan_bracket)
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="not finite for any sign pair"):
         gl.intertwining_residual(f, f, data, grid, mu)
@@ -225,6 +225,51 @@ def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, c
     err = capsys.readouterr().err
     assert "computation failed: intertwining residual is not finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["pair", "heisenberg"])
+def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, pair_setup):
+    # the residuals reuse the transforms computed while selecting the dual grid
+    # and transform again only for a dual grid passed in; both give the same bits
+    if case == "pair":
+        chart, grid, data, mu = pair_setup
+        f, g = PAIR_SYMBOLS[0]
+    else:
+        chart, grid, data = map(request.getfixturevalue, ("heisenberg", "heis_grid16", "heis_data16"))
+        mu = gl.unit_weight_on_grid(chart, grid)
+        f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
+        g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
+    dual = grid.dual()
+    assert gl.roundtrip_residual(f, grid, mu) == gl.roundtrip_residual(f, grid, mu, dual=dual)
+    assert gl.convolution_theorem_residual(f, g, grid, mu) == gl.convolution_theorem_residual(
+        f, g, grid, mu, dual=dual
+    )
+    selected = gl.intertwining_residual(f, g, data, grid, mu)
+    assert selected == gl.intertwining_residual(f, g, data, grid, mu, dual=dual)
+
+    # every orientation matches the public dual bracket, which takes its own derivatives
+    lhs = gl.fourier_transform(gl.poisson_bracket(f, g, data, grid, mu), mu, dual).values
+    F = gl.fourier_transform(gl.eval_symbol(f, grid), mu, dual)
+    G = gl.fourier_transform(gl.eval_symbol(g, grid), mu, dual)
+    for signs, residual in selected.per_sign.items():
+        rhs = gl.dual_poisson_bracket(F, G, data, signs).values
+        assert residual == float(np.max(np.abs(lhs - rhs))) / gl.scale_of(lhs, rhs)
+
+
+def test_unit_weight_fourier_check_transforms_each_operand_once(monkeypatch):
+    signs = []
+    transform = poisson._fiber_transform
+
+    def counted(values, src, dst, sign):
+        signs.append(sign)
+        return transform(values, src, dst, sign)
+
+    monkeypatch.setattr(poisson, "_fiber_transform", counted)
+    assert main(["fourier-check", "--config", str(CONFIGS / "pair1_fourier.json")]) == 0
+    # round trip: f and its inverse; convolution theorem: f, g and f conv g;
+    # intertwining: f, g and the bracket
+    assert len(signs) == 8
+    assert signs.count(1.0) == 1
 
 
 def test_misaligned_data_raises(pair_setup):

@@ -121,12 +121,12 @@ def source_coords(chart: GroupoidChart, u, v) -> Array:
     return check_box(out, chart.base_box, "source_map(u, v)")
 
 
-def invert_element(chart: GroupoidChart, u, v, tol: float = 1e-12) -> Array:
+def invert_element(chart: GroupoidChart, u, v) -> Array:
     """Fiber coordinate ``w`` of the inverse arrow, solving ``product(u, v, w) = 0``.
 
     Uses the chart's closed-form inverse when available, otherwise Newton
     iteration (see :func:`groupoidlab.deformation.solve_product`).  The
-    residual ``|product(u, v, w)|`` is guaranteed <= ``tol``.
+    residual ``|product(u, v, w)|`` is guaranteed <= 1e-12.
     """
     u = check_box(u, chart.base_box, "base point u")
     v = check_box(v, chart.fiber_box, "fiber vector v")
@@ -136,10 +136,10 @@ def invert_element(chart: GroupoidChart, u, v, tol: float = 1e-12) -> Array:
         from .deformation import solve_product
 
         target = np.zeros_like(np.asarray(v, dtype=float))
-        w = solve_product(chart, u, v, target, tol=tol)
+        w = solve_product(chart, u, v, target)
     residual = np.max(np.abs(chart.product(u, v, w))) if w.size else 0.0
-    if residual > tol:
-        raise ConvergenceError(f"inverse residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > 1e-12:
+        raise ConvergenceError(f"inverse residual {residual:.3e} exceeds 1.0e-12")
     return w
 
 
@@ -194,13 +194,12 @@ def validate_axioms(
     chart: GroupoidChart,
     sample_count: int = 100,
     seed: int = 0,
-    shrink: float = 0.5,
 ) -> AxiomReport:
     """Check associativity, source compatibility, unit and inverse laws.
 
     Composable triples are drawn by rejection sampling: candidates come from
-    the centered ``shrink`` fraction of each box and a candidate is kept only
-    when every intermediate point of every law stays inside its box.  Raises
+    the centered half of each box and a candidate is kept only when every
+    intermediate point of every law stays inside its box.  Raises
     SamplingError when fewer than ``sample_count`` triples survive
     ``100 * sample_count`` candidates.
     """
@@ -216,10 +215,10 @@ def validate_axioms(
     while kept < sample_count and attempts < max_attempts:
         take = min(batch, max_attempts - attempts)
         attempts += take
-        u = _sample_box(rng, chart.base_box, take, shrink)
-        v = _sample_box(rng, chart.fiber_box, take, shrink)
-        w = _sample_box(rng, chart.fiber_box, take, shrink)
-        z = _sample_box(rng, chart.fiber_box, take, shrink)
+        u = _sample_box(rng, chart.base_box, take, 0.5)
+        v = _sample_box(rng, chart.fiber_box, take, 0.5)
+        w = _sample_box(rng, chart.fiber_box, take, 0.5)
+        z = _sample_box(rng, chart.fiber_box, take, 0.5)
 
         ok = np.ones(take, dtype=bool)
         u1 = chart.source_map(u, v)

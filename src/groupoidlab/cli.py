@@ -29,7 +29,7 @@ import numpy as np
 from .algebroid import extract_algebroid
 from .charts import AXIOMS, validate_axioms
 from .config import RunConfig, load_config
-from .deformation import DeformationField, classical_limit_error_table
+from .deformation import DeformationField, classical_limit_error_table, limit_sweep_problems
 from .errors import ConfigError, GroupoidLabError
 from .grids import scale_of
 from .normfield import norm_curve, pair_cstar_identity_residual
@@ -181,8 +181,9 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 def _cmd_deform(config: RunConfig) -> ReportBundle:
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    if len(config.t_values) < 3:
-        raise ConfigError(["deform needs at least three t values"])
+    problems = limit_sweep_problems(config.t_values)
+    if problems:
+        raise ConfigError(problems)
     field = DeformationField(
         chart=chart,
         grid=grid,

@@ -31,11 +31,11 @@ no ``1/t`` powers ever appear numerically) yields
 
 where ``w(u, v', v)`` solves ``product(u, v', w) = v``.  The transport, that
 is ``w``, ``source_map(u, t eta)`` and ``rho(u, t eta)``, depends on ``t`` and
-the grid only: :func:`scaled_commutator` solves it once per ``t`` and chunk and
-evaluates ``g0`` for ``f *_t g`` and ``f0`` for ``g *_t f`` on it, and
-:func:`deformed_product` is the one-pair case of the same loop.  As ``t -> 0`` the
-scaled commutator ``(f *_t g - g *_t f) / t`` converges to ``1/(2 pi i)``
-times the bracket computed by :func:`groupoidlab.poisson.poisson_bracket`;
+the grid only; ``_Transport`` solves it per ``t`` and chunk.  On it
+:func:`scaled_commutator` evaluates both orderings, :func:`deformed_product`
+one, and :func:`groupoidlab.normfield.group_regular_norm` assembles the matrix
+of ``g -> f *_t g``.  As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t``
+converges to ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
 """
 
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .algebroid import AlgebroidData
+from .algebroid import extract_algebroid
 from .charts import GroupoidChart, _in_box, _sample_box
 from .errors import (
     ConvergenceError,
@@ -56,7 +56,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .grids import GridSpec, SampledSymbol, scale_of
-from .poisson import TWO_PI_I, _mu_base, poisson_bracket
+from .poisson import TWO_PI_I, poisson_bracket, unit_weight_on_grid
 from .symbols import SymbolSpec
 
 Operand = Union[SymbolSpec, SampledSymbol]
@@ -167,14 +167,12 @@ def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     return mu / det
 
 
-def left_invariance_residual(
-    chart: GroupoidChart, sample_count: int = 100, seed: int = 0, shrink: float = 0.25
-) -> float:
+def left_invariance_residual(chart: GroupoidChart, sample_count: int = 100, seed: int = 0) -> float:
     """Max violation of the density's left-invariance identity at random points."""
     rng = np.random.default_rng(seed)
-    u = _sample_box(rng, chart.base_box, sample_count, shrink)
-    v = _sample_box(rng, chart.fiber_box, sample_count, shrink)
-    w = _sample_box(rng, chart.fiber_box, sample_count, shrink)
+    u = _sample_box(rng, chart.base_box, sample_count, 0.25)
+    v = _sample_box(rng, chart.fiber_box, sample_count, 0.25)
+    w = _sample_box(rng, chart.fiber_box, sample_count, 0.25)
     keep = _in_box(chart.product(u, v, w), chart.fiber_box)
     keep &= _in_box(chart.source_map(u, v), chart.base_box)
     u, v, w = u[keep], v[keep], w[keep]
@@ -253,12 +251,40 @@ def deformation_domain_problems(
     return problems
 
 
-def _evaluate_left(op: Operand, base_pts: np.ndarray, fiber_pts: np.ndarray) -> np.ndarray:
-    if isinstance(op, SymbolSpec):
-        return op.evaluate(base_pts, fiber_pts)
-    # left factor is only read at grid nodes: reshape its samples
-    K = base_pts.shape[0] if base_pts.ndim == 3 else 1
-    return op.values.reshape(K, -1)
+class _Transport:
+    """The part of the deformed product that depends on ``t`` and the grid only.
+
+    Setup checks ``t`` and the domain and takes the Haar density at the
+    integration nodes; :meth:`solve` transports a chunk of output nodes.
+    """
+
+    def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
+        if t == 0.0:
+            raise GroupoidLabError("deformed product needs t != 0")
+        problems = deformation_domain_problems(chart, grid, [t])
+        if problems:
+            raise DomainError("; ".join(problems))
+        self.chart, self.t = chart, t
+        self.fiber_pts = grid.fiber_points_flat()  # (H, m)
+        self.u3 = grid.base_points_flat()[:, None, :]  # (K, 1, n)
+        self.eta = self.fiber_pts[None, :, :]  # (1, H, m)
+        self.v_eta = t * self.eta
+        self.rho = haar_density(chart, self.u3, self.v_eta)  # (K, H)
+        self.weights = grid.fiber_weights().reshape(-1)  # (H,)
+
+    def coefficient(self, f0: Operand) -> np.ndarray:
+        """``(K, H)`` coefficients ``f0 * rho * weight``; the left factor is read at nodes only."""
+        if isinstance(f0, SymbolSpec):
+            return f0.evaluate(self.u3, self.eta) * self.rho * self.weights
+        return f0.values.reshape(self.rho.shape) * self.rho * self.weights
+
+    def solve(self, start: int, stop: int) -> np.ndarray:
+        """``(K, H, A, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``."""
+        shape = self.rho.shape + (stop - start, self.chart.fiber_dim)
+        target = np.broadcast_to(self.t * self.fiber_pts[start:stop], shape)
+        w = solve_product(self.chart, self.u3[:, :, None, :], self.v_eta[:, :, None, :], target)
+        w /= self.t
+        return w
 
 
 def _deformed_products(
@@ -270,44 +296,20 @@ def _deformed_products(
 ) -> list[np.ndarray]:
     """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
-    The transport (product solve, source map, density) depends on ``t`` and
-    the grid only, so each chunk solves it once and every pair reads it.
+    Each chunk of output nodes is transported once and every pair reads it.
     """
-    if t == 0.0:
-        raise GroupoidLabError("deformed product needs t != 0")
-    problems = deformation_domain_problems(chart, grid, [t])
-    if problems:
-        raise DomainError("; ".join(problems))
-
-    base_pts = grid.base_points_flat()  # (K, n)
-    fiber_pts = grid.fiber_points_flat()  # (H, m)
-    K, H = base_pts.shape[0], fiber_pts.shape[0]
-    m = chart.fiber_dim
-
-    u3 = base_pts[:, None, :]  # (K, 1, n)
-    eta = fiber_pts[None, :, :]  # (1, H, m)
-    v_eta = t * eta
-
-    sigma = chart.source_map(u3, v_eta)  # (K, H, n)
-    rho = haar_density(chart, u3, v_eta)  # (K, H)
-    weights = grid.fiber_weights().reshape(-1)  # (H,)
-    coeffs = [_evaluate_left(f0, u3, eta) * rho * weights for f0, _ in pairs]  # (K, H) each
+    transport = _Transport(chart, grid, t)
+    K, H = transport.rho.shape
+    sigma = chart.source_map(transport.u3, transport.v_eta)  # (K, H, n)
+    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) each
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
-    chunk = max(1, min(H, (1 << 22) // max(1, K * H * m)))
+    chunk = max(1, min(H, (1 << 22) // max(1, K * H * chart.fiber_dim)))
     starts = list(range(0, H, chunk))
 
     def run(start: int):
         stop = min(start + chunk, H)
-        target = (t * fiber_pts[start:stop])[None, None, :, :]  # (1, 1, A, m)
-        w = solve_product(
-            chart,
-            u3[:, :, None, :],
-            v_eta[:, :, None, :],
-            np.broadcast_to(target, (K, H, stop - start, m)),
-        )
-        scaled = w / t
-        del w
+        scaled = transport.solve(start, stop)
         gpts_base = np.broadcast_to(sigma[:, :, None, :], (K, H, stop - start, chart.base_dim))
         for (_, g0), coeff, out in zip(pairs, coeffs, outs):
             # the (K, H, A) values of g0 die with this statement, before the next pair's
@@ -345,8 +347,8 @@ def deformed_product(
     return SampledSymbol(values=values.reshape(grid.shape), grid=grid, decay_ok=True)
 
 
-def deformed_convolution(field: DeformationField, t: float, workers: int = 1) -> SampledSymbol:
-    return deformed_product(field.chart, field.grid, field.f0, field.g0, t, workers=workers)
+def deformed_convolution(field: DeformationField, t: float) -> SampledSymbol:
+    return deformed_product(field.chart, field.grid, field.f0, field.g0, t)
 
 
 def scaled_commutator(field: DeformationField, t: float, workers: int = 1) -> SampledSymbol:
@@ -386,27 +388,32 @@ class LimitTable:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def classical_limit_error_table(
-    field: DeformationField,
-    data: Optional[AlgebroidData] = None,
-    fd_step: float = 1e-3,
-    mu_on_base=None,
-    workers: int = 1,
-) -> LimitTable:
-    """Convergence table of the scaled commutator toward the bracket limit."""
-    ts = field.t_values
-    if len(ts) < 3:
-        raise GroupoidLabError("the sweep needs at least three t values")
-    ratios = [b / a for a, b in zip(ts, ts[1:])]
+def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
+    """Violations of the limit-study rule: at least three t values, geometric within 1e-2."""
+    if len(t_values) < 3:
+        return ["the limit sweep needs at least three t values"]
+    ratios = [b / a for a, b in zip(t_values, t_values[1:])]
     if max(ratios) - min(ratios) > 1e-2 * abs(ratios[0]):
-        raise GroupoidLabError("t values must form a geometric progression")
+        return ["t values must form a geometric progression"]
+    return []
+
+
+def classical_limit_error_table(
+    field: DeformationField, fd_step: float = 1e-3, workers: int = 1
+) -> LimitTable:
+    """Convergence table of the scaled commutator toward the bracket limit.
+
+    The bracket target carries the chart's unit weight, as the deformed
+    product's Haar density does.
+    """
+    ts = field.t_values
+    problems = limit_sweep_problems(ts)
+    if problems:
+        raise GroupoidLabError("; ".join(problems))
 
     grid = field.grid
-    if data is None:
-        from .algebroid import extract_algebroid
-
-        data = extract_algebroid(field.chart, grid.base_points_flat(), fd_step)
-    mu = _mu_base(mu_on_base, grid)
+    data = extract_algebroid(field.chart, grid.base_points_flat(), fd_step)
+    mu = unit_weight_on_grid(field.chart, grid)
     bracket = poisson_bracket(field.f0, field.g0, data, grid, mu_on_base=mu)
     target = bracket.values / TWO_PI_I
     bracket_sup = scale_of(bracket.values)

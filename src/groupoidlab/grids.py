@@ -67,8 +67,8 @@ class Axis:
         w[-1] *= 0.5
         return w
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return abs(self.center) <= tol * max(1.0, self.half_width)
+    def is_symmetric(self) -> bool:
+        return abs(self.center) <= 1e-12 * max(1.0, self.half_width)
 
     def refined(self) -> "Axis":
         """Same span with half the spacing."""
@@ -263,9 +263,9 @@ def require_same_grid(*sampled: SampledSymbol) -> GridSpec:
     return grid
 
 
-def scale_of(*arrays, floor: float = 1e-30) -> float:
-    """Residual normalization: the largest sup magnitude among the arrays."""
-    best = floor
+def scale_of(*arrays) -> float:
+    """Residual normalization: the largest sup magnitude among the arrays, at least 1e-30."""
+    best = 1e-30
     for arr in arrays:
         arr = np.asarray(arr)
         if arr.size:

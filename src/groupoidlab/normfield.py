@@ -16,8 +16,10 @@ matrix 2-norm approximates the integral-operator norm, and the top singular
 value is the square root of the top eigenvalue of the Gram matrix, from
 LAPACK ``eigvalsh``; one inverse-iteration step supplies the eigen-residual
 that the reports carry (see :func:`power_iteration_sigma`).  The
-regular-action matrix is assembled in row blocks of integration nodes, one
-product solve and one ordered scatter per block.
+regular-action matrix is assembled in blocks of output rows from the
+deformed product's transport (:class:`groupoidlab.deformation._Transport`),
+one product solve and one ordered scatter per block, so it maps samples g
+to ``f *_t g``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts import GroupoidChart
-from .deformation import deformation_domain_problems, haar_density, solve_product, sweep_problems
+from .deformation import _Transport, sweep_problems
 from .errors import ConvergenceError, DomainError, GroupoidLabError
 from .grids import GridSpec, interpolation_corners
 from .poisson import _mu_base, fourier_transform, select_dual_grid
@@ -109,16 +111,14 @@ def zero_fiber_norm(
     f0: SymbolSpec,
     grid: GridSpec,
     mu_on_base=None,
-    rel_tol: float = 1e-4,
-    max_refine: int = 6,
     strict: bool = False,
 ) -> NormRow:
     """Sup of the fiberwise Fourier transform over base and dual nodes.
 
     Starts on the conjugate dual grid (:func:`select_dual_grid` warns when
     the transform has not decayed at its boundary), then refines it (spacing
-    halved) until the sup moves by less than ``rel_tol`` relatively; more
-    than ``max_refine`` refinements raise ConvergenceError.
+    halved) until the sup moves by less than 1e-4 relatively; more than six
+    refinements raise ConvergenceError.
     """
     sampled = eval_symbol(f0, grid, strict=strict, name="f0")
     mu = _mu_base(mu_on_base, grid)
@@ -127,19 +127,17 @@ def zero_fiber_norm(
 
     dual, (transform,) = select_dual_grid(grid, [sampled], mu_on_base=mu, strict=strict)
     sup = float(np.max(np.abs(transform.values)))
-    for _ in range(max_refine):
+    for _ in range(6):
         dual_next = dual.refine_fiber()
         sup_next = float(np.max(np.abs(fourier_transform(sampled, mu, dual_next).values)))
         change = abs(sup_next - sup) / max(sup_next, 1e-300)
-        if change < rel_tol:
+        if change < 1e-4:
             size = int(np.prod(dual_next.fiber_shape)) * max(
                 1, int(np.prod(dual_next.base_shape))
             )
             return NormRow(t=0.0, value=sup_next, residual=change, size=size)
         dual, sup = dual_next, sup_next
-    raise ConvergenceError(
-        f"dual-grid sup did not settle to {rel_tol:.1e} within {max_refine} refinements"
-    )
+    raise ConvergenceError("dual-grid sup did not settle to 1.0e-04 within 6 refinements")
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +230,24 @@ def group_regular_norm(
     """
     if chart.base_dim != 0:
         raise GroupoidLabError("regular-action norms are implemented for base dimension 0")
-    if t == 0.0:
-        raise GroupoidLabError("regular-action norm needs t != 0")
-    problems = deformation_domain_problems(chart, grid, [t])
-    if problems:
-        raise DomainError("; ".join(problems))
-
-    eta = grid.fiber_points_flat()  # (H, m)
-    H, m = eta.shape
-    f_vals = f0.evaluate(np.zeros((H, 0)), eta)
-    rho = haar_density(chart, np.zeros((H, 0)), t * eta)
-    coeff = f_vals * rho * grid.fiber_weights().reshape(-1)
+    transport = _Transport(chart, grid, t)
+    H, m = transport.fiber_pts.shape
+    (coeff,) = transport.coefficient(f0)  # (H,), K = 1
 
     # Integration node b sends output node a (the nodes coincide) to the
     # transported point w/t, solving product(t eta_b, w) = t xi_a; its 2^m
     # interpolation corners receive coeff[b] times their weights in row a.
-    # Blocks of integration nodes scatter in (node, row, corner) order, the
-    # order of one node at a time, so with a closed-form solver the sums do
-    # not depend on the block size (Newton stops on the worst point of a block).
+    # A block of output rows scatters in (node, row, corner) order, so every
+    # entry sums its terms in node order; with a closed-form solver the sums
+    # do not depend on the block size (Newton stops on the worst point of a block).
     matrix = np.zeros(H * H, dtype=complex)
-    row_starts = (np.arange(H, dtype=np.int64) * H)[None, :, None]
     block = max(1, _BLOCK_ELEMENTS // (H << m))
     for start in range(0, H, block):
         stop = min(start + block, H)
-        v_eta = (t * eta[start:stop])[:, None, :]  # (B, 1, m)
-        w = solve_product(chart, np.zeros((1, H, 0)), v_eta, t * eta)  # (B, H, m)
-        indices, weights = _interp_scatter(w / t, grid)  # (B, H, 2^m)
-        indices += row_starts
-        np.add.at(
-            matrix, indices.reshape(-1), (coeff[start:stop, None, None] * weights).reshape(-1)
-        )
+        (points,) = transport.solve(start, stop)  # (H, A, m)
+        indices, weights = _interp_scatter(points, grid)  # (H, A, 2^m)
+        indices += (np.arange(start, stop, dtype=np.int64) * H)[None, :, None]
+        np.add.at(matrix, indices.reshape(-1), (coeff[:, None, None] * weights).reshape(-1))
     matrix = matrix.reshape(H, H)
     sqw = np.sqrt(grid.fiber_weights().reshape(-1))
     weighted = sqw[:, None] * matrix / sqw[None, :]

@@ -158,7 +158,6 @@ def select_dual_grid(
     grid: GridSpec,
     sampled: list[SampledSymbol],
     mu_on_base=None,
-    threshold: float = 1e-10,
     strict: bool = False,
 ) -> tuple[GridSpec, list[SampledSymbol]]:
     """Conjugate dual grid, with a decay check at its boundary.
@@ -169,7 +168,7 @@ def select_dual_grid(
 
     The conjugate grid already spans every frequency the primal sampling can
     represent (the discrete transform is periodic beyond it), so no widening
-    can help: when a transform is still above ``threshold`` of its peak at
+    can help: when a transform is still above 1e-10 of its peak at
     the boundary the primal grid is too coarse for that symbol.  That is
     reported as a warning, or a DecayError under ``strict``; downstream
     residuals then sit at the quadrature-limited level.
@@ -177,10 +176,10 @@ def select_dual_grid(
     dual = grid.dual()
     transforms = [fourier_transform(s, mu_on_base, dual) for s in sampled]
     worst = max([0.0] + [boundary_fraction(F.values) for F in transforms])
-    if worst >= threshold:
+    if worst >= 1e-10:
         message = (
             f"a transform only decays to {worst:.3e} of its peak at the dual "
-            f"boundary (threshold {threshold:.0e}); the primal grid is too coarse"
+            "boundary (threshold 1e-10); the primal grid is too coarse"
         )
         if strict:
             raise DecayError(message)

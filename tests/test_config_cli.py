@@ -282,6 +282,11 @@ def _nan_half_width():
     return raw
 
 
+def _pair1_deform(**overrides) -> dict:
+    """The shipped ``pair1_deform`` config with top-level keys replaced."""
+    return dict(json.loads((CONFIGS / "pair1_deform.json").read_text()), **overrides)
+
+
 def _custom_pair_chart(unit_weight) -> dict:
     """``minimal_config`` with the pair chart written as a custom chart of the given unit weight."""
     return minimal_config(
@@ -315,6 +320,7 @@ MALFORMED = [
     ("string_strict", minimal_config(strict="no"), "strict"),
     ("power_iteration_tolerance", minimal_config(tolerances={"power_iteration": 1e-8}), "unknown tolerance"),
     ("constant_zero_division", _custom_pair_chart(["/", 1.0, 0.0]), "division by a constant zero"),
+    ("non_geometric_sweep", _pair1_deform(t_values=[0.2, 0.1, 0.02]), "geometric progression"),
 ]
 
 
@@ -375,6 +381,21 @@ def test_deform_on_custom_chart_matches_builtin():
     assert got["observed_limit_constant"] == pytest.approx(
         expected["observed_limit_constant"], rel=1e-6
     )
+
+
+def test_deform_measures_against_the_bracket_under_the_unit_weight(tmp_path):
+    # the deformed product carries the weight through its Haar density, so an
+    # unweighted bracket target leaves an O(1) error and ratios near 0.6-0.7
+    raw = _pair1_deform(
+        chart={"builtin": "pair", "params": {"n": 1, "mu_e": ["exp", ["-", ["*", 0.05, "u1", "u1"]]]}}
+    )
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["deform", "--config", str(path), "--output", str(out)]) == 0
+    rows = json.loads((out / "deform_summary.json").read_text())["results"]["rows"]
+    ratios = [row[2] for row in rows[1:]]
+    assert len(ratios) == 2 and all(0.35 <= r <= 0.65 for r in ratios), ratios
 
 
 def test_non_finite_summary_value_fails_without_traceback(tmp_path, capsys):

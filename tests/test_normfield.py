@@ -229,3 +229,41 @@ def test_group_regular_norm_matches_per_node_oracle(chart_name, rel, request):
     axes = [(half_width, n + 1) for n in intervals]
     assert row.value == pytest.approx(regular_action_norm(symbol, transport, density, axes, t), rel=rel)
     assert row.residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "chart_name, intervals, half_width, t",
+    [
+        ("ax_plus_b", (24, 24), 3.5, 0.2),  # 7 row blocks
+        ("custom_ax_plus_b", (16, 16), 3.0, 0.2),  # 2 row blocks, Newton
+        ("heisenberg", (6, 6, 6), 4.0, 0.3),  # 4 row blocks
+    ],
+)
+def test_regular_action_matrix_applies_the_deformed_product(
+    chart_name, intervals, half_width, t, request, monkeypatch
+):
+    # the matrix and the deformed product share one transport, so the action
+    # on samples g must be f *_t g with g read by multilinear interpolation
+    if chart_name == "ax_plus_b":
+        chart = gl.builtin_chart("ax_plus_b", half_width=4.0)
+    else:
+        chart = request.getfixturevalue(chart_name)
+    m = len(intervals)
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(half_width, n) for n in intervals))
+    f = gl.SymbolSpec.gaussian(0, m, xi_widths=1.3, xi_centers=[0.2, -0.1, -0.3][:m])
+    f = f + gl.SymbolSpec.gaussian(0, m, coeff=0.5j, xi_powers=[1] + [0] * (m - 1))
+    captured = []
+    sigma = gl.normfield.power_iteration_sigma
+    monkeypatch.setattr(gl.normfield, "power_iteration_sigma", lambda a: captured.append(a) or sigma(a))
+    gl.group_regular_norm(f, chart, t, grid)
+    (weighted,) = captured
+    sqw = np.sqrt(grid.fiber_weights().reshape(-1))
+    matrix = weighted * sqw[None, :] / sqw[:, None]
+
+    rng = np.random.default_rng(7)
+    eta = grid.fiber_points_flat()
+    decay = np.exp(-0.5 * np.sum(eta**2, axis=-1))
+    g = (rng.standard_normal(len(eta)) + 1j * rng.standard_normal(len(eta))) * decay
+    product = gl.deformed_product(chart, grid, f, gl.SampledSymbol.wrap(g.reshape(grid.shape), grid), t)
+    expected = product.values.reshape(-1)
+    assert np.max(np.abs(matrix @ g - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -30,7 +30,7 @@ def studies():
     )
 
     axb = gl.builtin_chart("ax_plus_b", half_width=4.0)
-    axb_grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.5, 24), gl.Axis.centered(3.5, 24)))
+    axb_grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.7, 24), gl.Axis.centered(3.7, 24)))
     yield "ax_plus_b", gl.DeformationField(
         chart=axb,
         grid=axb_grid,
@@ -40,7 +40,7 @@ def studies():
     )
 
     heis = gl.builtin_chart("heisenberg")
-    heis_grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 16) for _ in range(3)))
+    heis_grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.7, 16) for _ in range(3)))
     yield "heisenberg", gl.DeformationField(
         chart=heis,
         grid=heis_grid,

@@ -24,7 +24,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     chart = gl.builtin_chart("pair", n=1)
-    grid = gl.GridSpec(base=(gl.Axis.centered(5.0, 256),), fiber=(gl.Axis.centered(8.0, 64),))
+    grid = gl.GridSpec(base=(gl.Axis.centered(5.5, 256),), fiber=(gl.Axis.centered(8.5, 64),))
     mu = gl.unit_weight_on_grid(chart, grid)
 
     rows = []

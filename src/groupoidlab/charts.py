@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError
-from .expressions import compile_expression, compile_vector
+from .expressions import compile_expression, compile_vector, derivative
 
 Array = np.ndarray
 
@@ -35,11 +35,11 @@ class GroupoidChart:
     unit fiber coordinate is 0: ``source_map(u, 0) = u``,
     ``product(u, 0, w) = w`` and ``product(u, v, 0) = v``.
 
-    Optional closed forms (``inverse``, ``product_solver``,
-    ``product_w_jacobian``) are used when present; otherwise Newton iteration
-    and finite differences take over.  ``exact_structure`` holds the analytic
-    structure constants of the built-ins, kept as a test oracle for the
-    finite-difference extraction path.
+    ``product_w_jacobian`` is exact: ``[..., i, l] = d product_i / d w_l``,
+    from derivative trees for custom charts.  Closed forms ``inverse`` and
+    ``product_solver`` are used when present, else Newton iteration.
+    ``exact_structure`` holds the analytic structure constants of the
+    built-ins, kept as a test oracle for the finite-difference extraction path.
 
     The chart is assumed to intersect the unit space exactly in the zero
     fiber section; that is a property of the data supplied and is documented
@@ -51,13 +51,13 @@ class GroupoidChart:
     fiber_dim: int
     source_map: Callable[[Array, Array], Array]
     product: Callable[[Array, Array, Array], Array]
+    product_w_jacobian: Callable[[Array, Array, Array], Array]
     unit_weight: Callable[[Array], Array]
     base_box: Array
     fiber_box: Array
     kind: str = "custom"
     inverse: Optional[Callable[[Array, Array], Array]] = None
     product_solver: Optional[Callable[[Array, Array, Array], Array]] = None
-    product_w_jacobian: Optional[Callable[[Array, Array, Array], Array]] = None
     exact_structure: Optional[Callable[[Array], Array]] = None
     params: dict = field(default_factory=dict)
 
@@ -324,59 +324,40 @@ def _resolve_weight(mu_e, dim: int):
     return lambda u: expr(u=np.asarray(u, dtype=float))
 
 
+def _additive_chart(name: str, kind: str, n: int, m: int, source_map, half_width, mu_e, params):
+    """The additive group law on the fiber R^m over the base R^n."""
+    return GroupoidChart(
+        name=name,
+        base_dim=n,
+        fiber_dim=m,
+        source_map=source_map,
+        product=lambda u, v, w: v + w,
+        product_w_jacobian=lambda u, v, w: np.broadcast_to(np.eye(m), np.shape(v)[:-1] + (m, m)).copy(),
+        unit_weight=_resolve_weight(mu_e, n),
+        base_box=_centered_box(n, half_width),
+        fiber_box=_centered_box(m, half_width),
+        kind=kind,
+        inverse=lambda u, v: -np.asarray(v, dtype=float),
+        product_solver=lambda u, v, target: target - v,
+        exact_structure=lambda u: np.zeros((m, m, m)),
+        params=params,
+    )
+
+
 def pair_chart(n: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Pair groupoid on R^n x R^n: source u + v, additive product."""
     if n < 1:
         raise ValueError("pair chart needs n >= 1")
-    weight = _resolve_weight(mu_e, n)
-    eye = np.eye(n)
-
-    return GroupoidChart(
-        name=f"pair({n})",
-        base_dim=n,
-        fiber_dim=n,
-        source_map=lambda u, v: u + v,
-        product=lambda u, v, w: v + w,
-        unit_weight=weight,
-        base_box=_centered_box(n, half_width),
-        fiber_box=_centered_box(n, half_width),
-        kind="pair",
-        inverse=lambda u, v: -np.asarray(v, dtype=float),
-        product_solver=lambda u, v, target: target - v,
-        product_w_jacobian=lambda u, v, w: np.broadcast_to(
-            eye, np.shape(v)[:-1] + (n, n)
-        ).copy(),
-        exact_structure=lambda u: np.zeros((n, n, n)),
-        params={"n": n, "half_width": half_width},
-    )
+    params = {"n": n, "half_width": half_width}
+    return _additive_chart(f"pair({n})", "pair", n, n, lambda u, v: u + v, half_width, mu_e, params)
 
 
-def abelian_bundle_chart(
-    n: int, m: int, half_width: float = 10.0, mu_e=None
-) -> GroupoidChart:
+def abelian_bundle_chart(n: int, m: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Bundle of abelian groups R^m over R^n (n = 0 gives the group R^m)."""
-    weight = _resolve_weight(mu_e, n)
-    eye = np.eye(m)
-
-    return GroupoidChart(
-        name=f"abelian_bundle({n},{m})",
-        base_dim=n,
-        fiber_dim=m,
-        source_map=lambda u, v: np.asarray(u, dtype=float)
-        + np.zeros(np.shape(v)[:-1] + (n,)),
-        product=lambda u, v, w: v + w,
-        unit_weight=weight,
-        base_box=_centered_box(n, half_width),
-        fiber_box=_centered_box(m, half_width),
-        kind="bundle",
-        inverse=lambda u, v: -np.asarray(v, dtype=float),
-        product_solver=lambda u, v, target: target - v,
-        product_w_jacobian=lambda u, v, w: np.broadcast_to(
-            eye, np.shape(v)[:-1] + (m, m)
-        ).copy(),
-        exact_structure=lambda u: np.zeros((m, m, m)),
-        params={"n": n, "m": m, "half_width": half_width},
-    )
+    source_map = lambda u, v: np.asarray(u, dtype=float) + np.zeros(np.shape(v)[:-1] + (n,))
+    params = {"n": n, "m": m, "half_width": half_width}
+    name = f"abelian_bundle({n},{m})"
+    return _additive_chart(name, "bundle", n, m, source_map, half_width, mu_e, params)
 
 
 def _heisenberg_product(u, v, w):
@@ -511,7 +492,7 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
     of ``base_dim`` expression trees in u, v), ``product`` (list of
     ``fiber_dim`` trees in u, v, w), ``base_box``, ``fiber_box``.  Optional:
     ``inverse`` (list of trees in u, v) and ``unit_weight`` (tree in u,
-    default 1).
+    default 1).  ``product_w_jacobian`` compiles the product's derivative trees.
     """
     n = int(spec["base_dim"])
     m = int(spec["fiber_dim"])
@@ -524,6 +505,13 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
 
     source_fn = compile_vector(source_exprs, n, m, slots="uv")
     product_fn = compile_vector(product_exprs, n, m, slots="uvw")
+    w_trees = [derivative(p, f"w{l + 1}") for p in product_exprs for l in range(m)]
+    jacobian_fn = compile_vector(w_trees, n, m, slots="uvw")
+
+    def w_jacobian(u, v, w):
+        flat = jacobian_fn(u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float))
+        return flat.reshape(flat.shape[:-1] + (m, m))
+
     weight = _resolve_weight(spec.get("unit_weight"), n)
 
     inverse_fn = None
@@ -542,6 +530,7 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
         product=lambda u, v, w: product_fn(
             u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float)
         ),
+        product_w_jacobian=w_jacobian,
         unit_weight=weight,
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),
         fiber_box=np.asarray(spec["fiber_box"], dtype=float).reshape(m, 2),

@@ -354,6 +354,8 @@ def main(argv=None) -> int:
                 raise ConfigError(["workers must be a positive integer"])
             config = replace(config, workers=args.workers)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(["seed must be a nonnegative integer"])
             config = replace(config, seed=args.seed)
         if args.strict:
             config = replace(config, strict=True)

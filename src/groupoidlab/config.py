@@ -20,6 +20,7 @@ from .grids import Axis, GridSpec
 from .symbols import SymbolSpec, decay_problems, parse_symbol
 
 MIN_AXIS_INTERVALS = 8
+MAX_GRID_NODES = 1 << 24  # one complex sample on this many nodes takes 256 MiB
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,18 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
         return None
     if "builtin" in chart_cfg:
         name = chart_cfg["builtin"]
-        if name not in BUILTIN_CHARTS:
+        if not isinstance(name, str) or name not in BUILTIN_CHARTS:
             problems.append(f"unknown built-in chart {name!r}; have {sorted(BUILTIN_CHARTS)}")
             return None
         try:
             return builtin_chart(name, **dict(chart_cfg.get("params", {})))
-        except (TypeError, ValueError, ConfigError) as exc:
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             problems.append(f"chart {name!r}: {exc}")
             return None
     if "custom" in chart_cfg:
         try:
             return chart_from_spec(chart_cfg["custom"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problems.append(f"custom chart: {exc}")
             return None
         except ConfigError as exc:
@@ -120,8 +121,8 @@ def _build_grid(raw: dict, chart: GroupoidChart | None, problems: list[str]) -> 
         return None
     base_cfg = grid_cfg.get("base", [])
     fiber_cfg = grid_cfg.get("fiber")
-    if not isinstance(fiber_cfg, list) or not fiber_cfg:
-        problems.append("grid needs a nonempty 'fiber' axis list")
+    if not isinstance(base_cfg, list) or not isinstance(fiber_cfg, list) or not fiber_cfg:
+        problems.append("grid needs a nonempty 'fiber' axis list and a 'base' axis list")
         return None
     base_axes = [
         _build_axis(a, f"grid.base[{i}]", fiber=False, problems=problems)
@@ -132,6 +133,9 @@ def _build_grid(raw: dict, chart: GroupoidChart | None, problems: list[str]) -> 
         for i, a in enumerate(fiber_cfg)
     ]
     if any(a is None for a in base_axes + fiber_axes):
+        return None
+    if math.prod(a.count for a in base_axes + fiber_axes) > MAX_GRID_NODES:
+        problems.append(f"grid has more than {MAX_GRID_NODES} nodes")
         return None
     if chart is not None:
         if len(base_axes) != chart.base_dim:
@@ -166,8 +170,8 @@ def build_config(raw: dict) -> RunConfig:
         problems.append("fd_step must be a positive finite number")
         fd_step = 1e-3
     seed = raw.get("seed", 2024)
-    if not isinstance(seed, int):
-        problems.append("seed must be an integer")
+    if not isinstance(seed, int) or seed < 0:
+        problems.append("seed must be a nonnegative integer")
         seed = 2024
     sample_count = raw.get("sample_count", 100)
     if not isinstance(sample_count, int) or sample_count < 1:

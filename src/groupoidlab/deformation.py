@@ -61,27 +61,6 @@ from .symbols import SymbolSpec
 
 Operand = Union[SymbolSpec, SampledSymbol]
 
-_JACOBIAN_STEP = 1e-6
-
-
-def product_w_jacobian(chart: GroupoidChart, u, v, w) -> np.ndarray:
-    """(..., m, m) Jacobian of the product law in its last argument."""
-    if chart.product_w_jacobian is not None:
-        return np.asarray(chart.product_w_jacobian(u, v, w), dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m = chart.fiber_dim
-    batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], w.shape[:-1])
-    jac = np.empty(batch + (m, m))
-    for l in range(m):
-        dw = np.zeros(m)
-        dw[l] = _JACOBIAN_STEP
-        plus = chart.product(u, v, w + dw)
-        minus = chart.product(u, v, w - dw)
-        jac[..., :, l] = (plus - minus) / (2.0 * _JACOBIAN_STEP)
-    return jac
-
 
 def _product_residual(chart: GroupoidChart, u, v, w, target) -> np.ndarray:
     """``product(u, v, w) - target``, subtracted in place when the product is a fresh array."""
@@ -110,9 +89,9 @@ def solve_product(
 ) -> np.ndarray:
     """Solve ``product(u, v, w) = target`` for ``w`` (batched).
 
-    Uses the chart's closed-form solver when present, otherwise Newton from
-    ``w = target - v``.  Raises ConvergenceError, SingularJacobianError or
-    DomainError (iterate left the fiber box).
+    Uses the chart's closed-form solver when present, otherwise Newton on its
+    exact ``product_w_jacobian`` from ``w = target - v``.  Raises
+    ConvergenceError, SingularJacobianError or DomainError (iterate left the fiber box).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -135,7 +114,7 @@ def solve_product(
         worst = float(np.max(np.abs(residual))) if residual.size else 0.0
         if worst <= tol:
             return w
-        jac = product_w_jacobian(chart, u, v, w)
+        jac = chart.product_w_jacobian(u, v, w)
         try:
             step = np.linalg.solve(jac, residual[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -152,7 +131,7 @@ def solve_product(
 def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     """Chart density of the left-invariant fiber measure (see module docs).
 
-    ``rho(u, v) = unit_weight(source_map(u, v)) / |det d_w product(u, v, 0)|``;
+    ``rho(u, v) = unit_weight(source_map(u, v)) / |det product_w_jacobian(u, v, 0)|``;
     positive wherever defined, equal to the unit weight at ``v = 0``.
     """
     u = np.asarray(u, dtype=float)
@@ -160,7 +139,7 @@ def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     sigma = chart.source_map(u, v)
     mu = np.asarray(chart.unit_weight(sigma), dtype=float)
     zeros = np.zeros_like(v)
-    jac = product_w_jacobian(chart, u, v, zeros)
+    jac = chart.product_w_jacobian(u, v, zeros)
     det = np.abs(np.linalg.det(jac))
     if det.size and float(np.min(det)) < 1e-13:
         raise SingularJacobianError("product Jacobian is singular at the unit section")
@@ -180,7 +159,7 @@ def left_invariance_residual(chart: GroupoidChart, sample_count: int = 100, seed
         raise GroupoidLabError("no admissible sample points for the invariance check")
 
     lhs = haar_density(chart, u, chart.product(u, v, w)) * np.abs(
-        np.linalg.det(product_w_jacobian(chart, u, v, w))
+        np.linalg.det(chart.product_w_jacobian(u, v, w))
     )
     rhs = haar_density(chart, chart.source_map(u, v), w)
     return float(np.max(np.abs(lhs - rhs)))

@@ -10,7 +10,8 @@ A tree is one of
 ``+`` and ``*`` accept two or more arguments, ``-`` is binary (or unary as
 negation), ``/`` is binary, ``neg exp sin cos`` are unary.  Trees are compiled
 to closures that evaluate vectorized over numpy arrays whose last axis holds
-the coordinate components.
+the coordinate components.  :func:`derivative` differentiates a tree exactly
+into another tree.
 """
 
 from __future__ import annotations
@@ -124,12 +125,51 @@ def _batch_shape(*arrays):
     return np.broadcast_shapes(*present) if present else None
 
 
-def _tree_uses(tree, slot: str) -> bool:
+def _tree_uses(tree, name: str) -> bool:
     if isinstance(tree, str):
-        return tree[:1] == slot
+        return tree[:1] == name[:1] and (len(name) == 1 or int(tree[1:]) == int(name[1:]))
     if isinstance(tree, (list, tuple)):
-        return any(_tree_uses(a, slot) for a in tree[1:])
+        return any(_tree_uses(a, name) for a in tree[1:])
     return False
+
+
+def derivative(tree, name: str):
+    """Tree of the partial derivative of a compilable ``tree`` in variable ``name``, e.g. ``"w2"``.
+
+    A subtree free of ``name`` differentiates to ``0.0``; zero terms and unit
+    factors are left out.  ``n / m`` differentiates to
+    ``(n' - (n / m) * m') / m``, so every denominator of a derivative tree is
+    one of ``tree``'s: the derivative of every tree that compiles compiles.
+    """
+    if not _tree_uses(tree, name):
+        return 0.0
+    if isinstance(tree, str):
+        return 1.0
+    op, args = tree[0], list(tree[1:])
+    d = [derivative(a, name) for a in args]
+    if op == "neg" or (op == "-" and len(d) == 1):
+        return _neg(d[0])
+    if op in ("+", "-"):
+        return _fold("+", d if op == "+" else [d[0], _neg(d[1])])
+    if op == "*":
+        return _fold("+", [_fold("*", args[:k] + [dk] + args[k + 1 :]) for k, dk in enumerate(d)])
+    if op == "/":
+        return ["/", _fold("+", [d[0], _neg(_fold("*", [tree, d[1]]))]), args[1]]
+    outer = {"exp": tree, "sin": ["cos", args[0]], "cos": ["neg", ["sin", args[0]]]}[op]
+    return _fold("*", [outer, d[0]])
+
+
+def _fold(op: str, args: list):
+    """``[op, *args]`` for ``op`` in ``+ *`` without neutral elements; a zero factor gives 0."""
+    if op == "*" and any(a == 0.0 for a in args):
+        return 0.0
+    neutral = 0.0 if op == "+" else 1.0
+    args = [a for a in args if a != neutral]
+    return [op, *args] if len(args) > 1 else (args or [neutral])[0]
+
+
+def _neg(tree):
+    return 0.0 if tree == 0.0 else ["neg", tree]
 
 
 def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):

@@ -369,7 +369,6 @@ class IntertwiningResult:
     residual: float
     signs: tuple[float, float]
     per_sign: dict
-    dual: GridSpec
 
 
 def intertwining_residual(
@@ -378,7 +377,6 @@ def intertwining_residual(
     data: AlgebroidData,
     grid: GridSpec,
     mu_on_base=None,
-    dual: GridSpec | None = None,
     strict: bool = False,
 ) -> IntertwiningResult:
     """Mismatch between the transformed bracket and the dual-side bracket.
@@ -388,11 +386,10 @@ def intertwining_residual(
     minimizing pair; callers compare the pair across symbol pairs and charts.
     Raises GroupoidLabError when no orientation gives a finite mismatch.
 
-    ``f``, ``g`` and their bracket are transformed once: the transforms come
-    from :func:`select_dual_grid`, or are computed on ``dual`` when it is
-    passed in.  The dual-side derivatives are taken once too; each
-    orientation only recombines the unsigned anchor and structure-constant
-    parts.
+    ``f``, ``g`` and their bracket are transformed once, by
+    :func:`select_dual_grid`.  The dual-side derivatives are taken once too;
+    each orientation only recombines the unsigned anchor and
+    structure-constant parts.
     """
     mu = _mu_base(mu_on_base, grid)
     if mu.size and float(np.max(np.abs(mu - 1.0))) > 1e-13:
@@ -402,12 +399,7 @@ def intertwining_residual(
     gs = eval_symbol(g, grid, strict=strict, name="g")
     bracket = poisson_bracket(f, g, data, grid, mu_on_base=mu, strict=strict)
 
-    if dual is None:
-        dual, (Ff, Fg, Fbracket) = select_dual_grid(
-            grid, [fs, gs, bracket], mu_on_base=mu, strict=strict
-        )
-    else:
-        Ff, Fg, Fbracket = (fourier_transform(s, mu, dual) for s in (fs, gs, bracket))
+    _, (Ff, Fg, Fbracket) = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu, strict=strict)
     lhs = Fbracket.values
     parts = _dual_bracket_parts(Ff, Fg, data)
 
@@ -423,35 +415,29 @@ def intertwining_residual(
             best_signs = signs
     if best_signs is None:
         raise GroupoidLabError("intertwining residual is not finite for any sign pair")
-    return IntertwiningResult(residual=best, signs=best_signs, per_sign=per_sign, dual=dual)
+    return IntertwiningResult(residual=best, signs=best_signs, per_sign=per_sign)
 
 
 # ---------------------------------------------------------------------------
 # convention checks used by the fourier-check command
 # ---------------------------------------------------------------------------
 
-def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None, dual=None, strict=False) -> float:
+def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None, strict=False) -> float:
     fs = eval_symbol(f, grid, strict=strict)
     mu = _mu_base(mu_on_base, grid)
-    if dual is None:
-        dual, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu, strict=strict)
-    else:
-        F = fourier_transform(fs, mu, dual)
+    _, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu, strict=strict)
     back = inverse_fourier(F, mu, grid)
     return float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
 
 
 def convolution_theorem_residual(
-    f: SymbolSpec, g: SymbolSpec, grid: GridSpec, mu_on_base=None, dual=None, strict=False
+    f: SymbolSpec, g: SymbolSpec, grid: GridSpec, mu_on_base=None, strict=False
 ) -> float:
     fs = eval_symbol(f, grid, strict=strict)
     gs = eval_symbol(g, grid, strict=strict)
     mu = _mu_base(mu_on_base, grid)
     conv = fiber_convolve(fs, gs, mu)
-    if dual is None:
-        dual, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu, strict=strict)
-    else:
-        Ff, Fg, Fconv = (fourier_transform(s, mu, dual) for s in (fs, gs, conv))
+    _, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu, strict=strict)
     lhs = Fconv.values
     rhs = Ff.values * Fg.values
     return float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)

@@ -137,6 +137,7 @@ def test_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps(minimal_config(t_values=[0.0])))
     assert main(["deform", "--config", str(bad_cfg)]) == 2
+    assert main(["validate", "--config", str(CONFIGS / "heisenberg_validate.json"), "--seed", "-1"]) == 2
 
     summary = json.loads((tmp_path / "fail" / "validate_summary.json").read_text())
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
@@ -282,6 +283,18 @@ def _nan_half_width():
     return raw
 
 
+def _grid_override(**grid) -> dict:
+    raw = minimal_config()
+    raw["grid"].update(grid)
+    return raw
+
+
+def _custom_pair_dims(base_dim) -> dict:
+    raw = _custom_pair_chart(1.0)
+    raw["chart"]["custom"]["base_dim"] = base_dim
+    return raw
+
+
 def _pair1_deform(**overrides) -> dict:
     """The shipped ``pair1_deform`` config with top-level keys replaced."""
     return dict(json.loads((CONFIGS / "pair1_deform.json").read_text()), **overrides)
@@ -321,6 +334,17 @@ MALFORMED = [
     ("power_iteration_tolerance", minimal_config(tolerances={"power_iteration": 1e-8}), "unknown tolerance"),
     ("constant_zero_division", _custom_pair_chart(["/", 1.0, 0.0]), "division by a constant zero"),
     ("non_geometric_sweep", _pair1_deform(t_values=[0.2, 0.1, 0.02]), "geometric progression"),
+    # found by test_config_fuzz.py; each ended in a traceback
+    ("builtin_name_not_a_string", minimal_config(chart={"builtin": [[1.0, -1.0]]}), "unknown built-in"),
+    (
+        "chart_param_overflow",
+        minimal_config(chart={"builtin": "abelian_bundle", "params": {"n": 1e308, "m": 1}}),
+        "chart 'abelian_bundle'",
+    ),
+    ("custom_dim_infinite", _custom_pair_dims(float("inf")), "custom chart"),
+    ("base_axes_not_a_list", _grid_override(base=None), "'base' axis list"),
+    ("grid_too_large", _grid_override(fiber=[{"half_width": 8.0, "intervals": 1e308}]), "nodes"),
+    ("negative_seed", minimal_config(seed=-1), "seed must be a nonnegative integer"),
 ]
 
 
@@ -377,9 +401,9 @@ def test_deform_on_custom_chart_matches_builtin():
     for mine, reference in zip(got["rows"], expected["rows"]):
         for value, ref in zip(mine[1:], reference[1:]):
             if ref is not None:
-                assert value == pytest.approx(ref, rel=1e-6)
+                assert value == pytest.approx(ref, rel=1e-12)
     assert got["observed_limit_constant"] == pytest.approx(
-        expected["observed_limit_constant"], rel=1e-6
+        expected["observed_limit_constant"], rel=1e-12
     )
 
 

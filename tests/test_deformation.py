@@ -5,6 +5,7 @@ from dataclasses import replace
 import groupoidlab as gl
 from groupoidlab.errors import ConvergenceError, GroupoidLabError
 
+from conftest import CUSTOM_AX_PLUS_B
 from oracles import (
     heisenberg_deformed_gaussians,
     kernel_composition_additive,
@@ -31,7 +32,7 @@ def test_solve_product_heisenberg_contract(heisenberg):
 
 
 def test_newton_matches_closed_form(heisenberg):
-    newton_chart = replace(heisenberg, product_solver=None, product_w_jacobian=None)
+    newton_chart = replace(heisenberg, product_solver=None)
     rng = np.random.default_rng(5)
     v = rng.uniform(-1.5, 1.5, (50, 3))
     target = rng.uniform(-1.5, 1.5, (50, 3))
@@ -65,6 +66,38 @@ def test_newton_nonconvergence_raises():
         gl.solve_product(chart, np.zeros((1, 0)), np.array([[0.1]]), np.array([[2.0]]), max_iter=1)
 
 
+# the Heisenberg group in exponential coordinates, written as a custom chart
+CUSTOM_HEISENBERG = {
+    "name": "custom_heisenberg",
+    "base_dim": 0,
+    "fiber_dim": 3,
+    "source_map": [],
+    "product": [
+        ["+", "v1", "w1"],
+        ["+", "v2", "w2"],
+        ["+", "v3", "w3", ["*", 0.5, ["-", ["*", "v1", "w2"], ["*", "v2", "w1"]]]],
+    ],
+    "unit_weight": 1.0,
+    "base_box": [],
+    "fiber_box": [[-6.0, 6.0]] * 3,
+}
+
+
+@pytest.mark.parametrize("spec, builtin", [(CUSTOM_AX_PLUS_B, "ax_plus_b"), (CUSTOM_HEISENBERG, "heisenberg")])
+def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin):
+    # the derivative trees give the built-in chart's closed-form Jacobian, entry
+    # [..., i, l] = d product_i / d w_l, so one Newton step lands and the second
+    # iteration only confirms the residual
+    custom, reference = gl.chart_from_spec(spec), gl.builtin_chart(builtin)
+    rng = np.random.default_rng(8)
+    u = np.zeros((200, 0))
+    v, w = rng.uniform(-1.0, 1.0, (2, 200, custom.fiber_dim))
+    np.testing.assert_array_equal(custom.product_w_jacobian(u, v, w), reference.product_w_jacobian(u, v, w))
+    target = custom.product(u, v, w)
+    got = gl.solve_product(custom, u, v, target, max_iter=2)
+    np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
+
+
 # -- haar density ---------------------------------------------------------------
 
 def test_haar_density_trivial_charts(pair1, heisenberg):
@@ -84,6 +117,13 @@ def test_haar_density_ax_plus_b_modular_factor():
     np.testing.assert_allclose(
         gl.haar_density(chart, np.zeros((2, 0)), v), np.exp(-v[:, 0]), rtol=1e-12
     )
+
+
+def test_haar_density_of_a_custom_chart_is_exact(custom_ax_plus_b):
+    # the same group as the built-in ax_plus_b, written as expression trees
+    v = np.random.default_rng(4).uniform(-2.0, 2.0, (500, 2))
+    rho = gl.haar_density(custom_ax_plus_b, np.zeros((500, 0)), v)
+    np.testing.assert_allclose(rho, np.exp(-v[:, 0]), rtol=1e-12)
 
 
 def test_haar_density_normalized_at_units():

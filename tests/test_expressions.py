@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupoidlab.errors import ConfigError
-from groupoidlab.expressions import compile_expression, compile_vector
+from groupoidlab.expressions import compile_expression, compile_vector, derivative
 
 
 def test_constants_and_variables():
@@ -76,6 +76,7 @@ def _reference_eval(tree, u, v, w):
         "+": lambda a, b: a + b,
         "*": lambda a, b: a * b,
         "-": lambda a, b=None: -a if b is None else a - b,
+        "/": lambda a, b: a / b,
         "neg": lambda a: -a,
         "exp": np.exp,
         "sin": np.sin,
@@ -112,3 +113,76 @@ def test_compiles_to_a_config_error_or_a_batch_shaped_evaluator(tree):
             assert "division by a constant zero" in str(exc)
             return
         assert compiled(u=u, v=v, w=w).shape == (2, 3)
+
+
+def test_derivative_rules():
+    assert derivative(["+", "v1", ["*", ["exp", "v1"], "w2"]], "w2") == ["exp", "v1"]
+    assert derivative(["*", "u1", "v1"], "w1") == 0.0
+    assert derivative(["-", "w02"], "w2") == ["neg", 1.0]
+    # the quotient's derivative divides by the original denominator, never its square
+    assert derivative(["/", 1.0, "w1"], "w1") == ["/", ["neg", ["/", 1.0, "w1"]], "w1"]
+
+
+def _complex_step(tree, point, name, h=2.0**-100):
+    """``d tree / d name`` at ``point`` (u1, v1, w1) from ``Im tree(x + ih) / h``."""
+    z = [complex(c) for c in point]
+    z["uvw".index(name[0])] += h * 1j
+    return float(np.imag(_reference_eval(tree, *(np.array([c]) for c in z)))) / h
+
+
+def _term_scale(tree, point, name):
+    """Largest term summed into the derivative of any subtree: the scale of its rounding error."""
+    if not isinstance(tree, list):
+        return 0.0
+    op, *args = tree
+    d = [_complex_step(a, point, name) for a in args]
+    value = lambda t: np.squeeze(_reference_eval(t, *(np.array([c]) for c in point)).real)
+    if op == "*":
+        terms = [d[0] * value(args[1]), d[1] * value(args[0])]
+    elif op == "/":
+        terms = [d[0] / value(args[1]), value(tree) * d[1] / value(args[1])]
+    elif op in ("+", "-", "neg"):
+        terms = d
+    else:
+        terms = [_complex_step(tree, point, name)]
+    return np.max([abs(t) for t in terms] + [_term_scale(a, point, name) for a in args])
+
+
+def _not_tiny(x):
+    # the complex step scales every derivative by h = 2^-100; below 1e-30 the
+    # products of a few such magnitudes with h underflow, outside the reference's domain
+    return x == 0.0 or abs(x) >= 1e-30
+
+
+@given(
+    tree=trees(
+        ops=("+", "-", "*", "/", "neg", "exp", "sin", "cos"),
+        constants=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0).filter(_not_tiny)),
+    ),
+    point=st.tuples(*[st.floats(-1, 1).filter(_not_tiny)] * 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_derivative_trees_compile_and_match_the_complex_step(tree, point):
+    # the derivative of every tree that compiles compiles.  Where the tree, its
+    # terms and the complex step of the independent interpreter are finite and
+    # the step is settled, the two agree to 1e-10 of the largest term the
+    # derivative sums, or to 1e-250 where h * d underflows in both steps.
+    # Settled: a step of 2^-40 gives the same value (steps are powers of two,
+    # so in the linear regime they scale exactly); it does not when a
+    # singularity lies within the step or an intermediate h * d underflows.
+    try:
+        compile_expression(tree, 1, 1)
+    except ConfigError:
+        return
+    u, v, w = (np.array([c]) for c in point)
+    with np.errstate(all="ignore"):
+        finite_tree = np.all(np.isfinite(_reference_eval(tree, u, v, w)))
+    for name in ("u1", "v1", "w1"):
+        compiled = compile_expression(derivative(tree, name), 1, 1)
+        with np.errstate(all="ignore"):
+            got = float(compiled(u=u, v=v, w=w))
+            expected = _complex_step(tree, point, name)
+            scale = np.max([abs(expected), _term_scale(tree, point, name)])
+            settled = abs(_complex_step(tree, point, name, 2.0**-40) - expected) <= 1e-12 * abs(expected)
+        if finite_tree and np.isfinite(scale) and settled:
+            assert abs(got - expected) <= 1e-10 * scale + 1e-250

@@ -209,9 +209,8 @@ REGULAR_ACTION_CASES = {
     [
         ("heisenberg", 1e-12),
         ("ax_plus_b", 1e-12),
-        # the custom chart has no closed-form Jacobian: its Haar density comes from
-        # central differences of step 1e-6, ~1e-10 off exp(-v1) in rounding
-        ("custom_ax_plus_b", 1e-9),
+        # the custom chart's Jacobian comes from its product's derivative trees
+        ("custom_ax_plus_b", 1e-12),
     ],
 )
 def test_group_regular_norm_matches_per_node_oracle(chart_name, rel, request):

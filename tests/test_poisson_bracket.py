@@ -229,8 +229,8 @@ def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, c
 
 @pytest.mark.parametrize("case", ["pair", "heisenberg"])
 def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, pair_setup):
-    # the residuals reuse the transforms computed while selecting the dual grid
-    # and transform again only for a dual grid passed in; both give the same bits
+    # every per-sign residual equals one computed from the public dual bracket
+    # on the selected (conjugate) dual grid, bit for bit
     if case == "pair":
         chart, grid, data, mu = pair_setup
         f, g = PAIR_SYMBOLS[0]
@@ -240,14 +240,7 @@ def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, 
         f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
         g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
     dual = grid.dual()
-    assert gl.roundtrip_residual(f, grid, mu) == gl.roundtrip_residual(f, grid, mu, dual=dual)
-    assert gl.convolution_theorem_residual(f, g, grid, mu) == gl.convolution_theorem_residual(
-        f, g, grid, mu, dual=dual
-    )
     selected = gl.intertwining_residual(f, g, data, grid, mu)
-    assert selected == gl.intertwining_residual(f, g, data, grid, mu, dual=dual)
-
-    # every orientation matches the public dual bracket, which takes its own derivatives
     lhs = gl.fourier_transform(gl.poisson_bracket(f, g, data, grid, mu), mu, dual).values
     F = gl.fourier_transform(gl.eval_symbol(f, grid), mu, dual)
     G = gl.fourier_transform(gl.eval_symbol(g, grid), mu, dual)

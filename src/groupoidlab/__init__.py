@@ -35,7 +35,6 @@ from .deformation import (
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DecayError,
     DecayWarning,
     DomainError,
     GridMismatchError,

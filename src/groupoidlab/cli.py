@@ -21,6 +21,7 @@ import argparse
 import logging
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,12 +29,13 @@ import numpy as np
 
 from .algebroid import extract_algebroid
 from .charts import AXIOMS, validate_axioms
-from .config import RunConfig, load_config
+from .config import RunConfig, build_config, load_config
 from .deformation import DeformationField, classical_limit_error_table, limit_sweep_problems
-from .errors import ConfigError, GroupoidLabError
-from .grids import scale_of
+from .errors import ConfigError, DecayWarning, GroupoidLabError
+from .grids import boundary_fraction, scale_of
 from .normfield import norm_curve, pair_cstar_identity_residual
 from .poisson import (
+    DUAL_DECAY_THRESHOLD,
     convolution_theorem_residual,
     intertwining_residual,
     poisson_bracket,
@@ -102,8 +104,8 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
     mu = unit_weight_on_grid(chart, grid)
     data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
     f, g = config.symbols["f"], config.symbols["g"]
-    forward = poisson_bracket(f, g, data, grid, mu, strict=config.strict)
-    backward = poisson_bracket(g, f, data, grid, mu, strict=config.strict)
+    forward = poisson_bracket(f, g, data, grid, mu)
+    backward = poisson_bracket(g, f, data, grid, mu)
     antisym = float(np.max(np.abs(forward.values + backward.values))) / scale_of(
         forward.values, backward.values
     )
@@ -123,7 +125,7 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
         summary={
             "antisymmetry_residual": antisym,
             "sup_bracket": forward.sup,
-            "decay_ok": bool(forward.decay_ok),
+            "decay_ok": boundary_fraction(forward.values) < DUAL_DECAY_THRESHOLD,
         },
     )
     bundle.checks = [
@@ -138,8 +140,8 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
     chart, grid, tol = config.chart, config.grid, config.tolerances
     mu = unit_weight_on_grid(chart, grid)
     f, g = config.symbols["f"], config.symbols["g"]
-    roundtrip = roundtrip_residual(f, grid, mu, strict=config.strict)
-    convtheo = convolution_theorem_residual(f, g, grid, mu, strict=config.strict)
+    roundtrip = roundtrip_residual(f, grid, mu)
+    convtheo = convolution_theorem_residual(f, g, grid, mu)
     checks = [
         Check("roundtrip", roundtrip <= tol.roundtrip, roundtrip, tol.roundtrip),
         Check(
@@ -155,7 +157,7 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
     unit_mu = bool(mu.size == 0 or float(np.max(np.abs(mu - 1.0))) <= 1e-13)
     if unit_mu:
         data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
-        result = intertwining_residual(f, g, data, grid, mu, strict=config.strict)
+        result = intertwining_residual(f, g, data, grid, mu)
         summary["intertwining_residual"] = result.residual
         summary["selected_signs"] = list(result.signs)
         checks.append(
@@ -242,7 +244,7 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
         raise ConfigError(["normfield needs a t sweep"])
     mu = unit_weight_on_grid(chart, grid)
     f = config.symbols["f"]
-    curve = norm_curve(f, chart, config.t_values, grid, mu, strict=config.strict)
+    curve = norm_curve(f, chart, config.t_values, grid, mu)
     deltas = curve.deltas()
     checks = [
         Check("deltas_decreasing", curve.deltas_decreasing(), float(len(deltas)), 0.0, "monotone"),
@@ -300,12 +302,16 @@ def run_command(
 ) -> ReportBundle:
     """Execute one command and write its report files.
 
-    Returns the bundle; ``bundle.passed`` drives the exit status.
+    Returns the bundle; ``bundle.passed`` drives the exit status.  Under
+    ``config.strict`` every DecayWarning the command raises is an error.
     """
     if name not in _IMPLEMENTATIONS:
         raise ConfigError([f"unknown command {name!r}; have {sorted(_IMPLEMENTATIONS)}"])
     start = time.perf_counter()
-    bundle = _IMPLEMENTATIONS[name](config)
+    with warnings.catch_warnings():
+        if config.strict:
+            warnings.simplefilter("error", DecayWarning)
+        bundle = _IMPLEMENTATIONS[name](config)
     elapsed = time.perf_counter() - start
     log.info("%s finished in %.3f s (timing is not part of the report files)", name, elapsed)
 
@@ -349,6 +355,9 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.strict and not config.strict:
+            # validate as if the file said "strict": true; the summary still hashes the file
+            config = replace(build_config(dict(config.raw, strict=True)), raw=config.raw)
         if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError(["workers must be a positive integer"])
@@ -357,8 +366,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(["seed must be a nonnegative integer"])
             config = replace(config, seed=args.seed)
-        if args.strict:
-            config = replace(config, strict=True)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

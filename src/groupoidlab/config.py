@@ -91,10 +91,15 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
 def _build_axis(axis_cfg: dict, where: str, fiber: bool, problems: list[str]) -> Axis | None:
     try:
         half_width = float(axis_cfg["half_width"])
-        intervals = int(axis_cfg["intervals"])
+        intervals = axis_cfg["intervals"]
         center = float(axis_cfg.get("center", 0.0))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{where}: malformed axis ({exc})")
+        return None
+    if isinstance(intervals, float) and intervals.is_integer():
+        intervals = int(intervals)
+    if not _integer(intervals):
+        problems.append(f"{where}: intervals must be an integer")
         return None
     if not (math.isfinite(half_width) and math.isfinite(center)):
         problems.append(f"{where}: half_width and center must be finite")
@@ -149,8 +154,11 @@ def _build_grid(raw: dict, chart: GroupoidChart | None, problems: list[str]) -> 
         if problems:
             return None
     quadrature = grid_cfg.get("quadrature", "trapezoidal")
+    if quadrature != "trapezoidal":
+        problems.append(f"grid: unsupported quadrature {quadrature!r}")
+        return None
     try:
-        return GridSpec(base=tuple(base_axes), fiber=tuple(fiber_axes), quadrature=quadrature)
+        return GridSpec(base=tuple(base_axes), fiber=tuple(fiber_axes))
     except ValueError as exc:
         problems.append(f"grid: {exc}")
         return None
@@ -170,15 +178,15 @@ def build_config(raw: dict) -> RunConfig:
         problems.append("fd_step must be a positive finite number")
         fd_step = 1e-3
     seed = raw.get("seed", 2024)
-    if not isinstance(seed, int) or seed < 0:
+    if not _integer(seed) or seed < 0:
         problems.append("seed must be a nonnegative integer")
         seed = 2024
     sample_count = raw.get("sample_count", 100)
-    if not isinstance(sample_count, int) or sample_count < 1:
+    if not _integer(sample_count) or sample_count < 1:
         problems.append("sample_count must be a positive integer")
         sample_count = 100
     workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _integer(workers) or workers < 1:
         problems.append("workers must be a positive integer")
         workers = 1
     strict = raw.get("strict", False)
@@ -253,6 +261,10 @@ def build_config(raw: dict) -> RunConfig:
         workers=workers,
         tolerances=tolerances,
     )
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value) -> bool:

@@ -323,7 +323,7 @@ def deformed_product(
     results are identical at any worker count.
     """
     (values,) = _deformed_products(chart, grid, [(f0, g0)], t, workers)
-    return SampledSymbol(values=values.reshape(grid.shape), grid=grid, decay_ok=True)
+    return SampledSymbol(values=values.reshape(grid.shape), grid=grid)
 
 
 def deformed_convolution(field: DeformationField, t: float) -> SampledSymbol:
@@ -339,9 +339,7 @@ def scaled_commutator(field: DeformationField, t: float, workers: int = 1) -> Sa
     fg, gf = _deformed_products(
         field.chart, field.grid, [(field.f0, field.g0), (field.g0, field.f0)], t, workers
     )
-    return SampledSymbol(
-        values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid, decay_ok=True
-    )
+    return SampledSymbol(values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid)
 
 
 @dataclass(frozen=True)

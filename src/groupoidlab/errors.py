@@ -29,12 +29,13 @@ class MissingDataError(GroupoidLabError):
     """Tabulated algebroid data does not cover the base nodes of the grid in use."""
 
 
-class DecayError(GroupoidLabError):
-    """A symbol does not decay below threshold at the edge of the configured grid."""
+class DecayWarning(GroupoidLabError, UserWarning):
+    """A symbol or a transform does not decay below threshold at the edge of its grid.
 
-
-class DecayWarning(UserWarning):
-    """Non-strict counterpart of DecayError."""
+    Library code only warns.  Strict runs promote the warning to an error
+    with ``warnings.simplefilter("error", DecayWarning)``; the raised warning
+    is then a GroupoidLabError like any other computation failure.
+    """
 
 
 class ConfigError(GroupoidLabError):

@@ -93,13 +93,10 @@ class GridSpec:
 
     base: tuple[Axis, ...]
     fiber: tuple[Axis, ...]
-    quadrature: str = "trapezoidal"
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))
         object.__setattr__(self, "fiber", tuple(self.fiber))
-        if self.quadrature != "trapezoidal":
-            raise ValueError(f"unsupported quadrature {self.quadrature!r}")
         if not self.fiber:
             raise ValueError("grid needs at least one fiber axis")
         for ax in self.fiber:
@@ -162,25 +159,16 @@ class GridSpec:
 
     def dual(self) -> "GridSpec":
         """Grid with each fiber axis replaced by its frequency conjugate."""
-        return GridSpec(
-            base=self.base,
-            fiber=tuple(ax.dual() for ax in self.fiber),
-            quadrature=self.quadrature,
-        )
+        return GridSpec(base=self.base, fiber=tuple(ax.dual() for ax in self.fiber))
 
     def refine_fiber(self) -> "GridSpec":
         """Halve every fiber spacing, keeping spans."""
-        return GridSpec(
-            base=self.base,
-            fiber=tuple(ax.refined() for ax in self.fiber),
-            quadrature=self.quadrature,
-        )
+        return GridSpec(base=self.base, fiber=tuple(ax.refined() for ax in self.fiber))
 
     def refine_all(self) -> "GridSpec":
         return GridSpec(
             base=tuple(ax.refined() for ax in self.base),
             fiber=tuple(ax.refined() for ax in self.fiber),
-            quadrature=self.quadrature,
         )
 
 
@@ -196,17 +184,16 @@ def _tensor_weights(axes: tuple[Axis, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledSymbol:
-    """Complex samples of a symbol on a grid, with a boundary-decay flag.
+    """Complex samples of a symbol on a grid.
 
-    ``decay_ok`` records whether the boundary-layer magnitude stays below
-    1e-10 of the max magnitude; operations that rely on compact support may
-    warn or refuse when it is False.  The calculus methods mirror those of
-    :class:`groupoidlab.symbols.SymbolSpec`, on node values.
+    Decay is checked where samples are made (:func:`groupoidlab.symbols.eval_symbol`,
+    :func:`groupoidlab.poisson.select_dual_grid`), not recorded here.  The
+    calculus methods mirror those of :class:`groupoidlab.symbols.SymbolSpec`,
+    on node values.
     """
 
     values: np.ndarray
     grid: GridSpec
-    decay_ok: bool = True
 
     @staticmethod
     def wrap(values: np.ndarray, grid: GridSpec) -> "SampledSymbol":
@@ -215,7 +202,7 @@ class SampledSymbol:
             raise GridMismatchError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        return SampledSymbol(values=values, grid=grid, decay_ok=boundary_fraction(values) < 1e-10)
+        return SampledSymbol(values=values, grid=grid)
 
     @property
     def sup(self) -> float:
@@ -227,7 +214,7 @@ class SampledSymbol:
         shape = [1] * self.values.ndim
         shape[self.grid.base_dim + index] = ax.count
         vals = self.values * ax.nodes.reshape(shape)
-        return SampledSymbol(values=vals, grid=self.grid, decay_ok=self.decay_ok)
+        return SampledSymbol(values=vals, grid=self.grid)
 
     def derivative(self, kind: str, index: int) -> "SampledSymbol":
         """Stencil partial derivative; ``kind`` is ``"x"`` or ``"xi"``."""
@@ -235,7 +222,7 @@ class SampledSymbol:
             raise ValueError("kind must be 'x' or 'xi'")
         axes, offset = (self.grid.base, 0) if kind == "x" else (self.grid.fiber, self.grid.base_dim)
         vals = stencil_derivative(self.values, axes[index].step, offset + index)
-        return SampledSymbol(values=vals, grid=self.grid, decay_ok=self.decay_ok)
+        return SampledSymbol(values=vals, grid=self.grid)
 
     def evaluate(self, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
         """Values at arbitrary points by multilinear interpolation (see :func:`interpolate`)."""

@@ -107,12 +107,7 @@ def power_iteration_sigma(matrix: np.ndarray) -> tuple[float, float, int]:
 # the commutative fiber at t = 0
 # ---------------------------------------------------------------------------
 
-def zero_fiber_norm(
-    f0: SymbolSpec,
-    grid: GridSpec,
-    mu_on_base=None,
-    strict: bool = False,
-) -> NormRow:
+def zero_fiber_norm(f0: SymbolSpec, grid: GridSpec, mu_on_base=None) -> NormRow:
     """Sup of the fiberwise Fourier transform over base and dual nodes.
 
     Starts on the conjugate dual grid (:func:`select_dual_grid` warns when
@@ -120,12 +115,12 @@ def zero_fiber_norm(
     halved) until the sup moves by less than 1e-4 relatively; more than six
     refinements raise ConvergenceError.
     """
-    sampled = eval_symbol(f0, grid, strict=strict, name="f0")
+    sampled = eval_symbol(f0, grid, name="f0")
     mu = _mu_base(mu_on_base, grid)
     if not f0.terms:
         return NormRow(t=0.0, value=0.0, residual=0.0, size=0)
 
-    dual, (transform,) = select_dual_grid(grid, [sampled], mu_on_base=mu, strict=strict)
+    dual, (transform,) = select_dual_grid(grid, [sampled], mu_on_base=mu)
     sup = float(np.max(np.abs(transform.values)))
     for _ in range(6):
         dual_next = dual.refine_fiber()
@@ -265,7 +260,6 @@ def norm_curve(
     t_values: Sequence[float],
     grid: GridSpec,
     mu_on_base=None,
-    strict: bool = False,
 ) -> NormCurve:
     """Operator norms along the sweep plus the commutative value at 0."""
     ts = [float(t) for t in t_values]
@@ -282,5 +276,5 @@ def norm_curve(
             raise GroupoidLabError(
                 "norm curves support pair charts and base-dimension-0 group charts"
             )
-    zero = zero_fiber_norm(f0, grid, mu_on_base, strict=strict)
+    zero = zero_fiber_norm(f0, grid, mu_on_base)
     return NormCurve(rows=tuple(rows), zero=zero)

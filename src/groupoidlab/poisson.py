@@ -30,17 +30,12 @@ import numpy as np
 
 from .algebroid import AlgebroidData
 from .charts import GroupoidChart
-from .errors import (
-    DecayError,
-    DecayWarning,
-    GridMismatchError,
-    GroupoidLabError,
-    MissingDataError,
-)
+from .errors import DecayWarning, GridMismatchError, GroupoidLabError, MissingDataError
 from .grids import GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
 
 TWO_PI_I = 2j * np.pi
+DUAL_DECAY_THRESHOLD = 1e-10  # boundary fraction a transform must stay below
 
 Operand = Union[SymbolSpec, SampledSymbol]
 
@@ -99,11 +94,7 @@ def fiber_convolve(f: SampledSymbol, g: SampledSymbol, mu_on_base=None) -> Sampl
     """
     grid = require_same_grid(f, g)
     mu = _mu_base(mu_on_base, grid)
-    return SampledSymbol(
-        values=_convolve_values(f.values, g.values, grid, mu),
-        grid=grid,
-        decay_ok=f.decay_ok and g.decay_ok,
-    )
+    return SampledSymbol(values=_convolve_values(f.values, g.values, grid, mu), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +149,6 @@ def select_dual_grid(
     grid: GridSpec,
     sampled: list[SampledSymbol],
     mu_on_base=None,
-    strict: bool = False,
 ) -> tuple[GridSpec, list[SampledSymbol]]:
     """Conjugate dual grid, with a decay check at its boundary.
 
@@ -170,20 +160,20 @@ def select_dual_grid(
     represent (the discrete transform is periodic beyond it), so no widening
     can help: when a transform is still above 1e-10 of its peak at
     the boundary the primal grid is too coarse for that symbol.  That is
-    reported as a warning, or a DecayError under ``strict``; downstream
-    residuals then sit at the quadrature-limited level.
+    reported as a DecayWarning (an error where the caller's warnings filter
+    promotes it, as strict CLI runs do); downstream residuals then sit at the
+    quadrature-limited level.
     """
     dual = grid.dual()
     transforms = [fourier_transform(s, mu_on_base, dual) for s in sampled]
     worst = max([0.0] + [boundary_fraction(F.values) for F in transforms])
-    if worst >= 1e-10:
-        message = (
+    if worst >= DUAL_DECAY_THRESHOLD:
+        warnings.warn(
             f"a transform only decays to {worst:.3e} of its peak at the dual "
-            "boundary (threshold 1e-10); the primal grid is too coarse"
+            f"boundary (threshold {DUAL_DECAY_THRESHOLD:.0e}); the primal grid is too coarse",
+            DecayWarning,
+            stacklevel=2,
         )
-        if strict:
-            raise DecayError(message)
-        warnings.warn(message, DecayWarning, stacklevel=2)
     return dual, transforms
 
 
@@ -204,9 +194,9 @@ def _op_grid_check(op: Operand, grid: GridSpec):
         raise GridMismatchError("sampled operand lives on a different grid")
 
 
-def _op_values(op: Operand, grid: GridSpec, strict: bool) -> np.ndarray:
+def _op_values(op: Operand, grid: GridSpec) -> np.ndarray:
     if isinstance(op, SymbolSpec):
-        return eval_symbol(op, grid, strict=strict).values
+        return eval_symbol(op, grid).values
     return op.values
 
 
@@ -216,7 +206,6 @@ def poisson_bracket(
     data: AlgebroidData,
     grid: GridSpec,
     mu_on_base=None,
-    strict: bool = False,
 ) -> SampledSymbol:
     """Bracket of two symbols over the convolution product, sampled on ``grid``.
 
@@ -238,12 +227,12 @@ def poisson_bracket(
 
     conv = lambda av, bv: _convolve_values(av, bv, grid, mu)
 
-    f_vals = _op_values(f, grid, strict)
-    g_vals = _op_values(g, grid, strict)
-    f_mult = [_op_values(f.fiber_multiply(i), grid, strict) for i in range(m)]
-    g_mult = [_op_values(g.fiber_multiply(i), grid, strict) for i in range(m)]
-    f_dx = [_op_values(f.derivative("x", j), grid, strict) for j in range(n)]
-    g_dx = [_op_values(g.derivative("x", j), grid, strict) for j in range(n)]
+    f_vals = _op_values(f, grid)
+    g_vals = _op_values(g, grid)
+    f_mult = [_op_values(f.fiber_multiply(i), grid) for i in range(m)]
+    g_mult = [_op_values(g.fiber_multiply(i), grid) for i in range(m)]
+    f_dx = [_op_values(f.derivative("x", j), grid) for j in range(n)]
+    g_dx = [_op_values(g.derivative("x", j), grid) for j in range(n)]
 
     out = np.zeros(grid.shape, dtype=complex)
 
@@ -269,7 +258,7 @@ def poisson_bracket(
         key = (which, i, k)
         if key not in d_cache:
             source = f if which == "f" else g
-            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid, strict)
+            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid)
         return d_cache[key]
 
     for i in range(m):
@@ -283,7 +272,7 @@ def poisson_bracket(
                 )
                 out += (-0.5 * TWO_PI_I) * _with_fiber_axes(c_ijk, grid) * term
 
-    return SampledSymbol(values=out, grid=grid, decay_ok=True)
+    return SampledSymbol(values=out, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +346,7 @@ def dual_poisson_bracket(
     Derivatives are central differences on the dual grid.
     """
     values = _oriented_dual_bracket(_dual_bracket_parts(F, G, data), signs)
-    return SampledSymbol(values=values, grid=F.grid, decay_ok=True)
+    return SampledSymbol(values=values, grid=F.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,6 @@ def intertwining_residual(
     data: AlgebroidData,
     grid: GridSpec,
     mu_on_base=None,
-    strict: bool = False,
 ) -> IntertwiningResult:
     """Mismatch between the transformed bracket and the dual-side bracket.
 
@@ -395,11 +383,11 @@ def intertwining_residual(
     if mu.size and float(np.max(np.abs(mu - 1.0))) > 1e-13:
         raise GroupoidLabError("intertwining check requires unit weight == 1")
 
-    fs = eval_symbol(f, grid, strict=strict, name="f")
-    gs = eval_symbol(g, grid, strict=strict, name="g")
-    bracket = poisson_bracket(f, g, data, grid, mu_on_base=mu, strict=strict)
+    fs = eval_symbol(f, grid, name="f")
+    gs = eval_symbol(g, grid, name="g")
+    bracket = poisson_bracket(f, g, data, grid, mu_on_base=mu)
 
-    _, (Ff, Fg, Fbracket) = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu, strict=strict)
+    _, (Ff, Fg, Fbracket) = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu)
     lhs = Fbracket.values
     parts = _dual_bracket_parts(Ff, Fg, data)
 
@@ -422,22 +410,22 @@ def intertwining_residual(
 # convention checks used by the fourier-check command
 # ---------------------------------------------------------------------------
 
-def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None, strict=False) -> float:
-    fs = eval_symbol(f, grid, strict=strict)
+def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None) -> float:
+    fs = eval_symbol(f, grid)
     mu = _mu_base(mu_on_base, grid)
-    _, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu, strict=strict)
+    _, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu)
     back = inverse_fourier(F, mu, grid)
     return float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
 
 
 def convolution_theorem_residual(
-    f: SymbolSpec, g: SymbolSpec, grid: GridSpec, mu_on_base=None, strict=False
+    f: SymbolSpec, g: SymbolSpec, grid: GridSpec, mu_on_base=None
 ) -> float:
-    fs = eval_symbol(f, grid, strict=strict)
-    gs = eval_symbol(g, grid, strict=strict)
+    fs = eval_symbol(f, grid)
+    gs = eval_symbol(g, grid)
     mu = _mu_base(mu_on_base, grid)
     conv = fiber_convolve(fs, gs, mu)
-    _, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu, strict=strict)
+    _, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu)
     lhs = Fconv.values
     rhs = Ff.values * Fg.values
     return float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)

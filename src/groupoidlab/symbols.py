@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DecayError, DecayWarning
+from .errors import DecayWarning
 from .grids import GridSpec, SampledSymbol, boundary_fraction
 
 DECAY_THRESHOLD = 1e-12
@@ -213,10 +213,6 @@ class SymbolSpec:
 # grid interaction
 # ---------------------------------------------------------------------------
 
-def _term_spec(term: SymbolTerm, n: int, m: int) -> SymbolSpec:
-    return SymbolSpec(n, m, (term,))
-
-
 def _node_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Base and fiber node arrays shaped to broadcast over ``grid.shape``."""
     if grid.base_dim:
@@ -231,41 +227,39 @@ def _node_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return base_b, fiber_b
 
 
-def decay_report(spec: SymbolSpec, grid: GridSpec) -> list[tuple[int, float]]:
-    """Per-term ratio of boundary magnitude to peak magnitude on the grid."""
+def _sampled_terms(spec: SymbolSpec, grid: GridSpec, name: str):
+    """Yield each term's node samples with its box-decay violation (None when it decays)."""
     if grid.base_dim != spec.base_dim or grid.fiber_dim != spec.fiber_dim:
         raise ValueError("symbol and grid dimensions differ")
     base_b, fiber_b = _node_points(grid)
-    report = []
     for idx, term in enumerate(spec.terms):
-        vals = _term_spec(term, spec.base_dim, spec.fiber_dim).evaluate(base_b, fiber_b)
-        report.append((idx, boundary_fraction(vals)))
-    return report
+        values = SymbolSpec(spec.base_dim, spec.fiber_dim, (term,)).evaluate(base_b, fiber_b)
+        ratio = boundary_fraction(values)
+        problem = None
+        if ratio >= DECAY_THRESHOLD:
+            problem = (
+                f"{name} term {idx} only decays to {ratio:.3e} of its peak at the grid "
+                f"boundary (threshold {DECAY_THRESHOLD:.0e})"
+            )
+        yield values, problem
 
 
 def decay_problems(spec: SymbolSpec, grid: GridSpec, name: str = "symbol") -> list[str]:
     """One message per term that fails the box-decay contract on the grid."""
-    return [
-        f"{name} term {idx} only decays to {ratio:.3e} of its peak at the grid "
-        f"boundary (threshold {DECAY_THRESHOLD:.0e})"
-        for idx, ratio in decay_report(spec, grid)
-        if ratio >= DECAY_THRESHOLD
-    ]
+    return [problem for _, problem in _sampled_terms(spec, grid, name) if problem]
 
 
-def check_decay(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol"):
-    """Warn (or raise under strict) when a term fails the box-decay contract."""
-    for message in decay_problems(spec, grid, name):
-        if strict:
-            raise DecayError(message)
-        warnings.warn(message, DecayWarning, stacklevel=2)
+def eval_symbol(spec: SymbolSpec, grid: GridSpec, name: str = "symbol") -> SampledSymbol:
+    """Sample the symbol at every grid node, warning for each term that fails to decay.
 
-
-def eval_symbol(spec: SymbolSpec, grid: GridSpec, strict: bool = False, name: str = "symbol") -> SampledSymbol:
-    """Sample the symbol at every grid node."""
-    check_decay(spec, grid, strict=strict, name=name)
-    values = spec.evaluate(*_node_points(grid))
-    values = np.broadcast_to(values, grid.shape).astype(complex)
+    Each term is evaluated once; the terms are summed in order, so the values
+    equal ``spec.evaluate`` at the nodes bitwise.
+    """
+    values = np.zeros(grid.shape, dtype=complex)
+    for term_values, problem in _sampled_terms(spec, grid, name):
+        if problem:
+            warnings.warn(problem, DecayWarning, stacklevel=2)
+        values += term_values
     return SampledSymbol.wrap(values, grid)
 
 

@@ -30,7 +30,6 @@ def minimal_config(**overrides):
 def test_minimal_config_fills_defaults():
     config = gl.build_config(minimal_config())
     assert config.fd_step == 1e-3
-    assert config.grid.quadrature == "trapezoidal"
     assert config.workers == 1
     assert config.seed == 2024
     assert config.sample_count == 100
@@ -160,6 +159,51 @@ def test_summary_embeds_hash_and_version(tmp_path):
     assert summary["config_sha256"] == config_hash(raw)
     assert summary["version"] == gl.__version__
     assert summary["passed"] is True
+
+
+# -- strict runs and the decay contract ------------------------------------------------
+
+def _config_errors(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+
+
+def test_strict_flag_and_strict_key_reject_the_same_symbol(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "heisenberg_fourier.json").read_text())
+    raw["symbols"]["f"][0]["xi_widths"] = [0.1, 0.1, 0.1]
+    flag_cfg, key_cfg = tmp_path / "flag.json", tmp_path / "key.json"
+    flag_cfg.write_text(json.dumps(raw))
+    key_cfg.write_text(json.dumps(dict(raw, strict=True)))
+    assert main(["bracket", "--config", str(flag_cfg), "--strict"]) == 2
+    flag_errors = _config_errors(capsys)
+    assert main(["bracket", "--config", str(key_cfg)]) == 2
+    assert _config_errors(capsys) == flag_errors
+    assert len(flag_errors) == 1 and "symbol 'f' term 0 only decays to" in flag_errors[0]
+
+
+def test_strict_flag_keeps_the_file_hash(tmp_path):
+    path = CONFIGS / "heisenberg_validate.json"
+    assert main(["validate", "--config", str(path), "--output", str(tmp_path), "--strict"]) == 0
+    summary = json.loads((tmp_path / "validate_summary.json").read_text())
+    assert summary["strict"] is True
+    assert summary["config_sha256"] == config_hash(json.loads(path.read_text()))
+
+
+def test_deform_strict_fails_on_the_decay_of_a_derived_symbol(tmp_path, capsys):
+    # the bracket target samples derivatives of f and g; one term of them only
+    # decays to 4.2e-12 at the grid edge, above the 1e-12 per-term threshold
+    path = str(CONFIGS / "ax_plus_b_deform.json")
+    assert main(["deform", "--config", path]) == 0
+    assert main(["deform", "--config", path, "--strict", "--output", str(tmp_path)]) == 1
+    assert "computation failed: symbol term 1 only decays to" in capsys.readouterr().err
+    assert "only decays to" in json.loads((tmp_path / "deform_error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("name, decay_ok", [("heisenberg_fourier", False), ("pair1_fourier", True)])
+def test_bracket_decay_ok_describes_the_written_bracket(name, decay_ok, tmp_path):
+    # heisenberg_fourier's bracket is still 2.3e-6 of its peak at the grid edge
+    assert main(["bracket", "--config", str(CONFIGS / f"{name}.json"), "--output", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "bracket_summary.json").read_text())
+    assert summary["results"]["decay_ok"] is decay_ok
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -345,6 +389,11 @@ MALFORMED = [
     ("base_axes_not_a_list", _grid_override(base=None), "'base' axis list"),
     ("grid_too_large", _grid_override(fiber=[{"half_width": 8.0, "intervals": 1e308}]), "nodes"),
     ("negative_seed", minimal_config(seed=-1), "seed must be a nonnegative integer"),
+    ("fractional_intervals", _grid_override(fiber=[{"half_width": 8.0, "intervals": 64.9}]), "intervals must be an integer"),
+    ("boolean_seed", minimal_config(seed=True), "seed must be a nonnegative integer"),
+    ("boolean_workers", minimal_config(workers=True), "workers must be a positive integer"),
+    ("boolean_sample_count", minimal_config(sample_count=True), "sample_count must be a positive integer"),
+    ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unsupported quadrature 'simpson'"),
 ]
 
 

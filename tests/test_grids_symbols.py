@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import groupoidlab as gl
-from groupoidlab.errors import DecayError, DecayWarning, GridMismatchError
+from groupoidlab.errors import DecayWarning, GridMismatchError
 from groupoidlab.grids import interpolate
 from groupoidlab.normfield import _interp_scatter
-from groupoidlab.symbols import decay_report
+from groupoidlab.symbols import SymbolSpec, decay_problems
 
 
 def test_axis_nodes_and_weights():
@@ -128,14 +130,40 @@ def test_decay_check_warns_then_raises():
     wide = gl.SymbolSpec.gaussian(0, 1, xi_widths=0.5)  # e^{-4.5} at the edge
     with pytest.warns(DecayWarning):
         gl.eval_symbol(wide, grid)
-    with pytest.raises(DecayError):
-        gl.eval_symbol(wide, grid, strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DecayWarning)  # what strict runs add
+        with pytest.raises(DecayWarning, match="symbol term 0 only decays to"):
+            gl.eval_symbol(wide, grid)
 
 
-def test_decay_report_good_symbol():
+def test_decay_problems_name_only_the_terms_that_fail():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(8.0, 64),))
-    ratios = [r for _, r in decay_report(gl.SymbolSpec.gaussian(0, 1), grid)]
-    assert max(ratios) < 1e-12
+    assert decay_problems(gl.SymbolSpec.gaussian(0, 1), grid) == []
+    wide = gl.SymbolSpec.gaussian(0, 1, xi_widths=0.05, xi_centers=1.0)
+    problems = decay_problems(gl.SymbolSpec.gaussian(0, 1) + wide, grid, "symbol 'f'")
+    assert len(problems) == 1 and problems[0].startswith("symbol 'f' term 1 only decays to")
+
+
+def test_eval_symbol_evaluates_each_term_once(monkeypatch):
+    grid = gl.GridSpec(base=(gl.Axis.centered(2.0, 8),), fiber=(gl.Axis.centered(6.0, 12),))
+    spec = (
+        gl.SymbolSpec.gaussian(1, 1, x_powers=[1], xi_widths=0.7)
+        + gl.SymbolSpec.gaussian(1, 1, coeff=0.5 - 2j, xi_powers=[2], x_centers=0.3)
+        + gl.SymbolSpec.gaussian(1, 1, coeff=-1.25, x_widths=2.0, xi_centers=-0.4)
+    )
+    nodes = grid.base_mesh()[:, None, :], grid.fiber_mesh()[None, :, :]
+    expected = spec.evaluate(*nodes)
+    calls = []
+    evaluate = SymbolSpec.evaluate
+
+    def counting(self, base_points, fiber_points):
+        calls.append(len(self.terms))
+        return evaluate(self, base_points, fiber_points)
+
+    monkeypatch.setattr(SymbolSpec, "evaluate", counting)
+    sampled = gl.eval_symbol(spec, grid)
+    assert calls == [1, 1, 1]
+    assert sampled.values.tobytes() == expected.tobytes()
 
 
 def test_sampled_symbol_shape_checked():
@@ -150,7 +178,7 @@ def test_interpolation_exact_on_nodes():
     )
     rng = np.random.default_rng(8)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    s = gl.SampledSymbol(values=vals, grid=grid, decay_ok=True)
+    s = gl.SampledSymbol(values=vals, grid=grid)
     bpts = grid.base_mesh().reshape(-1, 1)
     fpts = grid.fiber_mesh().reshape(-1, 1)
     got = interpolate(s, bpts[:, None, :], fpts[None, :, :])
@@ -159,7 +187,7 @@ def test_interpolation_exact_on_nodes():
 
 def test_interpolation_zero_outside():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(1.0, 8),))
-    s = gl.SampledSymbol(values=np.ones(grid.shape, dtype=complex), grid=grid, decay_ok=True)
+    s = gl.SampledSymbol(values=np.ones(grid.shape, dtype=complex), grid=grid)
     out = interpolate(s, np.zeros((2, 0)), np.array([[5.0], [-1.7]]))
     np.testing.assert_array_equal(out, 0.0)
 
@@ -169,7 +197,7 @@ def test_interpolation_is_the_sum_over_scatter_corners():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.0, 10), gl.Axis.centered(2.5, 12)))
     rng = np.random.default_rng(4)
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    s = gl.SampledSymbol(values=vals, grid=grid, decay_ok=True)
+    s = gl.SampledSymbol(values=vals, grid=grid)
     pts = rng.uniform(-3.5, 3.5, (6, 9, 2))  # some fall outside the grid
     indices, weights = _interp_scatter(pts, grid)
     expected = np.zeros(pts.shape[:-1], dtype=complex)

@@ -130,16 +130,16 @@ def test_dual_bracket_zero_without_structure():
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(4.0, 16),))
     data = gl.extract_algebroid(chart, grid.base_points_flat())
     rng = np.random.default_rng(2)
-    F = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid, decay_ok=True)
-    G = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid, decay_ok=True)
+    F = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid)
+    G = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid)
     out = gl.dual_poisson_bracket(F, G, data)
     assert np.all(out.values == 0)
 
 
 def test_dual_bracket_antisymmetric_bitwise(heis_data16, heis_grid16):
     rng = np.random.default_rng(4)
-    F = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16, decay_ok=True)
-    G = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16, decay_ok=True)
+    F = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
+    G = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
     a = gl.dual_poisson_bracket(F, G, heis_data16, signs=(-1.0, -1.0))
     b = gl.dual_poisson_bracket(G, F, heis_data16, signs=(-1.0, -1.0))
     assert np.array_equal(a.values, -b.values)
@@ -151,8 +151,8 @@ def test_dual_bracket_matches_analytic_derivatives(pair1):
     X = zgrid.base[0].nodes[:, None]
     Z = zgrid.fiber[0].nodes[None, :]
     base_gauss = np.exp(-(X**2) - Z**2)
-    F = gl.SampledSymbol(values=base_gauss.astype(complex), grid=zgrid, decay_ok=True)
-    G = gl.SampledSymbol(values=(X * Z * base_gauss).astype(complex), grid=zgrid, decay_ok=True)
+    F = gl.SampledSymbol(values=base_gauss.astype(complex), grid=zgrid)
+    G = gl.SampledSymbol(values=(X * Z * base_gauss).astype(complex), grid=zgrid)
     out = gl.dual_poisson_bracket(F, G, data, signs=(-1.0, -1.0))
     F_z = -2 * Z * base_gauss
     F_x = -2 * X * base_gauss

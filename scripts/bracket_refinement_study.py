@@ -21,13 +21,12 @@ def residuals(intervals: int):
     grid = gl.GridSpec(
         base=(gl.Axis.centered(6.0, intervals),), fiber=(gl.Axis.centered(8.0, intervals),)
     )
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
     mu = gl.unit_weight_on_grid(chart, grid)
     f = G(1, 1)
     g = G(1, 1, x_powers=[1], xi_powers=[1])
     h = G(1, 1, xi_powers=[1], x_widths=1.2, xi_widths=0.9)
     ev = lambda s: gl.eval_symbol(s, grid)
-    br = lambda a, b: gl.poisson_bracket(a, b, data, grid, mu)
+    br = lambda a, b: gl.poisson_bracket(a, b, chart, grid)
 
     anti = np.max(np.abs(br(f, g).values + br(g, f).values)) / gl.scale_of(br(f, g).values)
 

@@ -25,13 +25,12 @@ def main():
 
     chart = gl.builtin_chart("pair", n=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(5.5, 256),), fiber=(gl.Axis.centered(8.5, 64),))
-    mu = gl.unit_weight_on_grid(chart, grid)
 
     rows = []
     series = []
     for width in WIDTHS:
         f = gl.SymbolSpec.gaussian(1, 1, x_widths=1.0, xi_widths=width)
-        curve = gl.norm_curve(f, chart, T_VALUES, grid, mu)
+        curve = gl.norm_curve(f, chart, T_VALUES, grid)
         for row, delta in zip(curve.rows, curve.deltas()):
             rows.append([width, row.t, row.value, delta, row.residual])
         rows.append([width, 0.0, curve.zero.value, 0.0, curve.zero.residual])

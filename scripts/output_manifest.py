@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Manifest of the CLI's output files: every command on every shipped config.
+
+    python3 scripts/output_manifest.py --output DIR
+
+Runs the six commands with ``--plot`` on each ``configs/*.json`` of the
+checkout this script sits in, one process per run, writing to
+``DIR/<config>/<command>/``.  Prints one ``exit`` line per run and one
+SHA-256 line per file it wrote, in a fixed order, so two checkouts' output
+bytes compare with ``diff`` of their manifests.  DIR must be empty or absent.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("validate", "algebroid", "bracket", "fourier-check", "deform", "normfield")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", required=True, help="empty directory for the report files")
+    args = parser.parse_args()
+    out = Path(args.output)
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+
+    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        for command in COMMANDS:
+            run_dir = out / config.stem / command
+            argv = [sys.executable, "-m", "groupoidlab.cli", command,
+                    "--config", str(config), "--output", str(run_dir), "--plot"]
+            code = subprocess.run(argv, env=env, capture_output=True).returncode
+            print(f"exit {code} {config.stem} {command}", flush=True)
+            for path in sorted(run_dir.rglob("*")) if run_dir.exists() else ():
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.relative_to(out).as_posix()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
     GridMismatchError,
     GroupoidLabError,
-    MissingDataError,
     SamplingError,
     SingularJacobianError,
 )

@@ -9,7 +9,9 @@ From the chart maps three families of functions on the base are extracted:
 
 Central differences are used everywhere; built-in charts carry analytic
 versions of the same data, which the tests treat as the oracle for this
-finite-difference path.
+finite-difference path.  Each function takes a base point (n,) or a batch
+(..., n) and evaluates each stencil offset once over the whole batch, so
+:func:`extract_algebroid` tabulates all k base nodes in one call of each.
 """
 
 from __future__ import annotations
@@ -24,104 +26,89 @@ from .errors import DomainError, GroupoidLabError
 DEFAULT_FD_STEP = 1e-3
 
 
-def _require_margin(u: np.ndarray, box: np.ndarray, step: float):
-    if box.shape[0] == 0:
-        return
-    lo = box[:, 0] + step
-    hi = box[:, 1] - step
-    if np.any(u < lo) or np.any(u > hi):
-        raise DomainError(
-            f"base point {u} too close to the box edge for finite-difference step {step}"
-        )
+def _first_offender(u: np.ndarray, bad: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The first point of the batch ``u`` (..., n) flagged in ``bad`` (..., n), and the flag's index."""
+    index = tuple(np.argwhere(bad)[0])
+    return u[index[:-1]], index
 
 
 def anchor_matrix(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """(fiber_dim, base_dim) matrix of v-derivatives of the source map at v = 0.
+    """(..., fiber_dim, base_dim) v-derivatives of the source map at v = 0.
 
-    Entry ``[i, j]`` is the central-difference approximation of the
-    j-th source component differentiated along the i-th fiber direction,
-    with error O(step^2).
+    ``u`` is a base point (n,) or a batch of them (..., n).  Entry
+    ``[..., i, j]`` is the central-difference approximation of the j-th
+    source component differentiated along the i-th fiber direction, with
+    error O(step^2).
     """
     u = check_box(np.asarray(u, dtype=float), chart.base_box, "base point u")
-    m, n = chart.fiber_dim, chart.base_dim
-    if n == 0:
-        return np.zeros((m, 0))
-    out = np.empty((m, n))
-    for i in range(m):
-        dv = np.zeros(m)
-        dv[i] = step
-        plus = chart.source_map(u, dv)
-        minus = chart.source_map(u, -dv)
-        out[i] = (plus - minus) / (2.0 * step)
-    return out
-
-
-def product_bilinear(
-    chart: GroupoidChart, u, i: int, j: int, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Bilinear part of the product law on the frame pair ``(i, j)`` (0-based).
-
-    Computed as the mixed second partial of ``product`` in ``v_i`` and
-    ``w_j`` at the unit; the unit laws kill the pure second-order terms, so
-    the four-point stencil recovers the bilinear coefficient with error
-    O(step^2).
-    """
     m = chart.fiber_dim
-    if not (0 <= i < m and 0 <= j < m):
-        raise IndexError(f"frame indices ({i}, {j}) out of range for fiber_dim {m}")
+    # row i of the increments is step * e_i
+    dv = np.broadcast_to(step * np.eye(m), u.shape[:-1] + (m, m))
+    at = u[..., None, :]
+    return (chart.source_map(at, dv) - chart.source_map(at, -dv)) / (2.0 * step)
+
+
+def product_bilinear(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Bilinear part of the product law on every frame pair, (..., m, m, m).
+
+    Entry ``[..., i, j, :]`` is the mixed second partial of ``product`` in
+    ``v_i`` and ``w_j`` at the unit, at the base point (n,) or batch (..., n)
+    ``u``; the unit laws kill the pure second-order terms, so the four-point
+    stencil recovers the bilinear coefficient with error O(step^2).
+    """
     u = check_box(np.asarray(u, dtype=float), chart.base_box, "base point u")
-    dv = np.zeros(m)
-    dv[i] = step
-    dw = np.zeros(m)
-    dw[j] = step
-    pp = chart.product(u, dv, dw)
-    pm = chart.product(u, dv, -dw)
-    mp = chart.product(u, -dv, dw)
-    mm = chart.product(u, -dv, -dw)
+    m = chart.fiber_dim
+    # products may ignore u, so the increments carry the full batch shape
+    batch = u.shape[:-1] + (m, m, m)
+    e = step * np.eye(m)
+    dv = np.broadcast_to(e[:, None, :], batch)  # [..., i, j, :] = step * e_i
+    dw = np.broadcast_to(e[None, :, :], batch)  # [..., i, j, :] = step * e_j
+    at = u[..., None, None, :]
+    pp = chart.product(at, dv, dw)
+    pm = chart.product(at, dv, -dw)
+    mp = chart.product(at, -dv, dw)
+    mm = chart.product(at, -dv, -dw)
     return (pp - pm - mp + mm) / (4.0 * step * step)
 
 
 def structure_constants(
     chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """(m, m, m) array ``c[i, j, k]`` of algebroid structure constants at ``u``.
+    """(..., m, m, m) array ``c[..., i, j, k]`` of algebroid structure constants at ``u``.
 
-    ``c[i, j] = bilinear(i, j) - bilinear(j, i)``; antisymmetry in ``(i, j)``
-    holds bitwise by construction.
+    ``c[i, j] = bilinear(i, j) - bilinear(j, i)`` for ``i < j`` and
+    ``c[j, i] = -c[i, j]``, so antisymmetry in ``(i, j)`` holds bitwise by
+    construction, signed zeros included.
     """
-    m = chart.fiber_dim
-    c = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = product_bilinear(chart, u, i, j, step) - product_bilinear(
-                chart, u, j, i, step
-            )
-            c[i, j] = diff
-            c[j, i] = -diff
+    bilinear = product_bilinear(chart, u, step)
+    i, j = np.triu_indices(chart.fiber_dim, 1)
+    diff = bilinear[..., i, j, :] - bilinear[..., j, i, :]
+    c = np.zeros(bilinear.shape)
+    c[..., i, j, :] = diff
+    c[..., j, i, :] = -diff
     return c
 
 
 def log_weight_gradient(
     chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Central-difference gradient of log(unit_weight) at ``u``."""
-    u = check_box(np.asarray(u, dtype=float), chart.base_box, "base point u")
-    n = chart.base_dim
-    if n == 0:
-        return np.zeros(0)
-    _require_margin(u, chart.base_box, step)
-    out = np.empty(n)
-    for j in range(n):
-        du = np.zeros(n)
-        du[j] = step
-        plus = float(chart.unit_weight(u + du))
-        minus = float(chart.unit_weight(u - du))
-        if plus <= 0.0 or minus <= 0.0:
-            raise GroupoidLabError(
-                f"unit weight must be positive near {u}; got {min(plus, minus)}"
-            )
-        out[j] = (np.log(plus) - np.log(minus)) / (2.0 * step)
-    return out
+    """Central-difference gradient of log(unit_weight) at the base point (n,) or batch (..., n) ``u``."""
+    box = chart.base_box
+    u = check_box(np.asarray(u, dtype=float), box, "base point u")
+    outside = (u < box[:, 0] + step) | (u > box[:, 1] - step)
+    if np.any(outside):
+        point, _ = _first_offender(u, outside)
+        message = f"base point {point} too close to the box edge for finite-difference step {step}"
+        raise DomainError(message)
+    du = step * np.eye(chart.base_dim)  # row j is step * e_j
+    plus = np.asarray(chart.unit_weight(u[..., None, :] + du), dtype=float)
+    minus = np.asarray(chart.unit_weight(u[..., None, :] - du), dtype=float)
+    bad = (plus <= 0.0) | (minus <= 0.0)
+    if np.any(bad):
+        point, index = _first_offender(u, bad)
+        worst = min(float(plus[index]), float(minus[index]))
+        raise GroupoidLabError(f"unit weight must be positive near {point}; got {worst}")
+    return (np.log(plus) - np.log(minus)) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,8 @@ def extract_algebroid(
     """Tabulate anchor, structure constants and log-weight gradient.
 
     ``base_points`` is (k, n); for base dimension 0 pass the single empty
-    point ``np.zeros((1, 0))``.
+    point ``np.zeros((1, 0))``.  The values equal those of single-point
+    calls bitwise, signed zeros included.
     """
     pts = np.asarray(base_points, dtype=float)
     if chart.base_dim == 0:
@@ -167,13 +155,10 @@ def extract_algebroid(
         pts = np.zeros((rows, 0))
     else:
         pts = pts.reshape(-1, chart.base_dim)
-    anchors = np.stack([anchor_matrix(chart, p, step) for p in pts])
-    structures = np.stack([structure_constants(chart, p, step) for p in pts])
-    grads = np.stack([log_weight_gradient(chart, p, step) for p in pts])
     return AlgebroidData(
         base_points=pts,
-        anchor=anchors,
-        structure=structures,
-        log_weight_grad=grads,
+        anchor=anchor_matrix(chart, pts, step),
+        structure=structure_constants(chart, pts, step),
+        log_weight_grad=log_weight_gradient(chart, pts, step),
         fd_step=step,
     )

@@ -38,6 +38,7 @@ from .poisson import (
     DUAL_DECAY_THRESHOLD,
     convolution_theorem_residual,
     intertwining_residual,
+    is_unit_weight,
     poisson_bracket,
     roundtrip_residual,
     unit_weight_on_grid,
@@ -77,13 +78,9 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
         f"c_{i + 1}_{j + 1}_{k + 1}" for i in range(m) for j in range(m) for k in range(m)
     ]
     header += [f"dlog_weight_{j + 1}" for j in range(n)]
-    rows = []
-    for p in range(data.base_points.shape[0]):
-        row = list(data.base_points[p])
-        row += list(data.anchor[p].reshape(-1))
-        row += list(data.structure[p].reshape(-1))
-        row += list(data.log_weight_grad[p])
-        rows.append(row)
+    k = data.base_points.shape[0]
+    columns = (data.base_points, data.anchor, data.structure, data.log_weight_grad)
+    rows = np.column_stack([a.reshape(k, -1) for a in columns])
     jacobi = data.jacobi_residual()
     bundle = ReportBundle(
         command="algebroid",
@@ -101,11 +98,9 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
 def _cmd_bracket(config: RunConfig) -> ReportBundle:
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    mu = unit_weight_on_grid(chart, grid)
-    data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
     f, g = config.symbols["f"], config.symbols["g"]
-    forward = poisson_bracket(f, g, data, grid, mu)
-    backward = poisson_bracket(g, f, data, grid, mu)
+    forward = poisson_bracket(f, g, chart, grid, config.fd_step)
+    backward = poisson_bracket(g, f, chart, grid, config.fd_step)
     antisym = float(np.max(np.abs(forward.values + backward.values))) / scale_of(
         forward.values, backward.values
     )
@@ -154,10 +149,8 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
     summary = {"roundtrip_residual": roundtrip, "convolution_theorem_residual": convtheo}
     rows = [["roundtrip", roundtrip], ["convolution_theorem", convtheo]]
 
-    unit_mu = bool(mu.size == 0 or float(np.max(np.abs(mu - 1.0))) <= 1e-13)
-    if unit_mu:
-        data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
-        result = intertwining_residual(f, g, data, grid, mu)
+    if is_unit_weight(mu):
+        result = intertwining_residual(f, g, chart, grid, config.fd_step)
         summary["intertwining_residual"] = result.residual
         summary["selected_signs"] = list(result.signs)
         checks.append(
@@ -242,9 +235,8 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
     chart, grid, tol = config.chart, config.grid, config.tolerances
     if not config.t_values:
         raise ConfigError(["normfield needs a t sweep"])
-    mu = unit_weight_on_grid(chart, grid)
     f = config.symbols["f"]
-    curve = norm_curve(f, chart, config.t_values, grid, mu)
+    curve = norm_curve(f, chart, config.t_values, grid)
     deltas = curve.deltas()
     checks = [
         Check("deltas_decreasing", curve.deltas_decreasing(), float(len(deltas)), 0.0, "monotone"),
@@ -262,6 +254,7 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
         "note": "regular (reduced) picture only; equals the full norm on amenable charts",
     }
     if chart.kind == "pair":
+        mu = unit_weight_on_grid(chart, grid)
         cstar = pair_cstar_identity_residual(f, config.t_values[0], grid, mu)
         summary["cstar_identity_residual"] = cstar
         checks.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -268,7 +269,9 @@ def _integer(value) -> bool:
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A JSON number that is finite as a float; an integer beyond the float range is not."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def load_config(path) -> RunConfig:

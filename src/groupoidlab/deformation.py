@@ -47,7 +47,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebroid import extract_algebroid
 from .charts import GroupoidChart, _in_box, _sample_box
 from .errors import (
     ConvergenceError,
@@ -56,7 +55,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .grids import GridSpec, SampledSymbol, scale_of
-from .poisson import TWO_PI_I, poisson_bracket, unit_weight_on_grid
+from .poisson import TWO_PI_I, poisson_bracket
 from .symbols import SymbolSpec
 
 Operand = Union[SymbolSpec, SampledSymbol]
@@ -388,10 +387,7 @@ def classical_limit_error_table(
     if problems:
         raise GroupoidLabError("; ".join(problems))
 
-    grid = field.grid
-    data = extract_algebroid(field.chart, grid.base_points_flat(), fd_step)
-    mu = unit_weight_on_grid(field.chart, grid)
-    bracket = poisson_bracket(field.f0, field.g0, data, grid, mu_on_base=mu)
+    bracket = poisson_bracket(field.f0, field.g0, field.chart, field.grid, fd_step)
     target = bracket.values / TWO_PI_I
     bracket_sup = scale_of(bracket.values)
 

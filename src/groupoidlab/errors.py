@@ -25,10 +25,6 @@ class GridMismatchError(GroupoidLabError):
     """Two sampled symbols do not share the grid an operation requires."""
 
 
-class MissingDataError(GroupoidLabError):
-    """Tabulated algebroid data does not cover the base nodes of the grid in use."""
-
-
 class DecayWarning(GroupoidLabError, UserWarning):
     """A symbol or a transform does not decay below threshold at the edge of its grid.
 

@@ -33,7 +33,7 @@ from .charts import GroupoidChart
 from .deformation import _Transport, sweep_problems
 from .errors import ConvergenceError, DomainError, GroupoidLabError
 from .grids import GridSpec, interpolation_corners
-from .poisson import _mu_base, fourier_transform, select_dual_grid
+from .poisson import _mu_base, fourier_transform, select_dual_grid, unit_weight_on_grid
 from .symbols import SymbolSpec, eval_symbol
 
 # relative offset of the inverse-iteration shift above the top eigenvalue
@@ -259,22 +259,26 @@ def norm_curve(
     chart: GroupoidChart,
     t_values: Sequence[float],
     grid: GridSpec,
-    mu_on_base=None,
 ) -> NormCurve:
-    """Operator norms along the sweep plus the commutative value at 0."""
+    """Operator norms along the sweep plus the commutative value at 0.
+
+    Every row carries the chart's unit weight: the pair kernels and the t = 0
+    row read it on the base grid, the regular action through the Haar density.
+    """
     ts = [float(t) for t in t_values]
     problems = sweep_problems(ts)
     if problems:
         raise GroupoidLabError("; ".join(problems))
+    mu = unit_weight_on_grid(chart, grid)
     rows = []
     for t in ts:
         if chart.kind == "pair":
-            rows.append(pair_kernel_norm(f0, t, grid, mu_on_base))
+            rows.append(pair_kernel_norm(f0, t, grid, mu))
         elif chart.base_dim == 0:
             rows.append(group_regular_norm(f0, chart, t, grid))
         else:
             raise GroupoidLabError(
                 "norm curves support pair charts and base-dimension-0 group charts"
             )
-    zero = zero_fiber_norm(f0, grid, mu_on_base)
+    zero = zero_fiber_norm(f0, grid, mu)
     return NormCurve(rows=tuple(rows), zero=zero)

@@ -8,6 +8,11 @@ fiber.  Coordinate multiplications and derivatives are exact on analytic
 symbols (and high-order stencils on sampled ones); only the convolutions are
 numerical.
 
+The bracket functions take the chart: they tabulate the algebroid data at
+the grid's base nodes and read the unit weight from it, so the convolution
+measure and the log-weight gradient come from one weight.  Grid-level
+functions take the weight explicitly as ``mu_on_base`` (default 1).
+
 Conventions fixed here and validated end to end by the classical-limit and
 intertwining tests:
 
@@ -28,9 +33,9 @@ from typing import Union
 
 import numpy as np
 
-from .algebroid import AlgebroidData
+from .algebroid import DEFAULT_FD_STEP, AlgebroidData, extract_algebroid
 from .charts import GroupoidChart
-from .errors import DecayWarning, GridMismatchError, GroupoidLabError, MissingDataError
+from .errors import DecayWarning, GridMismatchError, GroupoidLabError
 from .grids import GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
 
@@ -51,6 +56,11 @@ def unit_weight_on_grid(chart: GroupoidChart, grid: GridSpec) -> np.ndarray:
     if np.any(mu <= 0):
         raise GroupoidLabError("unit weight must be positive on the base grid")
     return mu.reshape(grid.base_shape)
+
+
+def is_unit_weight(mu: np.ndarray) -> bool:
+    """Whether the tabulated unit weight is the constant 1 (to 1e-13)."""
+    return bool(mu.size == 0 or float(np.max(np.abs(mu - 1.0))) <= 1e-13)
 
 
 def _mu_base(mu_on_base, grid: GridSpec) -> np.ndarray:
@@ -181,43 +191,44 @@ def select_dual_grid(
 # bracket on the convolution side
 # ---------------------------------------------------------------------------
 
-def _check_alignment(data: AlgebroidData, grid: GridSpec):
-    pts = grid.base_points_flat()
-    if data.base_points.shape != pts.shape or not np.array_equal(data.base_points, pts):
-        raise MissingDataError(
-            "algebroid data is not tabulated at the base nodes of this grid"
-        )
-
-
 def _op_grid_check(op: Operand, grid: GridSpec):
     if isinstance(op, SampledSymbol) and op.grid != grid:
         raise GridMismatchError("sampled operand lives on a different grid")
 
 
-def _op_values(op: Operand, grid: GridSpec) -> np.ndarray:
+def _op_values(op: Operand, grid: GridSpec, name: str) -> np.ndarray:
     if isinstance(op, SymbolSpec):
-        return eval_symbol(op, grid).values
+        return eval_symbol(op, grid, name=name).values
     return op.values
 
 
 def poisson_bracket(
     f: Operand,
     g: Operand,
-    data: AlgebroidData,
+    chart: GroupoidChart,
     grid: GridSpec,
-    mu_on_base=None,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> SampledSymbol:
     """Bracket of two symbols over the convolution product, sampled on ``grid``.
 
-    ``f`` and ``g`` may be analytic symbols or samples on ``grid``; with
-    sampled operands the coordinate multiplications act on node values and
-    the derivatives fall back to high-order central stencils.  The result is
-    antisymmetric under swapping ``f`` and ``g`` bitwise.
+    The algebroid data (finite-difference step ``fd_step``) and the unit
+    weight come from ``chart`` at the grid's base nodes.  ``f`` and ``g`` may
+    be analytic symbols or samples on ``grid``; with sampled operands the
+    coordinate multiplications act on node values and the derivatives fall
+    back to high-order central stencils.  The result is antisymmetric under
+    swapping ``f`` and ``g`` bitwise.  Decay warnings name the sampled
+    symbol by operand and operation, e.g. ``d/dxi_2 (xi_1 f)``.
     """
-    _check_alignment(data, grid)
+    mu = unit_weight_on_grid(chart, grid)
+    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat(), fd_step), grid, mu)
+
+
+def _bracket(
+    f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray
+) -> SampledSymbol:
+    """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``."""
     _op_grid_check(f, grid)
     _op_grid_check(g, grid)
-    mu = _mu_base(mu_on_base, grid)
     n, m = grid.base_dim, grid.fiber_dim
     base_shape = grid.base_shape
 
@@ -227,12 +238,12 @@ def poisson_bracket(
 
     conv = lambda av, bv: _convolve_values(av, bv, grid, mu)
 
-    f_vals = _op_values(f, grid)
-    g_vals = _op_values(g, grid)
-    f_mult = [_op_values(f.fiber_multiply(i), grid) for i in range(m)]
-    g_mult = [_op_values(g.fiber_multiply(i), grid) for i in range(m)]
-    f_dx = [_op_values(f.derivative("x", j), grid) for j in range(n)]
-    g_dx = [_op_values(g.derivative("x", j), grid) for j in range(n)]
+    f_vals = _op_values(f, grid, "f")
+    g_vals = _op_values(g, grid, "g")
+    f_mult = [_op_values(f.fiber_multiply(i), grid, f"xi_{i + 1} f") for i in range(m)]
+    g_mult = [_op_values(g.fiber_multiply(i), grid, f"xi_{i + 1} g") for i in range(m)]
+    f_dx = [_op_values(f.derivative("x", j), grid, f"d/dx_{j + 1} f") for j in range(n)]
+    g_dx = [_op_values(g.derivative("x", j), grid, f"d/dx_{j + 1} g") for j in range(n)]
 
     out = np.zeros(grid.shape, dtype=complex)
 
@@ -258,7 +269,8 @@ def poisson_bracket(
         key = (which, i, k)
         if key not in d_cache:
             source = f if which == "f" else g
-            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid)
+            name = f"d/dxi_{k + 1} (xi_{i + 1} {which})"
+            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid, name)
         return d_cache[key]
 
     for i in range(m):
@@ -287,7 +299,6 @@ def _dual_bracket_parts(
     Each central-difference derivative of ``F`` and ``G`` is taken once.
     """
     grid = require_same_grid(F, G)
-    _check_alignment(data, grid)
     n, m = grid.base_dim, grid.fiber_dim
     base_shape = grid.base_shape
 
@@ -335,16 +346,19 @@ def _oriented_dual_bracket(parts: tuple[np.ndarray, np.ndarray], signs) -> np.nd
 def dual_poisson_bracket(
     F: SampledSymbol,
     G: SampledSymbol,
-    data: AlgebroidData,
+    chart: GroupoidChart,
     signs: tuple[float, float] = (-1.0, -1.0),
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> SampledSymbol:
     """Poisson bracket of fiberwise transforms on the dual grid.
 
+    The algebroid data comes from ``chart`` at the grid's base nodes.
     ``signs`` fixes the orientation of the anchor part and of the
     structure-constant part; :func:`intertwining_residual` discovers the pair
     that matches the convolution-side bracket through the Fourier transform.
     Derivatives are central differences on the dual grid.
     """
+    data = extract_algebroid(chart, F.grid.base_points_flat(), fd_step)
     values = _oriented_dual_bracket(_dual_bracket_parts(F, G, data), signs)
     return SampledSymbol(values=values, grid=F.grid)
 
@@ -363,13 +377,15 @@ class IntertwiningResult:
 def intertwining_residual(
     f: SymbolSpec,
     g: SymbolSpec,
-    data: AlgebroidData,
+    chart: GroupoidChart,
     grid: GridSpec,
-    mu_on_base=None,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> IntertwiningResult:
     """Mismatch between the transformed bracket and the dual-side bracket.
 
-    Requires a constant unit weight.  Returns the smallest relative sup
+    Requires a chart whose unit weight is the constant 1 on the grid
+    (:func:`is_unit_weight`); the bracket and the dual side share one
+    extraction of the algebroid data.  Returns the smallest relative sup
     mismatch over the four sign orientations of the dual bracket, with the
     minimizing pair; callers compare the pair across symbol pairs and charts.
     Raises GroupoidLabError when no orientation gives a finite mismatch.
@@ -379,13 +395,14 @@ def intertwining_residual(
     each orientation only recombines the unsigned anchor and
     structure-constant parts.
     """
-    mu = _mu_base(mu_on_base, grid)
-    if mu.size and float(np.max(np.abs(mu - 1.0))) > 1e-13:
+    mu = unit_weight_on_grid(chart, grid)
+    if not is_unit_weight(mu):
         raise GroupoidLabError("intertwining check requires unit weight == 1")
 
     fs = eval_symbol(f, grid, name="f")
     gs = eval_symbol(g, grid, name="g")
-    bracket = poisson_bracket(f, g, data, grid, mu_on_base=mu)
+    data = extract_algebroid(chart, grid.base_points_flat(), fd_step)
+    bracket = _bracket(f, g, data, grid, mu)
 
     _, (Ff, Fg, Fbracket) = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu)
     lhs = Fbracket.values

@@ -51,11 +51,6 @@ def pair1_grid64():
 
 
 @pytest.fixture(scope="session")
-def pair1_data64(pair1, pair1_grid64):
-    return gl.extract_algebroid(pair1, pair1_grid64.base_points_flat())
-
-
-@pytest.fixture(scope="session")
 def heisenberg():
     return gl.builtin_chart("heisenberg")
 
@@ -65,11 +60,6 @@ def heis_grid16():
     return gl.GridSpec(
         base=(), fiber=tuple(gl.Axis.centered(5.5, 16) for _ in range(3))
     )
-
-
-@pytest.fixture(scope="session")
-def heis_data16(heisenberg, heis_grid16):
-    return gl.extract_algebroid(heisenberg, heis_grid16.base_points_flat())
 
 
 @pytest.fixture(scope="session")

@@ -150,36 +150,34 @@ def test_c4_poisson_algebra_laws():
     h = G(1, 1, xi_powers=[1], x_widths=1.2, xi_widths=0.9)
 
     def setup(intervals):
-        grid = gl.GridSpec(
+        return gl.GridSpec(
             base=(gl.Axis.centered(6.0, intervals),), fiber=(gl.Axis.centered(8.0, intervals),)
         )
-        data = gl.extract_algebroid(chart, grid.base_points_flat())
-        mu = gl.unit_weight_on_grid(chart, grid)
-        return grid, data, mu
 
-    def leibniz(grid, data, mu):
+    def leibniz(grid):
+        mu = gl.unit_weight_on_grid(chart, grid)
         ev = lambda s: gl.eval_symbol(s, grid)
-        lhs = gl.poisson_bracket(f, gl.fiber_convolve(ev(g), ev(h), mu), data, grid, mu).values
+        lhs = gl.poisson_bracket(f, gl.fiber_convolve(ev(g), ev(h), mu), chart, grid).values
         rhs = (
-            gl.fiber_convolve(gl.poisson_bracket(f, g, data, grid, mu), ev(h), mu).values
-            + gl.fiber_convolve(ev(g), gl.poisson_bracket(f, h, data, grid, mu), mu).values
+            gl.fiber_convolve(gl.poisson_bracket(f, g, chart, grid), ev(h), mu).values
+            + gl.fiber_convolve(ev(g), gl.poisson_bracket(f, h, chart, grid), mu).values
         )
         return float(np.max(np.abs(lhs - rhs))) / gl.scale_of(lhs, rhs)
 
-    def jacobi(grid, data, mu):
-        br = lambda a, b: gl.poisson_bracket(a, b, data, grid, mu)
+    def jacobi(grid):
+        br = lambda a, b: gl.poisson_bracket(a, b, chart, grid)
         terms = [br(f, br(g, h)).values, br(g, br(h, f)).values, br(h, br(f, g)).values]
         return float(np.max(np.abs(terms[0] + terms[1] + terms[2]))) / gl.scale_of(*terms)
 
-    grid, data, mu = setup(64)
-    forward = gl.poisson_bracket(f, g, data, grid, mu)
-    backward = gl.poisson_bracket(g, f, data, grid, mu)
+    grid = setup(64)
+    forward = gl.poisson_bracket(f, g, chart, grid)
+    backward = gl.poisson_bracket(g, f, chart, grid)
     antisym = float(np.max(np.abs(forward.values + backward.values))) / gl.scale_of(
         forward.values, backward.values
     )
-    leib64, jac64 = leibniz(grid, data, mu), jacobi(grid, data, mu)
+    leib64, jac64 = leibniz(grid), jacobi(grid)
     fine = setup(128)
-    leib128, jac128 = leibniz(*fine), jacobi(*fine)
+    leib128, jac128 = leibniz(fine), jacobi(fine)
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -232,22 +230,18 @@ def test_c5_fourier_intertwining():
     start = time.perf_counter()
     chart = gl.builtin_chart("pair", n=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(6.0, 64),), fiber=(gl.Axis.centered(8.0, 64),))
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
-    mu = gl.unit_weight_on_grid(chart, grid)
     signs = set()
     worst_pair = 0.0
     for f, g in PAIR_SYMBOLS:
-        result = gl.intertwining_residual(f, g, data, grid, mu)
+        result = gl.intertwining_residual(f, g, chart, grid)
         worst_pair = max(worst_pair, result.residual)
         signs.add(result.signs)
 
     heis = gl.builtin_chart("heisenberg")
     hgrid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 16) for _ in range(3)))
-    hdata = gl.extract_algebroid(heis, hgrid.base_points_flat())
-    hmu = gl.unit_weight_on_grid(heis, hgrid)
     worst_heis = 0.0
     for f, g in HEIS_SYMBOLS:
-        result = gl.intertwining_residual(f, g, hdata, hgrid, hmu)
+        result = gl.intertwining_residual(f, g, heis, hgrid)
         worst_heis = max(worst_heis, result.residual)
         signs.add(result.signs)
     elapsed = time.perf_counter() - start
@@ -270,7 +264,7 @@ def test_c6_norm_field_continuity():
     mu = gl.unit_weight_on_grid(chart, grid)
     f = G(1, 1, x_widths=1.0, xi_widths=0.5)
     ts = (0.4, 0.2, 0.1, 0.05)
-    curve = gl.norm_curve(f, chart, ts, grid, mu)
+    curve = gl.norm_curve(f, chart, ts, grid)
     cstar = max(gl.pair_cstar_identity_residual(f, t, grid, mu) for t in ts)
     elapsed = time.perf_counter() - start
 

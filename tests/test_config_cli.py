@@ -190,11 +190,12 @@ def test_strict_flag_keeps_the_file_hash(tmp_path):
 
 def test_deform_strict_fails_on_the_decay_of_a_derived_symbol(tmp_path, capsys):
     # the bracket target samples derivatives of f and g; one term of them only
-    # decays to 4.2e-12 at the grid edge, above the 1e-12 per-term threshold
+    # decays to 4.2e-12 at the grid edge, above the 1e-12 per-term threshold,
+    # and the message names that derived symbol
     path = str(CONFIGS / "ax_plus_b_deform.json")
     assert main(["deform", "--config", path]) == 0
     assert main(["deform", "--config", path, "--strict", "--output", str(tmp_path)]) == 1
-    assert "computation failed: symbol term 1 only decays to" in capsys.readouterr().err
+    assert "computation failed: d/dxi_2 (xi_2 f) term 1 only decays to" in capsys.readouterr().err
     assert "only decays to" in json.loads((tmp_path / "deform_error.json").read_text())["error"]
 
 
@@ -370,6 +371,7 @@ MALFORMED = [
     ("nan_t_value", minimal_config(t_values=[0.2, float("nan")]), "t_values"),
     ("nan_half_width", _nan_half_width(), "grid.base[0]"),
     ("nan_fd_step", minimal_config(fd_step=float("nan")), "fd_step"),
+    ("integer_fd_step_beyond_float", minimal_config(fd_step=10**400), "fd_step"),
     ("infinite_tolerance", minimal_config(tolerances={"axiom": float("inf")}), "tolerance"),
     ("chart_params_not_object", minimal_config(chart={"builtin": "pair", "params": 5}), "chart 'pair'"),
     ("nan_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [float("nan")]}]}), "xi_widths"),

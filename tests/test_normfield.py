@@ -117,9 +117,9 @@ def test_triangle_inequality():
 
 
 def test_norm_curve_pair_continuity():
-    chart, grid, mu = pair_norm_setup()
+    chart, grid, _ = pair_norm_setup()
     f = gl.SymbolSpec.gaussian(1, 1, x_widths=1.0, xi_widths=0.5)
-    curve = gl.norm_curve(f, chart, (0.4, 0.2, 0.1, 0.05), grid, mu)
+    curve = gl.norm_curve(f, chart, (0.4, 0.2, 0.1, 0.05), grid)
     assert curve.zero.value == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
     assert curve.deltas_decreasing()
     assert curve.final_delta_fraction() <= 0.05
@@ -178,6 +178,27 @@ def test_norm_curve_abelian_group_constant():
     values = [row.value for row in curve.rows]
     assert max(values) - min(values) <= 1e-12 * values[0]
     assert curve.final_delta_fraction() <= 1e-3
+
+
+def test_norm_curve_reads_the_unit_weight_of_the_chart():
+    # the regular-action rows carry the weight through the Haar density, so
+    # the t = 0 row has to read the same weight or the curve jumps by 2x at 0
+    chart = gl.chart_from_spec(
+        {
+            "name": "weighted_line",
+            "base_dim": 0,
+            "fiber_dim": 1,
+            "source_map": [],
+            "product": [["+", "v1", "w1"]],
+            "unit_weight": 2.0,
+            "base_box": [],
+            "fiber_box": [[-40.0, 40.0]],
+        }
+    )
+    _, grid = abelian_group_setup()
+    f = gl.SymbolSpec.gaussian(0, 1, xi_widths=1.0)
+    curve = gl.norm_curve(f, chart, (0.4, 0.2, 0.1), grid)
+    assert curve.final_delta_fraction() <= 0.05
 
 
 def test_norm_curve_rejects_unsupported_chart():

@@ -6,7 +6,7 @@ import pytest
 import groupoidlab as gl
 from groupoidlab import poisson
 from groupoidlab.cli import main
-from groupoidlab.errors import GridMismatchError, GroupoidLabError, MissingDataError
+from groupoidlab.errors import GridMismatchError, GroupoidLabError
 
 from oracles import BRACKET_POINT_VALUES, bracket_closed_additive_chart, bracket_point_additive_chart
 
@@ -14,35 +14,32 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
-def pair_setup(pair1, pair1_grid64, pair1_data64):
+def pair_setup(pair1, pair1_grid64):
     mu = gl.unit_weight_on_grid(pair1, pair1_grid64)
-    return pair1, pair1_grid64, pair1_data64, mu
+    return pair1, pair1_grid64, mu
 
 
 def test_bracket_vanishes_on_flat_bundle():
     chart = gl.builtin_chart("abelian_bundle", n=1, m=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 32),))
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
-    mu = gl.unit_weight_on_grid(chart, grid)
     f = gl.SymbolSpec.gaussian(1, 1)
     g = gl.SymbolSpec.gaussian(1, 1, xi_powers=[1])
-    bracket = gl.poisson_bracket(f, g, data, grid, mu)
+    bracket = gl.poisson_bracket(f, g, chart, grid)
     assert np.max(np.abs(bracket.values)) == 0.0
 
 
 def test_antisymmetry_bitwise(pair_setup, gauss11, xxigauss11):
-    chart, grid, data, mu = pair_setup
-    forward = gl.poisson_bracket(gauss11, xxigauss11, data, grid, mu)
-    backward = gl.poisson_bracket(xxigauss11, gauss11, data, grid, mu)
+    chart, grid, _ = pair_setup
+    forward = gl.poisson_bracket(gauss11, xxigauss11, chart, grid)
+    backward = gl.poisson_bracket(xxigauss11, gauss11, chart, grid)
     assert np.array_equal(forward.values, -backward.values)
 
 
-def test_antisymmetry_bitwise_heisenberg(heisenberg, heis_grid16, heis_data16):
-    mu = gl.unit_weight_on_grid(heisenberg, heis_grid16)
+def test_antisymmetry_bitwise_heisenberg(heisenberg, heis_grid16):
     f = gl.SymbolSpec.gaussian(0, 3)
     g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[0, 1, 0], xi_widths=[1.1, 1.2, 1.0])
-    forward = gl.poisson_bracket(f, g, heis_data16, heis_grid16, mu)
-    backward = gl.poisson_bracket(g, f, heis_data16, heis_grid16, mu)
+    forward = gl.poisson_bracket(f, g, heisenberg, heis_grid16)
+    backward = gl.poisson_bracket(g, f, heisenberg, heis_grid16)
     assert np.array_equal(forward.values, -backward.values)
     assert forward.sup > 0
 
@@ -50,25 +47,20 @@ def test_antisymmetry_bitwise_heisenberg(heisenberg, heis_grid16, heis_data16):
 def test_antisymmetry_bitwise_weighted_chart():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", ["-", ["*", "u1", "u1"]]])
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 32),), fiber=(gl.Axis.centered(8.0, 32),))
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
-    mu = gl.unit_weight_on_grid(chart, grid)
     f = gl.SymbolSpec.gaussian(1, 1)
     g = gl.SymbolSpec.gaussian(1, 1, x_powers=[1], xi_powers=[1])
-    forward = gl.poisson_bracket(f, g, data, grid, mu)
-    backward = gl.poisson_bracket(g, f, data, grid, mu)
+    forward = gl.poisson_bracket(f, g, chart, grid)
+    backward = gl.poisson_bracket(g, f, chart, grid)
     assert np.array_equal(forward.values, -backward.values)
     # the log-weight term contributes: result differs from the flat-weight bracket
-    flat = gl.builtin_chart("pair", n=1)
-    flat_data = gl.extract_algebroid(flat, grid.base_points_flat())
-    flat_mu = gl.unit_weight_on_grid(flat, grid)
-    flat_bracket = gl.poisson_bracket(f, g, flat_data, grid, flat_mu)
+    flat_bracket = gl.poisson_bracket(f, g, gl.builtin_chart("pair", n=1), grid)
     assert np.max(np.abs(forward.values - flat_bracket.values)) > 1e-3
 
 
 def test_bracket_point_values_match_oracles(pair_setup, gauss11):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
     g = gl.SymbolSpec.gaussian(1, 1, x_powers=[1])
-    bracket = gl.poisson_bracket(gauss11, g, data, grid, mu)
+    bracket = gl.poisson_bracket(gauss11, g, chart, grid)
     xs = grid.base[0].nodes
     xis = grid.fiber[0].nodes
     for (x, xi), frozen in BRACKET_POINT_VALUES.items():
@@ -81,46 +73,41 @@ def test_bracket_point_values_match_oracles(pair_setup, gauss11):
 
 
 def test_leibniz_over_convolution(pair_setup, gauss11, xxigauss11):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
     h = gl.SymbolSpec.gaussian(1, 1, xi_powers=[1], x_widths=1.2, xi_widths=0.9)
     f, g = gauss11, xxigauss11
 
-    def residual(grid, data, mu):
+    def residual(grid):
+        mu = gl.unit_weight_on_grid(chart, grid)
         ev = lambda s: gl.eval_symbol(s, grid)
         gh = gl.fiber_convolve(ev(g), ev(h), mu)
-        lhs = gl.poisson_bracket(f, gh, data, grid, mu).values
+        lhs = gl.poisson_bracket(f, gh, chart, grid).values
         rhs = (
-            gl.fiber_convolve(gl.poisson_bracket(f, g, data, grid, mu), ev(h), mu).values
-            + gl.fiber_convolve(ev(g), gl.poisson_bracket(f, h, data, grid, mu), mu).values
+            gl.fiber_convolve(gl.poisson_bracket(f, g, chart, grid), ev(h), mu).values
+            + gl.fiber_convolve(ev(g), gl.poisson_bracket(f, h, chart, grid), mu).values
         )
         return np.max(np.abs(lhs - rhs)) / gl.scale_of(lhs, rhs)
 
-    coarse = residual(grid, data, mu)
+    coarse = residual(grid)
     assert coarse <= 5e-3
-    fine_grid = grid.refine_all()
-    fine_data = gl.extract_algebroid(chart, fine_grid.base_points_flat())
-    fine_mu = gl.unit_weight_on_grid(chart, fine_grid)
-    fine = residual(fine_grid, fine_data, fine_mu)
+    fine = residual(grid.refine_all())
     assert coarse / fine >= 3.0
 
 
 def test_jacobi_identity(pair_setup, gauss11, xxigauss11):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
     h = gl.SymbolSpec.gaussian(1, 1, xi_powers=[1], x_widths=1.2, xi_widths=0.9)
     f, g = gauss11, xxigauss11
 
-    def residual(grid, data, mu):
-        br = lambda a, b: gl.poisson_bracket(a, b, data, grid, mu)
+    def residual(grid):
+        br = lambda a, b: gl.poisson_bracket(a, b, chart, grid)
         total = br(f, br(g, h)).values + br(g, br(h, f)).values + br(h, br(f, g)).values
         scale = gl.scale_of(br(f, br(g, h)).values, br(g, br(h, f)).values, br(h, br(f, g)).values)
         return np.max(np.abs(total)) / scale
 
-    coarse = residual(grid, data, mu)
+    coarse = residual(grid)
     assert coarse <= 1e-2
-    fine_grid = grid.refine_all()
-    fine_data = gl.extract_algebroid(chart, fine_grid.base_points_flat())
-    fine_mu = gl.unit_weight_on_grid(chart, fine_grid)
-    assert coarse / residual(fine_grid, fine_data, fine_mu) >= 3.0
+    assert coarse / residual(grid.refine_all()) >= 3.0
 
 
 # -- dual bracket ---------------------------------------------------------------
@@ -128,32 +115,30 @@ def test_jacobi_identity(pair_setup, gauss11, xxigauss11):
 def test_dual_bracket_zero_without_structure():
     chart = gl.builtin_chart("abelian_bundle", n=1, m=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(4.0, 16),))
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
     rng = np.random.default_rng(2)
     F = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid)
     G = gl.SampledSymbol(values=rng.normal(size=grid.shape) + 0j, grid=grid)
-    out = gl.dual_poisson_bracket(F, G, data)
+    out = gl.dual_poisson_bracket(F, G, chart)
     assert np.all(out.values == 0)
 
 
-def test_dual_bracket_antisymmetric_bitwise(heis_data16, heis_grid16):
+def test_dual_bracket_antisymmetric_bitwise(heisenberg, heis_grid16):
     rng = np.random.default_rng(4)
     F = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
     G = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
-    a = gl.dual_poisson_bracket(F, G, heis_data16, signs=(-1.0, -1.0))
-    b = gl.dual_poisson_bracket(G, F, heis_data16, signs=(-1.0, -1.0))
+    a = gl.dual_poisson_bracket(F, G, heisenberg, signs=(-1.0, -1.0))
+    b = gl.dual_poisson_bracket(G, F, heisenberg, signs=(-1.0, -1.0))
     assert np.array_equal(a.values, -b.values)
 
 
 def test_dual_bracket_matches_analytic_derivatives(pair1):
     zgrid = gl.GridSpec(base=(gl.Axis.centered(6.0, 64),), fiber=(gl.Axis.centered(5.0, 64),))
-    data = gl.extract_algebroid(pair1, zgrid.base_points_flat())
     X = zgrid.base[0].nodes[:, None]
     Z = zgrid.fiber[0].nodes[None, :]
     base_gauss = np.exp(-(X**2) - Z**2)
     F = gl.SampledSymbol(values=base_gauss.astype(complex), grid=zgrid)
     G = gl.SampledSymbol(values=(X * Z * base_gauss).astype(complex), grid=zgrid)
-    out = gl.dual_poisson_bracket(F, G, data, signs=(-1.0, -1.0))
+    out = gl.dual_poisson_bracket(F, G, pair1, signs=(-1.0, -1.0))
     F_z = -2 * Z * base_gauss
     F_x = -2 * X * base_gauss
     G_z = X * (1 - 2 * Z**2) * base_gauss
@@ -183,20 +168,19 @@ PAIR_SYMBOLS = [
 
 
 def test_intertwining_pair_residuals_and_signs(pair_setup):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
     signs = set()
     for f, g in PAIR_SYMBOLS:
-        result = gl.intertwining_residual(f, g, data, grid, mu)
+        result = gl.intertwining_residual(f, g, chart, grid)
         assert result.residual <= 1e-3
         signs.add(result.signs)
     assert signs == {(-1.0, -1.0)}
 
 
-def test_intertwining_heisenberg(heisenberg, heis_grid16, heis_data16):
-    mu = gl.unit_weight_on_grid(heisenberg, heis_grid16)
+def test_intertwining_heisenberg(heisenberg, heis_grid16):
     f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
     g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
-    result = gl.intertwining_residual(f, g, heis_data16, heis_grid16, mu)
+    result = gl.intertwining_residual(f, g, heisenberg, heis_grid16)
     assert result.residual <= 1e-2
     assert result.signs == (-1.0, -1.0)
 
@@ -204,15 +188,13 @@ def test_intertwining_heisenberg(heisenberg, heis_grid16, heis_data16):
 def test_intertwining_requires_unit_weight():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", "u1"])
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 16),))
-    data = gl.extract_algebroid(chart, grid.base_points_flat())
-    mu = gl.unit_weight_on_grid(chart, grid)
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="unit weight"):
-        gl.intertwining_residual(f, f, data, grid, mu)
+        gl.intertwining_residual(f, f, chart, grid)
 
 
 def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
 
     def nan_bracket(parts, signs):
         return np.full(parts[0].shape, np.nan + 0j)
@@ -220,7 +202,7 @@ def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, c
     monkeypatch.setattr(poisson, "_oriented_dual_bracket", nan_bracket)
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="not finite for any sign pair"):
-        gl.intertwining_residual(f, f, data, grid, mu)
+        gl.intertwining_residual(f, f, chart, grid)
     assert main(["fourier-check", "--config", str(CONFIGS / "pair1_fourier.json")]) == 1
     err = capsys.readouterr().err
     assert "computation failed: intertwining residual is not finite" in err
@@ -232,20 +214,20 @@ def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, 
     # every per-sign residual equals one computed from the public dual bracket
     # on the selected (conjugate) dual grid, bit for bit
     if case == "pair":
-        chart, grid, data, mu = pair_setup
+        chart, grid, mu = pair_setup
         f, g = PAIR_SYMBOLS[0]
     else:
-        chart, grid, data = map(request.getfixturevalue, ("heisenberg", "heis_grid16", "heis_data16"))
+        chart, grid = map(request.getfixturevalue, ("heisenberg", "heis_grid16"))
         mu = gl.unit_weight_on_grid(chart, grid)
         f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
         g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
     dual = grid.dual()
-    selected = gl.intertwining_residual(f, g, data, grid, mu)
-    lhs = gl.fourier_transform(gl.poisson_bracket(f, g, data, grid, mu), mu, dual).values
+    selected = gl.intertwining_residual(f, g, chart, grid)
+    lhs = gl.fourier_transform(gl.poisson_bracket(f, g, chart, grid), mu, dual).values
     F = gl.fourier_transform(gl.eval_symbol(f, grid), mu, dual)
     G = gl.fourier_transform(gl.eval_symbol(g, grid), mu, dual)
     for signs, residual in selected.per_sign.items():
-        rhs = gl.dual_poisson_bracket(F, G, data, signs).values
+        rhs = gl.dual_poisson_bracket(F, G, chart, signs).values
         assert residual == float(np.max(np.abs(lhs - rhs))) / gl.scale_of(lhs, rhs)
 
 
@@ -265,18 +247,10 @@ def test_unit_weight_fourier_check_transforms_each_operand_once(monkeypatch):
     assert signs.count(1.0) == 1
 
 
-def test_misaligned_data_raises(pair_setup):
-    chart, grid, data, mu = pair_setup
-    other = gl.GridSpec(base=(gl.Axis.centered(5.0, 64),), fiber=(gl.Axis.centered(8.0, 64),))
-    f = gl.SymbolSpec.gaussian(1, 1)
-    with pytest.raises(MissingDataError):
-        gl.poisson_bracket(f, f, data, other, None)
-
-
 def test_sampled_operand_grid_checked(pair_setup):
-    chart, grid, data, mu = pair_setup
+    chart, grid, _ = pair_setup
     other = gl.GridSpec(base=(gl.Axis.centered(6.0, 32),), fiber=(gl.Axis.centered(8.0, 32),))
     f = gl.SymbolSpec.gaussian(1, 1)
     wrong = gl.eval_symbol(f, other)
     with pytest.raises(GridMismatchError):
-        gl.poisson_bracket(f, wrong, data, grid, mu)
+        gl.poisson_bracket(f, wrong, chart, grid)

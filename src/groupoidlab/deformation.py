@@ -31,10 +31,13 @@ no ``1/t`` powers ever appear numerically) yields
 
 where ``w(u, v', v)`` solves ``product(u, v', w) = v``.  The transport, that
 is ``w``, ``source_map(u, t eta)`` and ``rho(u, t eta)``, depends on ``t`` and
-the grid only; ``_Transport`` solves it per ``t`` and chunk.  On it
-:func:`scaled_commutator` evaluates both orderings, :func:`deformed_product`
-one, and :func:`groupoidlab.normfield.group_regular_norm` assembles the matrix
-of ``g -> f *_t g``.  As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t``
+the grid only; ``_Transport`` solves it per ``t`` and block of output nodes.
+A block holds about ``_BLOCK_POINTS`` transported points (``K * H`` per
+output node), so memory does not grow with the grid and each block's points
+and symbol values stay in cache.  On it :func:`scaled_commutator` evaluates
+both orderings, :func:`deformed_product` one, and
+:func:`groupoidlab.normfield.group_regular_norm` assembles the matrix of
+``g -> f *_t g``.  As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t``
 converges to ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
 """
@@ -59,6 +62,13 @@ from .poisson import TWO_PI_I, poisson_bracket
 from .symbols import SymbolSpec
 
 Operand = Union[SymbolSpec, SampledSymbol]
+
+# transported points (K * H per output node) in one block of output nodes:
+# a block's (K, H, A, m) points take 0.5-1.5 MB and each (K, H, A) float64
+# array 0.5 MB, so the ~20 passes of one symbol evaluation run in cache;
+# 1 << 15 and 1 << 17 made the deform runs of heisenberg 13^3 and pair 129^2
+# slower in sum
+_BLOCK_POINTS = 1 << 16
 
 
 def _product_residual(chart: GroupoidChart, u, v, w, target) -> np.ndarray:
@@ -233,7 +243,7 @@ class _Transport:
     """The part of the deformed product that depends on ``t`` and the grid only.
 
     Setup checks ``t`` and the domain and takes the Haar density at the
-    integration nodes; :meth:`solve` transports a chunk of output nodes.
+    integration nodes; :meth:`solve` transports a block of output nodes.
     """
 
     def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
@@ -251,10 +261,16 @@ class _Transport:
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
 
     def coefficient(self, f0: Operand) -> np.ndarray:
-        """``(K, H)`` coefficients ``f0 * rho * weight``; the left factor is read at nodes only."""
+        """``(K, H)`` complex coefficients ``f0 * rho * weight``; the left factor is read at nodes only.
+
+        Complex also for a real ``f0``: the regular-action norm scatters it into
+        a complex matrix, and a float addend takes ``np.add.at`` off its fast path.
+        """
         if isinstance(f0, SymbolSpec):
-            return f0.evaluate(self.u3, self.eta) * self.rho * self.weights
-        return f0.values.reshape(self.rho.shape) * self.rho * self.weights
+            values = f0.evaluate(self.u3, self.eta)
+        else:
+            values = f0.values.reshape(self.rho.shape)
+        return (values * self.rho * self.weights).astype(complex, copy=False)
 
     def solve(self, start: int, stop: int) -> np.ndarray:
         """``(K, H, A, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``."""
@@ -274,33 +290,45 @@ def _deformed_products(
 ) -> list[np.ndarray]:
     """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
-    Each chunk of output nodes is transported once and every pair reads it.
+    The output nodes go in blocks of about ``_BLOCK_POINTS`` transported
+    points, ``K * H`` per node, so a block's points and symbol values stay in
+    cache; each block is transported once and every pair reads it.  A real
+    ``g0`` is contracted with the real and the imaginary part of the
+    coefficient in two float64 einsums.  Every sum runs over the integration
+    nodes in order, so the values do not depend on the blocks.
     """
     transport = _Transport(chart, grid, t)
     K, H = transport.rho.shape
     sigma = chart.source_map(transport.u3, transport.v_eta)  # (K, H, n)
-    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) each
+    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) complex each
+    parts = [(c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)) for c in coeffs]
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
-    chunk = max(1, min(H, (1 << 22) // max(1, K * H * chart.fiber_dim)))
-    starts = list(range(0, H, chunk))
+    # einsum would sum a block one node wide with vector partial sums, out of
+    # node order; so blocks are two nodes wide at least, and a one-node rest
+    # joins the block before it
+    bounds = list(range(0, H, max(2, _BLOCK_POINTS // (K * H)))) + [H]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
 
-    def run(start: int):
-        stop = min(start + chunk, H)
+    def run(block: int):
+        start, stop = bounds[block], bounds[block + 1]
         scaled = transport.solve(start, stop)
-        gpts_base = np.broadcast_to(sigma[:, :, None, :], (K, H, stop - start, chart.base_dim))
-        for (_, g0), coeff, out in zip(pairs, coeffs, outs):
-            # the (K, H, A) values of g0 die with this statement, before the next pair's
-            out[:, start:stop] = np.einsum(
-                "kh,kha->ka", coeff, g0.evaluate(gpts_base, scaled), optimize=False
-            )
+        for (_, g0), (coeff, real, imag), out in zip(pairs, parts, outs):
+            values = g0.evaluate(sigma[:, :, None, :], scaled)  # (K, H, A)
+            if np.iscomplexobj(values):
+                out[:, start:stop] = np.einsum("kh,kha->ka", coeff, values, optimize=False)
+            else:
+                out.real[:, start:stop] = np.einsum("kh,kha->ka", real, values, optimize=False)
+                out.imag[:, start:stop] = np.einsum("kh,kha->ka", imag, values, optimize=False)
 
-    if workers <= 1 or len(starts) == 1:
-        for s in starts:
-            run(s)
+    blocks = range(len(bounds) - 1)
+    if workers <= 1 or len(blocks) == 1:
+        for b in blocks:
+            run(b)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
+            list(pool.map(run, blocks))
     return outs
 
 
@@ -317,9 +345,11 @@ def deformed_product(
     The unit weight enters through the fiber density ``rho``, so no separate
     weight argument exists here.  ``f0`` is only evaluated at grid nodes;
     ``g0`` is evaluated at the transported points, exactly for analytic
-    symbols and by multilinear interpolation for sampled ones.  The output is
-    sampled on ``grid``.  Workers only split the output into fixed chunks;
-    results are identical at any worker count.
+    symbols and by multilinear interpolation for sampled ones; a real ``g0``
+    is evaluated in float64.  The output is complex, sampled on ``grid``.
+    Workers only run the fixed blocks of output nodes on threads; results
+    are identical at any worker count and, with a closed-form product solver,
+    at any block size.
     """
     (values,) = _deformed_products(chart, grid, [(f0, g0)], t, workers)
     return SampledSymbol(values=values.reshape(grid.shape), grid=grid)

@@ -335,8 +335,8 @@ def interpolation_corners(axes, coords):
 def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of the samples, zero outside the grid.
 
-    ``base_points`` is (..., n) and ``fiber_points`` (..., m) with a common
-    batch shape; returns complex values of that batch shape.
+    ``base_points`` is (..., n) and ``fiber_points`` (..., m) with batch
+    shapes that broadcast; returns complex values of the broadcast shape.
     """
     grid = sym.grid
     coords = []

@@ -19,7 +19,9 @@ that the reports carry (see :func:`power_iteration_sigma`).  The
 regular-action matrix is assembled in blocks of output rows from the
 deformed product's transport (:class:`groupoidlab.deformation._Transport`),
 one product solve and one ordered scatter per block, so it maps samples g
-to ``f *_t g``.
+to ``f *_t g``.  A block holds ``_BLOCK_POINTS`` transported points, the
+deformed product's budget; each point scatters to its ``2^m`` interpolation
+corners a complex value, a flat index and a weight.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts import GroupoidChart
-from .deformation import _Transport, sweep_problems
+from .deformation import _BLOCK_POINTS, _Transport, sweep_problems
 from .errors import ConvergenceError, DomainError, GroupoidLabError
 from .grids import GridSpec, interpolation_corners
 from .poisson import _mu_base, fourier_transform, select_dual_grid, unit_weight_on_grid
@@ -38,10 +40,6 @@ from .symbols import SymbolSpec, eval_symbol
 
 # relative offset of the inverse-iteration shift above the top eigenvalue
 _SHIFT = 1e-13
-
-# scatter entries per row block of the regular-action assembly; each entry
-# carries a complex value, a flat index and a weight, ~15 MB of temporaries
-_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,10 @@ def _pair_weighted_matrix(
         )
     x = pts[:, None, :]
     y = pts[None, :, :]
-    kernel = f0.evaluate(np.broadcast_to(x, (K, K, n)), (y - x) / t) / abs(t) ** n
+    kernel = f0.evaluate(np.broadcast_to(x, (K, K, n)), (y - x) / t).astype(complex, copy=False)
+    # divided in complex128, where numpy multiplies by the reciprocal; a float64
+    # division would move the norms by an ulp
+    kernel /= abs(t) ** n
     mu = _mu_base(mu_on_base, grid).reshape(-1)
     kernel = kernel * mu[None, :]
     sqw = np.sqrt(grid.base_weights().reshape(-1))
@@ -236,7 +237,7 @@ def group_regular_norm(
     # entry sums its terms in node order; with a closed-form solver the sums
     # do not depend on the block size (Newton stops on the worst point of a block).
     matrix = np.zeros(H * H, dtype=complex)
-    block = max(1, _BLOCK_ELEMENTS // (H << m))
+    block = max(1, _BLOCK_POINTS // H)
     for start in range(0, H, block):
         stop = min(start + block, H)
         (points,) = transport.solve(start, stop)  # (H, A, m)

@@ -238,8 +238,7 @@ def _bracket(
 
     conv = lambda av, bv: _convolve_values(av, bv, grid, mu)
 
-    f_vals = _op_values(f, grid, "f")
-    g_vals = _op_values(g, grid, "g")
+    own: dict = {}  # samples of f and g themselves, read only by the weight coupling
     f_mult = [_op_values(f.fiber_multiply(i), grid, f"xi_{i + 1} f") for i in range(m)]
     g_mult = [_op_values(g.fiber_multiply(i), grid, f"xi_{i + 1} g") for i in range(m)]
     f_dx = [_op_values(f.derivative("x", j), grid, f"d/dx_{j + 1} f") for j in range(n)]
@@ -259,7 +258,9 @@ def _bracket(
                 coupling = a_ij * lg_j
                 if np.any(coupling != 0.0):
                     if convs_weight is None:
-                        convs_weight = conv(f_mult[i], g_vals) - conv(g_mult[i], f_vals)
+                        if not own:
+                            own.update(f=_op_values(f, grid, "f"), g=_op_values(g, grid, "g"))
+                        convs_weight = conv(f_mult[i], own["g"]) - conv(g_mult[i], own["f"])
                     out += TWO_PI_I * _with_fiber_axes(coupling, grid) * convs_weight
 
     # structure-constant terms, explicitly antisymmetrized

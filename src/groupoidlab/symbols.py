@@ -187,25 +187,41 @@ class SymbolSpec:
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate(self, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
-        """Pointwise values; arguments are (..., n) and (..., m) arrays."""
+        """Pointwise values; arguments are (..., n) and (..., m) arrays.
+
+        The result is float64 when every coefficient is real and complex128
+        otherwise.  Each term is ``(coeff * poly) * exp(exponent)``, its
+        exponent summed in coordinate order, and the terms are added in order
+        to zeros; so a float64 result equals the real part of the complex
+        evaluation bit for bit.  The exponent and its squares live in two
+        reused float64 buffers of the batch shape.
+        """
         base_points = np.asarray(base_points, dtype=float)
         fiber_points = np.asarray(fiber_points, dtype=float)
         batch = np.broadcast_shapes(base_points.shape[:-1], fiber_points.shape[:-1])
-        out = np.zeros(batch, dtype=complex)
+        real = all(t.coeff.imag == 0.0 for t in self.terms)
+        out = np.zeros(batch, dtype=float if real else complex)
+        coords = [base_points[..., k] for k in range(self.base_dim)]
+        coords += [fiber_points[..., l] for l in range(self.fiber_dim)]
+        gauss, buffer = np.empty(batch), np.empty(batch)
         for t in self.terms:
-            exponent = np.zeros(batch, dtype=float)
-            poly = np.ones(batch, dtype=float)
-            for k in range(self.base_dim):
-                xk = base_points[..., k]
-                exponent = exponent - t.x_widths[k] * (xk - t.x_centers[k]) ** 2
-                if t.x_powers[k]:
-                    poly = poly * xk ** t.x_powers[k]
-            for l in range(self.fiber_dim):
-                xl = fiber_points[..., l]
-                exponent = exponent - t.xi_widths[l] * (xl - t.xi_centers[l]) ** 2
-                if t.xi_powers[l]:
-                    poly = poly * xl ** t.xi_powers[l]
-            out = out + t.coeff * poly * np.exp(exponent)
+            gauss.fill(0.0)
+            for x, w, c in zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers):
+                # a coordinate that broadcasts (base points over fiber points) keeps its own shape
+                square = np.subtract(x, c, out=buffer if x.shape == batch else None)
+                np.square(square, out=square)
+                square *= w
+                gauss -= square
+            np.exp(gauss, out=gauss)
+            poly = 1.0
+            for x, p in zip(coords, t.x_powers + t.xi_powers):
+                if p:
+                    poly = poly * x ** p
+            if real:
+                gauss *= t.coeff.real * poly
+                out += gauss
+            else:
+                out += t.coeff * poly * gauss
         return out
 
 

@@ -235,3 +235,27 @@ def heisenberg_transport(v, target):
     w = target - v
     w[:, 2] -= 0.5 * (v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0])
     return w
+
+
+def gaussian_polynomial_values(terms, x, xi):
+    """``sum coeff * poly * exp(exponent)`` over real-coefficient config terms, plainly.
+
+    ``terms`` are config entries (dicts with ``coeff`` and every power, width
+    and centre list); ``x`` is (..., n) and ``xi`` is (..., m).  The exponent
+    ``-sum w (y - c)^2`` runs over the base coordinates and then the fiber
+    coordinates, from 0; ``poly`` multiplies the powers in the same order from 1.
+    """
+    coords = [x[..., k] for k in range(x.shape[-1])] + [xi[..., l] for l in range(xi.shape[-1])]
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
+    for term in terms:
+        widths = term["x_widths"] + term["xi_widths"]
+        centers = term["x_centers"] + term["xi_centers"]
+        powers = term["x_powers"] + term["xi_powers"]
+        exponent = 0.0
+        poly = 1.0
+        for y, w, c, p in zip(coords, widths, centers, powers):
+            exponent = exponent - w * (y - c) ** 2
+            if p:
+                poly = poly * y ** p
+        out = out + term["coeff"] * poly * np.exp(exponent)
+    return out

@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 import groupoidlab as gl
+from groupoidlab import deformation
 from groupoidlab.errors import ConvergenceError, GroupoidLabError
 
 from conftest import CUSTOM_AX_PLUS_B
@@ -215,8 +218,16 @@ def test_workers_do_not_change_bits(pair1, pair1_grid64, gauss11, xxigauss11):
 
 def _commutator_case(name, request):
     t_values = (0.2, 0.1, 0.05)
+    if name == "pair":
+        return gl.DeformationField(
+            chart=request.getfixturevalue("pair1"),
+            grid=request.getfixturevalue("pair1_grid64"),
+            f0=request.getfixturevalue("gauss11"),
+            g0=request.getfixturevalue("xxigauss11"),
+            t_values=t_values,
+        )
     if name == "heisenberg":
-        # 11^3 nodes take two chunks of the product loop, so workers run them on threads
+        # 11^3 nodes take many blocks of the product loop, so workers run them on threads
         grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 10) for _ in range(3)))
         f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
         g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
@@ -240,6 +251,38 @@ def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, req
     gf = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, t, workers=workers)
     commutator = gl.scaled_commutator(field, t, workers=workers)
     assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
+
+
+# 1 << 11 makes heisenberg blocks two nodes wide with a one-node remainder,
+# 1 << 12 makes pair blocks two nodes wide, 1 << 20 puts pair in one block
+@pytest.mark.parametrize("budget", [1 << 11, 1 << 12, 1 << 20])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
+def test_block_size_does_not_change_the_product(chart_name, workers, budget, request, monkeypatch):
+    # every node sum runs in integration-node order whatever the blocks; Newton
+    # on the custom chart stops on the worst point of a block, so it agrees to roundoff
+    field = _commutator_case(chart_name, request)
+    t = field.t_values[1]
+    default = gl.scaled_commutator(field, t, workers=workers).values
+    monkeypatch.setattr(deformation, "_BLOCK_POINTS", budget)
+    blocked = gl.scaled_commutator(field, t, workers=workers).values
+    if chart_name == "custom_ax_plus_b":
+        assert np.max(np.abs(blocked - default)) <= 1e-12 * gl.scale_of(default)
+    else:
+        assert blocked.tobytes() == default.tobytes()
+
+
+def test_scaled_commutator_memory_is_bounded_by_its_blocks(request):
+    # 13^3 nodes: a whole (H, H, m) transport would be 116 MB
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 12) for _ in range(3)))
+    field = replace(_commutator_case("heisenberg", request), grid=grid)
+    tracemalloc.start()
+    try:
+        gl.scaled_commutator(field, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_pair_product_matches_gaussian_closed_form(pair1, pair1_grid64):

@@ -10,6 +10,8 @@ from groupoidlab.grids import interpolate
 from groupoidlab.normfield import _interp_scatter
 from groupoidlab.symbols import SymbolSpec, decay_problems
 
+from oracles import gaussian_polynomial_values
+
 
 def test_axis_nodes_and_weights():
     ax = gl.Axis.centered(8.0, 64)
@@ -164,6 +166,45 @@ def test_eval_symbol_evaluates_each_term_once(monkeypatch):
     sampled = gl.eval_symbol(spec, grid)
     assert calls == [1, 1, 1]
     assert sampled.values.tobytes() == expected.tobytes()
+
+
+# terms with real coefficients, powers on both sides, centres on and off 0 and unit widths
+REAL_TERMS = [
+    {"coeff": 1.0, "x_powers": [0, 0], "xi_powers": [0, 0, 0], "x_widths": [1.0, 0.7],
+     "x_centers": [0.0, 0.3], "xi_widths": [1.1, 1.2, 1.1], "xi_centers": [0.3, 0.0, -0.2]},
+    {"coeff": -2.5, "x_powers": [1, 0], "xi_powers": [2, 0, 3], "x_widths": [0.9, 1.0],
+     "x_centers": [-0.4, 0.0], "xi_widths": [1.2, 1.0, 1.3], "xi_centers": [0.0, 0.25, 0.1]},
+    {"coeff": 0.75, "x_powers": [0, 2], "xi_powers": [0, 1, 0], "x_widths": [2.0, 0.5],
+     "x_centers": [0.1, -0.1], "xi_widths": [0.6, 0.8, 1.4], "xi_centers": [-0.3, 0.0, 0.0]},
+]
+
+
+def _evaluation_points():
+    # base points broadcast over fiber points, as the deformed product passes
+    # them, and one fiber point at the origin
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-2.0, 2.0, (4, 1, 2))
+    xi = rng.uniform(-3.0, 3.0, (4, 30, 3))
+    xi[0, 0] = 0.0
+    return x, xi
+
+
+def test_real_coefficients_evaluate_in_float64_to_the_plain_formula():
+    x, xi = _evaluation_points()
+    got = gl.parse_symbol(REAL_TERMS, 2, 3).evaluate(x, xi)
+    assert got.dtype == np.float64 and got.shape == (4, 30)
+    assert got.tobytes() == gaussian_polynomial_values(REAL_TERMS, x, xi).tobytes()
+
+
+def test_complex_coefficient_scales_the_real_values():
+    # a term with no powers: the real path multiplies exp(exponent) by the coefficient alone
+    x, xi = _evaluation_points()
+    term = REAL_TERMS[0]
+    real = gl.parse_symbol([term], 2, 3).evaluate(x, xi)
+    coeff = 0.5 - 1.25j
+    got = gl.parse_symbol([dict(term, coeff=[coeff.real, coeff.imag])], 2, 3).evaluate(x, xi)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - coeff * real)) <= 1e-15 * np.max(np.abs(coeff * real))
 
 
 def test_sampled_symbol_shape_checked():

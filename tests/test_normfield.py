@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def test_power_iteration_on_diagonal():
     sigma, residual, iterations = gl.power_iteration_sigma(m)
     assert sigma == pytest.approx(3.0, rel=1e-10)
     assert residual <= 1e-8
-    assert iterations == 0
+    assert 1 <= iterations <= min(m.shape)
 
 
 @pytest.mark.parametrize(
@@ -35,7 +37,65 @@ def test_power_iteration_edge_cases(matrix, sigma):
     value, residual, iterations = gl.power_iteration_sigma(matrix)
     assert value == pytest.approx(sigma, rel=1e-14, abs=0.0)
     assert np.isfinite(residual) and residual <= 1e-8
-    assert iterations == 0
+    assert 1 <= iterations <= min(matrix.shape)
+
+
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(120, 120), (200, 70), (70, 200), (1, 6), (6, 1)])
+def test_power_iteration_matches_svd(shape):
+    matrix = _complex_gaussian(np.random.default_rng(7), shape)
+    sigma, residual, iterations = gl.power_iteration_sigma(matrix)
+    exact = np.linalg.svd(matrix, compute_uv=False)[0]
+    assert abs(sigma - exact) <= 1e-14 * exact
+    assert residual <= 1e-7
+    assert 1 <= iterations <= min(shape)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_power_iteration_rank_deficient(rank):
+    rng = np.random.default_rng(3)
+    matrix = _complex_gaussian(rng, (50, rank)) @ _complex_gaussian(rng, (rank, 40))
+    sigma, residual, iterations = gl.power_iteration_sigma(matrix)
+    exact = np.linalg.svd(matrix, compute_uv=False)[0]
+    assert abs(sigma - exact) <= 1e-14 * exact
+    assert residual <= 1e-12
+    assert iterations <= rank + 2
+
+
+def test_power_iteration_clustered_top_pair():
+    # sigma_2 = sigma_1 (1 - 1e-10): the Ritz value lands inside the cluster
+    # without separating it, so it is accurate to the cluster's width
+    rng = np.random.default_rng(5)
+    left, _ = np.linalg.qr(_complex_gaussian(rng, (80, 80)))
+    right, _ = np.linalg.qr(_complex_gaussian(rng, (80, 80)))
+    values = np.linspace(0.9, 0.1, 80)
+    values[:2] = 1.0, 1.0 - 1e-10
+    matrix = (left * values) @ right.conj().T
+    sigma, residual, iterations = gl.power_iteration_sigma(matrix)
+    top, second = np.linalg.svd(matrix, compute_uv=False)[:2]
+    assert second * (1 - 1e-14) <= sigma <= top * (1 + 1e-14)
+    assert residual <= 1e-7
+    assert iterations < 80
+
+
+def test_power_iteration_bitwise_repeatable():
+    matrix = _complex_gaussian(np.random.default_rng(11), (90, 60))
+    assert gl.power_iteration_sigma(matrix) == gl.power_iteration_sigma(matrix)
+
+
+def test_power_iteration_allocates_no_gram_matrix():
+    matrix = _complex_gaussian(np.random.default_rng(13), (600, 600))
+    gl.power_iteration_sigma(matrix[:4, :4])  # first call's one-time set-up
+    tracemalloc.start()
+    try:
+        gl.power_iteration_sigma(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * matrix.nbytes
 
 
 def pair_norm_setup():

@@ -8,6 +8,11 @@ checkout this script sits in, one process per run, writing to
 ``DIR/<config>/<command>/``.  Prints one ``exit`` line per run and one
 SHA-256 line per file it wrote, in a fixed order, so two checkouts' output
 bytes compare with ``diff`` of their manifests.  DIR must be empty or absent.
+
+The runs see ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1: a multithreaded BLAS sums matrix products in
+another order, which moves the last digits of the ``normfield`` reports, so
+only single-threaded manifests compare across hosts.
 """
 
 import argparse
@@ -31,6 +36,7 @@ def main():
 
     paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     for config in sorted((ROOT / "configs").glob("*.json")):
         for command in COMMANDS:
             run_dir = out / config.stem / command

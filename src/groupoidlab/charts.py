@@ -9,8 +9,15 @@ the rectangular boxes on which the maps are defined.  Everything downstream
 data structure.
 
 All maps are vectorized: they accept arrays whose last axis is the coordinate
-axis and broadcast over leading batch axes.  All operations here are pure
-functions of their arguments.
+axis and broadcast over leading batch axes.  That axis may be strided: the
+deformed product passes views of coordinate-major memory, whose coordinate
+axis is outermost (``v[..., l]`` is one contiguous plane), and maps that
+address components as ``v[..., l]`` keep every inner loop over a contiguous
+plane.  ``product`` and ``product_solver`` also take a keyword-only ``out``,
+a float64 array of the result's shape that overlaps no input; a map given one
+writes its result there and returns it, so a caller that solves many blocks
+of one shape reuses its arrays.  All operations here are pure functions of
+their arguments (and ``out``).
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ class GroupoidChart:
     ``product_w_jacobian`` is exact: ``[..., i, l] = d product_i / d w_l``,
     from derivative trees for custom charts.  Closed forms ``inverse`` and
     ``product_solver`` are used when present, else Newton iteration.
+    ``product(u, v, w, *, out=None)`` and ``product_solver(u, v, target, *,
+    out=None)`` write into ``out`` when given (see the module docs).
     ``exact_structure`` holds the analytic structure constants of the
     built-ins, kept as a test oracle for the finite-difference extraction path.
 
@@ -331,14 +340,14 @@ def _additive_chart(name: str, kind: str, n: int, m: int, source_map, half_width
         base_dim=n,
         fiber_dim=m,
         source_map=source_map,
-        product=lambda u, v, w: v + w,
+        product=lambda u, v, w, *, out=None: np.add(v, w, out=out),
         product_w_jacobian=lambda u, v, w: np.broadcast_to(np.eye(m), np.shape(v)[:-1] + (m, m)).copy(),
         unit_weight=_resolve_weight(mu_e, n),
         base_box=_centered_box(n, half_width),
         fiber_box=_centered_box(m, half_width),
         kind=kind,
         inverse=lambda u, v: -np.asarray(v, dtype=float),
-        product_solver=lambda u, v, target: target - v,
+        product_solver=lambda u, v, target, *, out=None: np.subtract(target, v, out=out),
         exact_structure=lambda u: np.zeros((m, m, m)),
         params=params,
     )
@@ -360,21 +369,43 @@ def abelian_bundle_chart(n: int, m: int, half_width: float = 10.0, mu_e=None) ->
     return _additive_chart(name, "bundle", n, m, source_map, half_width, mu_e, params)
 
 
-def _heisenberg_product(u, v, w):
+# The Heisenberg maps use the planes of their result as their only scratch, so
+# a caller's ``out`` takes every intermediate; each rounds as the plain formula
+# (v3 + w3) + (v1 w2 - v2 w1) / 2 does, term by term.
+
+def _heisenberg_product(u, v, w, *, out=None):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    out = v + w
-    out[..., 2] += 0.5 * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(v.shape, w.shape))
+    p1, p2, p3 = (out[..., k] for k in range(3))
+    np.multiply(v[..., 0], w[..., 1], out=p3)
+    p3 -= np.multiply(v[..., 1], w[..., 0], out=p1)
+    p3 *= 0.5
+    p3 += np.add(v[..., 2], w[..., 2], out=p1)
+    np.add(v[..., 0], w[..., 0], out=p1)
+    np.add(v[..., 1], w[..., 1], out=p2)
     return out
 
 
-def _heisenberg_solver(u, v, target):
+def _heisenberg_solver(u, v, target, *, out=None):
+    # w1, w2 = t1 - v1, t2 - v2, then w3 = (t3 - v3) - (v1 w2 - v2 w1) / 2
     v = np.asarray(v, dtype=float)
     target = np.asarray(target, dtype=float)
-    w = target - v
-    # third component: solve v3 + w3 + (v1 w2 - v2 w1)/2 = t3 with w1, w2 known
-    w[..., 2] -= 0.5 * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
-    return w
+    if out is None:
+        out = np.empty(np.broadcast_shapes(v.shape, target.shape))
+    w1, w2, w3 = (out[..., k] for k in range(3))
+    np.subtract(target[..., 0], v[..., 0], out=w1)
+    np.multiply(v[..., 1], w1, out=w3)
+    np.subtract(target[..., 1], v[..., 1], out=w1)  # w2, held in w1's plane
+    np.multiply(v[..., 0], w1, out=w2)
+    w2 -= w3
+    w2 *= 0.5
+    np.subtract(target[..., 2], v[..., 2], out=w3)
+    w3 -= w2
+    np.copyto(w2, w1)
+    np.subtract(target[..., 0], v[..., 0], out=w1)
+    return out
 
 
 def _heisenberg_structure(u):
@@ -413,12 +444,14 @@ def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
     )
 
 
-def _ax_plus_b_product(u, v, w):
+def _ax_plus_b_product(u, v, w, *, out=None):
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    out = np.empty(np.broadcast_shapes(v.shape, w.shape), dtype=float)
-    out[..., 0] = v[..., 0] + w[..., 0]
-    out[..., 1] = v[..., 1] + np.exp(v[..., 0]) * w[..., 1]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(v.shape, w.shape), dtype=float)
+    np.add(v[..., 0], w[..., 0], out=out[..., 0])
+    np.multiply(np.exp(v[..., 0]), w[..., 1], out=out[..., 1])
+    out[..., 1] += v[..., 1]
     return out
 
 
@@ -433,12 +466,13 @@ def _ax_plus_b_structure(u):
 def ax_plus_b_chart(half_width: float = 2.0) -> GroupoidChart:
     """Affine group of the line in global coordinates; non-unimodular."""
 
-    def solver(u, v, target):
+    def solver(u, v, target, *, out=None):
         v = np.asarray(v, dtype=float)
         target = np.asarray(target, dtype=float)
-        w = np.empty(np.broadcast_shapes(v.shape, target.shape), dtype=float)
-        w[..., 0] = target[..., 0] - v[..., 0]
-        w[..., 1] = (target[..., 1] - v[..., 1]) * np.exp(-v[..., 0])
+        w = np.empty(np.broadcast_shapes(v.shape, target.shape), dtype=float) if out is None else out
+        np.subtract(target[..., 0], v[..., 0], out=w[..., 0])
+        np.subtract(target[..., 1], v[..., 1], out=w[..., 1])
+        w[..., 1] *= np.exp(-v[..., 0])
         return w
 
     def inverse(u, v):
@@ -527,8 +561,8 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
         base_dim=n,
         fiber_dim=m,
         source_map=lambda u, v: source_fn(u=np.asarray(u, float), v=np.asarray(v, float)),
-        product=lambda u, v, w: product_fn(
-            u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float)
+        product=lambda u, v, w, *, out=None: product_fn(
+            u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float), out=out
         ),
         product_w_jacobian=w_jacobian,
         unit_weight=weight,

@@ -34,16 +34,28 @@ is ``w``, ``source_map(u, t eta)`` and ``rho(u, t eta)``, depends on ``t`` and
 the grid only; ``_Transport`` solves it per ``t`` and block of output nodes.
 A block holds about ``_BLOCK_POINTS`` transported points (``K * H`` per
 output node), so memory does not grow with the grid and each block's points
-and symbol values stay in cache.  On it :func:`scaled_commutator` evaluates
-both orderings, :func:`deformed_product` one, and
+and symbol values stay in cache.  The points are coordinate-major and
+output-major: a block's ``(K, A, H, m)`` points are a view of ``(m, K, A,
+H)`` memory, so each coordinate is one plane whose contiguous inner axis
+runs over the ``H`` integration nodes, and the chart maps, the solver's
+contract check and the symbol evaluation all loop over long contiguous
+rows.  Each worker thread allocates a block's arrays (points, residual,
+symbol values and their exponent scratch) once per ``t`` and reuses them for
+every later block.  On a block :func:`scaled_commutator` evaluates both
+orderings, :func:`deformed_product` one, and
 :func:`groupoidlab.normfield.group_regular_norm` assembles the matrix of
-``g -> f *_t g``.  As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t``
-converges to ``1/(2 pi i)`` times the bracket under the chart's unit weight;
+``g -> f *_t g``.  The product sums each output value over the contiguous
+integration nodes with einsum's vector partial sums, not in node order; the
+sum is the same for any block size and worker count, so the values are too.
+As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
+``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -64,26 +76,17 @@ from .symbols import SymbolSpec
 Operand = Union[SymbolSpec, SampledSymbol]
 
 # transported points (K * H per output node) in one block of output nodes:
-# a block's (K, H, A, m) points take 0.5-1.5 MB and each (K, H, A) float64
-# array 0.5 MB, so the ~20 passes of one symbol evaluation run in cache;
-# 1 << 15 and 1 << 17 made the deform runs of heisenberg 13^3 and pair 129^2
-# slower in sum
+# a block's (m, K, A, H) points take 0.5-1.5 MB and each (K, A, H) float64
+# array 0.5 MB, so the ~20 passes of one symbol evaluation run in cache.
+# `deform` on heisenberg 13^3 + pair 129^2, fresh processes, medians of 22
+# interleaved runs on a 2-core host: 1 << 15 0.98 + 0.48 s, 1 << 16
+# 1.00 + 0.46 s, 1 << 17 1.08 + 0.47 s
 _BLOCK_POINTS = 1 << 16
 
 
-def _product_residual(chart: GroupoidChart, u, v, w, target) -> np.ndarray:
-    """``product(u, v, w) - target``, subtracted in place when the product is a fresh array."""
-    out = chart.product(u, v, w)
-    fresh = (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.flags.owndata
-        and out.flags.writeable
-        and out.shape == np.broadcast_shapes(out.shape, target.shape)
-        and not any(np.may_share_memory(out, a) for a in (u, v, w, target))
-    )
-    if not fresh:
-        return np.asarray(out, dtype=float) - target
+def _product_residual(chart: GroupoidChart, u, v, w, target, out: np.ndarray) -> np.ndarray:
+    """``product(u, v, w) - target``, written into the caller's ``out``."""
+    chart.product(u, v, w, out=out)
     out -= target
     return out
 
@@ -95,19 +98,31 @@ def solve_product(
     target,
     tol: float = 1e-12,
     max_iter: int = 50,
+    *,
+    out=None,
+    residual=None,
 ) -> np.ndarray:
     """Solve ``product(u, v, w) = target`` for ``w`` (batched).
 
     Uses the chart's closed-form solver when present, otherwise Newton on its
-    exact ``product_w_jacobian`` from ``w = target - v``.  Raises
-    ConvergenceError, SingularJacobianError or DomainError (iterate left the fiber box).
+    exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
+    checked: the closed form's residual, Newton's until it is below ``tol``.
+    ``out`` receives ``w`` and ``residual`` the residual, both float64 arrays
+    of the broadcast batch shape times ``fiber_dim``; a caller that solves
+    many blocks of one shape passes its own.  Raises ConvergenceError,
+    SingularJacobianError or DomainError (iterate left the fiber box).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     target = np.asarray(target, dtype=float)
+    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]) + (chart.fiber_dim,)
+    if out is None:
+        out = np.empty(shape)
+    if residual is None:
+        residual = np.empty(shape)
     if chart.product_solver is not None:
-        w = np.asarray(chart.product_solver(u, v, target), dtype=float)
-        residual = _product_residual(chart, u, v, w, target)
+        w = chart.product_solver(u, v, target, out=out)
+        _product_residual(chart, u, v, w, target, residual)
         worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
         if worst > tol:
             raise ConvergenceError(
@@ -115,11 +130,9 @@ def solve_product(
             )
         return w
 
-    w = (target - v).astype(float)
-    batch = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1])
-    w = np.broadcast_to(w, batch + (chart.fiber_dim,)).copy()
+    w = np.subtract(target, v, out=out)
     for _ in range(max_iter):
-        residual = _product_residual(chart, u, v, w, target)
+        _product_residual(chart, u, v, w, target, residual)
         worst = float(np.max(np.abs(residual))) if residual.size else 0.0
         if worst <= tol:
             return w
@@ -128,7 +141,7 @@ def solve_product(
             step = np.linalg.solve(jac, residual[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"singular Jacobian in product solve: {exc}")
-        w = w - step
+        w -= step
         if not np.all(_in_box(w, chart.fiber_box)):
             raise DomainError("Newton iterate for the product solve left the fiber box")
     raise ConvergenceError(
@@ -239,11 +252,23 @@ def deformation_domain_problems(
     return problems
 
 
+def _coordinate_major(points: np.ndarray) -> np.ndarray:
+    """A copy of ``(..., m)`` points with the coordinate axis outermost in memory, viewed as ``(..., m)``."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(points, -1, 0)), 0, -1)
+
+
 class _Transport:
     """The part of the deformed product that depends on ``t`` and the grid only.
 
     Setup checks ``t`` and the domain and takes the Haar density at the
-    integration nodes; :meth:`solve` transports a block of output nodes.
+    integration nodes; :meth:`solve` transports a block of output nodes and
+    :meth:`evaluate` reads a symbol at the transported points.  Points keep
+    their ``(..., m)`` shape but are views of coordinate-major memory: ``v =
+    t eta`` is ``(1, 1, H, m)`` over ``(m, H)``, a block's points are ``(K, A,
+    H, m)`` over ``(m, K, A, H)``, so every map, check and symbol evaluation
+    runs inner loops over the ``H`` integration nodes.  The block's points,
+    its contract-check residual, its symbol values and their two exponent
+    arrays are allocated once per thread and reused by every later block.
     """
 
     def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
@@ -254,11 +279,11 @@ class _Transport:
             raise DomainError("; ".join(problems))
         self.chart, self.t = chart, t
         self.fiber_pts = grid.fiber_points_flat()  # (H, m)
-        self.u3 = grid.base_points_flat()[:, None, :]  # (K, 1, n)
-        self.eta = self.fiber_pts[None, :, :]  # (1, H, m)
-        self.v_eta = t * self.eta
-        self.rho = haar_density(chart, self.u3, self.v_eta)  # (K, H)
+        self.base = grid.base_points_flat()[:, None, None, :]  # (K, 1, 1, n)
+        self.v_eta = _coordinate_major(t * self.fiber_pts)[None, None]  # (1, 1, H, m)
+        self.rho = haar_density(chart, self.base[:, 0], self.v_eta[:, 0])  # (K, H)
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
+        self._buffers = threading.local()
 
     def coefficient(self, f0: Operand) -> np.ndarray:
         """``(K, H)`` complex coefficients ``f0 * rho * weight``; the left factor is read at nodes only.
@@ -267,18 +292,42 @@ class _Transport:
         a complex matrix, and a float addend takes ``np.add.at`` off its fast path.
         """
         if isinstance(f0, SymbolSpec):
-            values = f0.evaluate(self.u3, self.eta)
+            values = f0.evaluate(self.base[:, 0], self.fiber_pts[None])
         else:
             values = f0.values.reshape(self.rho.shape)
         return (values * self.rho * self.weights).astype(complex, copy=False)
 
+    def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """This thread's array ``name`` of ``shape``: the head of a flat buffer kept for later blocks."""
+        buffers, key, size = self._buffers.__dict__, (name, dtype), math.prod(shape)
+        if key not in buffers or buffers[key].size < size:
+            buffers[key] = np.empty(size, dtype)
+        return buffers[key][:size].reshape(shape)
+
     def solve(self, start: int, stop: int) -> np.ndarray:
-        """``(K, H, A, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``."""
-        shape = self.rho.shape + (stop - start, self.chart.fiber_dim)
-        target = np.broadcast_to(self.t * self.fiber_pts[start:stop], shape)
-        w = solve_product(self.chart, self.u3[:, :, None, :], self.v_eta[:, :, None, :], target)
+        """``(K, A, H, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``.
+
+        A view of this thread's ``(m, K, A, H)`` buffer, overwritten by its next call.
+        """
+        K, H = self.rho.shape
+        shape = (self.chart.fiber_dim, K, stop - start, H)
+        points = np.moveaxis(self._buffer("points", shape), 0, -1)
+        residual = np.moveaxis(self._buffer("residual", shape), 0, -1)
+        target = self.v_eta[:, :, start:stop].transpose(0, 2, 1, 3)  # t xi, (1, A, 1, m)
+        w = solve_product(self.chart, self.base, self.v_eta, target, out=points, residual=residual)
         w /= self.t
         return w
+
+    def evaluate(self, g0: Operand, sigma: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """``(K, A, H)`` values of ``g0`` at the block's points, over ``sigma`` (``(K, 1, H, n)``).
+
+        An analytic ``g0`` writes into this thread's buffers, overwritten by its next call.
+        """
+        if not isinstance(g0, SymbolSpec):
+            return g0.evaluate(sigma, points)
+        batch = points.shape[:-1]
+        scratch = (self._buffer("exponent", batch), self._buffer("square", batch))
+        return g0.evaluate(sigma, points, out=self._buffer("values", batch, g0.dtype), scratch=scratch)
 
 
 def _deformed_products(
@@ -294,33 +343,31 @@ def _deformed_products(
     points, ``K * H`` per node, so a block's points and symbol values stay in
     cache; each block is transported once and every pair reads it.  A real
     ``g0`` is contracted with the real and the imaginary part of the
-    coefficient in two float64 einsums.  Every sum runs over the integration
-    nodes in order, so the values do not depend on the blocks.
+    coefficient in two float64 einsums.  Each output value is one einsum sum
+    over the contiguous integration-node axis of one block row, which sums
+    with vector partial sums, not in node order; the row and so the sum are
+    the same whatever the blocks, so the values do not depend on the block
+    size or the worker count.
     """
     transport = _Transport(chart, grid, t)
     K, H = transport.rho.shape
-    sigma = chart.source_map(transport.u3, transport.v_eta)  # (K, H, n)
+    sigma = _coordinate_major(chart.source_map(transport.base, transport.v_eta))  # (K, 1, H, n)
     coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) complex each
     parts = [(c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)) for c in coeffs]
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
-    # einsum would sum a block one node wide with vector partial sums, out of
-    # node order; so blocks are two nodes wide at least, and a one-node rest
-    # joins the block before it
-    bounds = list(range(0, H, max(2, _BLOCK_POINTS // (K * H)))) + [H]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
+    bounds = list(range(0, H, max(1, _BLOCK_POINTS // (K * H)))) + [H]
 
     def run(block: int):
         start, stop = bounds[block], bounds[block + 1]
-        scaled = transport.solve(start, stop)
+        points = transport.solve(start, stop)
         for (_, g0), (coeff, real, imag), out in zip(pairs, parts, outs):
-            values = g0.evaluate(sigma[:, :, None, :], scaled)  # (K, H, A)
+            values = transport.evaluate(g0, sigma, points)
             if np.iscomplexobj(values):
-                out[:, start:stop] = np.einsum("kh,kha->ka", coeff, values, optimize=False)
+                out[:, start:stop] = np.einsum("kh,kah->ka", coeff, values, optimize=False)
             else:
-                out.real[:, start:stop] = np.einsum("kh,kha->ka", real, values, optimize=False)
-                out.imag[:, start:stop] = np.einsum("kh,kha->ka", imag, values, optimize=False)
+                out.real[:, start:stop] = np.einsum("kh,kah->ka", real, values, optimize=False)
+                out.imag[:, start:stop] = np.einsum("kh,kah->ka", imag, values, optimize=False)
 
     blocks = range(len(bounds) - 1)
     if workers <= 1 or len(blocks) == 1:

@@ -46,6 +46,21 @@ def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
     ``slots`` limits which coordinate groups may appear, e.g. ``"u"`` for a
     weight expression that must only depend on the base point.
     """
+    body = _compile_body(tree, base_dim, fiber_dim, slots)
+
+    def evaluate(u=None, v=None, w=None):
+        env = _environment([tree], slots, u, v, w)
+        out = np.asarray(body(env), dtype=float)
+        # The result spans the batch shape of every array present, also where
+        # the tree reads only some of them (or none: a constant).
+        batch = _batch_shape(u, v, w)
+        return out if batch is None else np.broadcast_to(out, batch).copy()
+
+    return evaluate
+
+
+def _compile_body(tree, base_dim: int, fiber_dim: int, slots: str):
+    """Closure ``body(env)`` of a tree: a float or an array that broadcasts to the batch shape."""
     dims = {}
     for slot in slots:
         dims[slot] = base_dim if slot == "u" else fiber_dim
@@ -103,20 +118,16 @@ def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
             raise ConfigError([f"unknown operator {op!r}"])
         raise ConfigError([f"malformed expression node {node!r}"])
 
-    body = build(tree)
+    return build(tree)
 
-    def evaluate(u=None, v=None, w=None):
-        env = {"u": u, "v": v, "w": w}
-        missing = [s for s in slots if env[s] is None and _tree_uses(tree, s)]
-        if missing:
-            raise ConfigError([f"expression needs coordinate group(s) {missing}"])
-        out = np.asarray(body(env), dtype=float)
-        # The result spans the batch shape of every array present, also where
-        # the tree reads only some of them (or none: a constant).
-        batch = _batch_shape(u, v, w)
-        return out if batch is None else np.broadcast_to(out, batch).copy()
 
-    return evaluate
+def _environment(trees, slots: str, u, v, w) -> dict:
+    """The coordinate groups by slot, raising ConfigError when a tree reads one that is absent."""
+    env = {"u": u, "v": v, "w": w}
+    missing = [s for s in slots if env[s] is None and any(_tree_uses(t, s) for t in trees)]
+    if missing:
+        raise ConfigError([f"expression needs coordinate group(s) {missing}"])
+    return env
 
 
 def _batch_shape(*arrays):
@@ -173,14 +184,24 @@ def _neg(tree):
 
 
 def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):
-    """Compile a list of trees into ``f(u, v, w) -> (..., len(trees))``."""
-    parts = [compile_expression(t, base_dim, fiber_dim, slots) for t in trees]
+    """Compile a list of trees into ``f(u, v, w, *, out=None) -> (..., len(trees))``.
 
-    def evaluate(u=None, v=None, w=None):
-        cols = [p(u, v, w) for p in parts]
-        if not cols:
+    Component ``k`` is written into plane ``k`` of one ``(len(trees),) +
+    batch`` float64 array, so the result is a view whose coordinate axis is
+    outermost in memory; a caller that evaluates many batches of one shape
+    passes such a view (or any float64 array of the result's shape) as
+    ``out``, which must not overlap ``u``, ``v`` or ``w``, and gets it back.
+    """
+    bodies = [_compile_body(t, base_dim, fiber_dim, slots) for t in trees]
+
+    def evaluate(u=None, v=None, w=None, *, out=None):
+        env = _environment(trees, slots, u, v, w)
+        if out is None:
             batch = _batch_shape(u, v, w)
-            return np.empty((() if batch is None else batch) + (0,), dtype=float)
-        return np.stack(cols, axis=-1)
+            planes = np.empty((len(trees),) + (() if batch is None else batch))
+            out = np.moveaxis(planes, 0, -1)
+        for k, body in enumerate(bodies):
+            out[..., k] = body(env)
+        return out
 
     return evaluate

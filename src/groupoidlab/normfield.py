@@ -19,10 +19,11 @@ converges more slowly than ``sigma``: 5e-16 to 5e-9 on pair kernels, 4e-10 to
 1.2e-8 on the ax+b regular action, whose top singular value is 4 % above the
 next.  The regular-action matrix is assembled in blocks of output rows from the
 deformed product's transport (:class:`groupoidlab.deformation._Transport`),
-one product solve and one ordered scatter per block, so it maps samples g
-to ``f *_t g``.  A block holds ``_BLOCK_POINTS`` transported points, the
-deformed product's budget; each point scatters to its ``2^m`` interpolation
-corners a complex value, a flat index and a weight.
+one product solve per block, so it maps samples g to ``f *_t g``.  A block
+holds ``_BLOCK_POINTS`` transported points, the deformed product's budget;
+each point scatters to its ``2^m`` interpolation corners a complex value, a
+flat index and a weight, so the ordered scatter takes a block's rows in
+chunks of about ``_BLOCK_POINTS`` corners.
 """
 
 from __future__ import annotations
@@ -257,17 +258,23 @@ def group_regular_norm(
     # Integration node b sends output node a (the nodes coincide) to the
     # transported point w/t, solving product(t eta_b, w) = t xi_a; its 2^m
     # interpolation corners receive coeff[b] times their weights in row a.
-    # A block of output rows scatters in (node, row, corner) order, so every
+    # A block of output rows scatters in (row, node, corner) order, so every
     # entry sums its terms in node order; with a closed-form solver the sums
     # do not depend on the block size (Newton stops on the worst point of a block).
+    # The scatter arrays hold 2^m corners per point, so they take a block's
+    # rows in chunks of about _BLOCK_POINTS corners; entries of other rows are
+    # other entries, so the chunks do not change a sum.
     matrix = np.zeros(H * H, dtype=complex)
     block = max(1, _BLOCK_POINTS // H)
+    chunk = max(1, block >> m)
     for start in range(0, H, block):
         stop = min(start + block, H)
-        (points,) = transport.solve(start, stop)  # (H, A, m)
-        indices, weights = _interp_scatter(points, grid)  # (H, A, 2^m)
-        indices += (np.arange(start, stop, dtype=np.int64) * H)[None, :, None]
-        np.add.at(matrix, indices.reshape(-1), (coeff[:, None, None] * weights).reshape(-1))
+        (points,) = transport.solve(start, stop)  # (A, H, m)
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            indices, weights = _interp_scatter(points[lo - start : hi - start], grid)  # (rows, H, 2^m)
+            indices += (np.arange(lo, hi, dtype=np.int64) * H)[:, None, None]
+            np.add.at(matrix, indices.reshape(-1), (coeff[None, :, None] * weights).reshape(-1))
     matrix = matrix.reshape(H, H)
     sqw = np.sqrt(grid.fiber_weights().reshape(-1))
     matrix *= sqw[:, None]

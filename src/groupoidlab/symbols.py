@@ -186,24 +186,37 @@ class SymbolSpec:
         return SymbolSpec(self.base_dim, self.fiber_dim, tuple(out)).merged()
 
     # -- evaluation ---------------------------------------------------------------
-    def evaluate(self, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
+    @property
+    def dtype(self) -> type:
+        """``np.float64`` when every coefficient is real, else ``np.complex128``."""
+        return np.float64 if all(t.coeff.imag == 0.0 for t in self.terms) else np.complex128
+
+    def evaluate(
+        self, base_points: np.ndarray, fiber_points: np.ndarray, *, out=None, scratch=None
+    ) -> np.ndarray:
         """Pointwise values; arguments are (..., n) and (..., m) arrays.
 
-        The result is float64 when every coefficient is real and complex128
-        otherwise.  Each term is ``(coeff * poly) * exp(exponent)``, its
-        exponent summed in coordinate order, and the terms are added in order
-        to zeros; so a float64 result equals the real part of the complex
-        evaluation bit for bit.  The exponent and its squares live in two
-        reused float64 buffers of the batch shape.
+        The result has :attr:`dtype`.  Each term is ``(coeff * poly) *
+        exp(exponent)``, its exponent summed in coordinate order, and the terms
+        are added in order to zeros; so a float64 result equals the real part
+        of the complex evaluation bit for bit.  The exponent and its squares
+        live in two float64 arrays of the batch shape.  A caller that
+        evaluates many batches of one shape passes its own arrays: ``out``
+        (of the batch shape and :attr:`dtype`) receives the values and is
+        returned, ``scratch`` is the pair of exponent arrays.  Neither may
+        overlap the points; the values do not depend on their contents.
         """
         base_points = np.asarray(base_points, dtype=float)
         fiber_points = np.asarray(fiber_points, dtype=float)
         batch = np.broadcast_shapes(base_points.shape[:-1], fiber_points.shape[:-1])
-        real = all(t.coeff.imag == 0.0 for t in self.terms)
-        out = np.zeros(batch, dtype=float if real else complex)
+        real = self.dtype is np.float64
+        if out is None:
+            out = np.zeros(batch, dtype=self.dtype)
+        else:
+            out.fill(0.0)
         coords = [base_points[..., k] for k in range(self.base_dim)]
         coords += [fiber_points[..., l] for l in range(self.fiber_dim)]
-        gauss, buffer = np.empty(batch), np.empty(batch)
+        gauss, buffer = (np.empty(batch), np.empty(batch)) if scratch is None else scratch
         for t in self.terms:
             gauss.fill(0.0)
             for x, w, c in zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers):
@@ -213,15 +226,19 @@ class SymbolSpec:
                 square *= w
                 gauss -= square
             np.exp(gauss, out=gauss)
-            poly = 1.0
+            # poly is the product of the powers from 1.0, kept in the freed
+            # squares buffer; x ** 1 is x and 1.0 * y is y bit for bit, so
+            # neither is computed
+            poly = None
             for x, p in zip(coords, t.x_powers + t.xi_powers):
                 if p:
-                    poly = poly * x ** p
+                    factor = x if p == 1 else x ** p
+                    poly = factor if poly is None else np.multiply(poly, factor, out=buffer)
             if real:
-                gauss *= t.coeff.real * poly
+                gauss *= t.coeff.real if poly is None else np.multiply(poly, t.coeff.real, out=buffer)
                 out += gauss
             else:
-                out += t.coeff * poly * gauss
+                out += t.coeff * (1.0 if poly is None else poly) * gauss
         return out
 
 

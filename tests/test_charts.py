@@ -96,6 +96,27 @@ def test_invert_then_compose_is_unit(name, params):
     assert residual <= 1e-10
 
 
+@pytest.mark.parametrize("name, params", ALL_BUILTINS)
+def test_maps_write_coordinate_major_points_into_out(name, params):
+    # the deformed product's layout: planar (..., m) views broadcasting over
+    # (K, A, H), and a NaN-filled out that the maps return filled, bitwise
+    chart = gl.builtin_chart(name, **params)
+    m = chart.fiber_dim
+    rng = np.random.default_rng(6)
+    planar = lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    u = planar(rng.uniform(-1, 1, (5, 1, 1, chart.base_dim)))
+    v = planar(rng.uniform(-1, 1, (1, 1, 7, m)))
+    target = planar(rng.uniform(-1, 1, (1, 4, 1, m)))
+    shape = (5, 4, 7, m)
+    out = np.moveaxis(np.full((m, 5, 4, 7), np.nan), 0, -1)
+    w = chart.product_solver(u, v, target, out=out)
+    assert w is out
+    assert w.tobytes() == np.broadcast_to(chart.product_solver(u, v, target), shape).tobytes()
+    out = np.moveaxis(np.full((m, 5, 4, 7), np.nan), 0, -1)
+    assert chart.product(u, v, w, out=out) is out
+    assert out.tobytes() == np.broadcast_to(chart.product(u, v, w), shape).tobytes()
+
+
 def test_compose_deterministic(pair1):
     args = (np.array([0.11]), np.array([0.23]), np.array([-0.37]))
     first = gl.compose(pair1, *args)

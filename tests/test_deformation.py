@@ -253,13 +253,13 @@ def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, req
     assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
 
 
-# 1 << 11 makes heisenberg blocks two nodes wide with a one-node remainder,
-# 1 << 12 makes pair blocks two nodes wide, 1 << 20 puts pair in one block
+# 1 << 11 makes the blocks of both built-in cases one node wide, 1 << 12
+# makes heisenberg blocks three nodes wide, 1 << 20 puts pair in one block
 @pytest.mark.parametrize("budget", [1 << 11, 1 << 12, 1 << 20])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
 def test_block_size_does_not_change_the_product(chart_name, workers, budget, request, monkeypatch):
-    # every node sum runs in integration-node order whatever the blocks; Newton
+    # every node sum runs over the same contiguous row whatever the blocks; Newton
     # on the custom chart stops on the worst point of a block, so it agrees to roundoff
     field = _commutator_case(chart_name, request)
     t = field.t_values[1]
@@ -270,6 +270,41 @@ def test_block_size_does_not_change_the_product(chart_name, workers, budget, req
         assert np.max(np.abs(blocked - default)) <= 1e-12 * gl.scale_of(default)
     else:
         assert blocked.tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
+def test_scaled_commutator_is_bitwise_equal_at_any_worker_count(chart_name, request):
+    # each worker thread keeps its own block arrays; the blocks are the same
+    field = _commutator_case(chart_name, request)
+    t = field.t_values[1]
+    one = gl.scaled_commutator(field, t, workers=1).values
+    three = gl.scaled_commutator(field, t, workers=3).values
+    assert one.tobytes() == three.tobytes()
+
+
+def test_consecutive_products_do_not_alias(request):
+    # the block arrays are reused inside a product, never handed out
+    field = _commutator_case("heisenberg", request)
+    first = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, 0.1)
+    kept = first.values.copy()
+    second = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, 0.1)
+    assert not np.shares_memory(first.values, second.values)
+    assert first.values.tobytes() == kept.tobytes()
+
+
+def test_transport_points_are_coordinate_major(request):
+    field = _commutator_case("heisenberg", request)
+    t = 0.1
+    transport = deformation._Transport(field.chart, field.grid, t)
+    eta = field.grid.fiber_points_flat()
+    H = eta.shape[0]
+    points = transport.solve(2, 5)
+    assert points.shape == (1, 3, H, 3)
+    assert np.moveaxis(points, -1, 0).flags.c_contiguous
+    # the values are those of a solve on interleaved points
+    u = np.zeros((1, 1, 1, 0))
+    want = gl.solve_product(field.chart, u, t * eta[None, None], t * eta[None, 2:5, None])
+    assert points.tobytes() == (want / t).tobytes()
 
 
 def test_scaled_commutator_memory_is_bounded_by_its_blocks(request):

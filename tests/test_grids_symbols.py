@@ -207,6 +207,23 @@ def test_complex_coefficient_scales_the_real_values():
     assert np.max(np.abs(got - coeff * real)) <= 1e-15 * np.max(np.abs(coeff * real))
 
 
+@pytest.mark.parametrize("coeff", [1.5, 0.5 - 1.25j])
+def test_evaluate_into_caller_arrays_equals_the_allocating_call(coeff):
+    # arrays prefilled with NaN, fiber points as coordinate-major planes, base
+    # points broadcasting over them: the values are the allocating call's, bitwise
+    x, xi = _evaluation_points()
+    terms = [dict(REAL_TERMS[0], coeff=[coeff.real, coeff.imag])] + REAL_TERMS[1:]
+    spec = gl.parse_symbol(terms, 2, 3)
+    want = spec.evaluate(x, xi)
+    assert want.dtype == spec.dtype
+    planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(xi, -1, 0)), 0, -1)
+    out = np.full(want.shape, np.nan, dtype=spec.dtype)
+    scratch = (np.full(want.shape, np.nan), np.full(want.shape, np.nan))
+    for _ in range(2):
+        got = spec.evaluate(x, planar, out=out, scratch=scratch)
+        assert got is out and got.tobytes() == want.tobytes()
+
+
 def test_sampled_symbol_shape_checked():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(8.0, 16),))
     with pytest.raises(GridMismatchError):

@@ -347,3 +347,23 @@ def test_regular_action_matrix_applies_the_deformed_product(
     product = gl.deformed_product(chart, grid, f, gl.SampledSymbol.wrap(g.reshape(grid.shape), grid), t)
     expected = product.values.reshape(-1)
     assert np.max(np.abs(matrix @ g - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("budget", [1 << 10, 1 << 13, 1 << 20])
+@pytest.mark.parametrize("chart_name", ["ax_plus_b", "heisenberg"])
+def test_regular_action_matrix_does_not_depend_on_its_blocks(chart_name, budget, monkeypatch):
+    # each entry sums its terms in node order whatever the row blocks and the
+    # scatter chunks within them; 1 << 10 makes heisenberg blocks one row wide,
+    # 1 << 20 puts both charts in one block
+    chart = gl.builtin_chart(chart_name)
+    m = chart.fiber_dim
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(1.5, 8) for _ in range(m)))
+    f = gl.SymbolSpec.gaussian(0, m, xi_widths=1.3, xi_centers=[0.2, -0.1, -0.3][:m])
+    captured = []
+    sigma = gl.normfield.power_iteration_sigma
+    monkeypatch.setattr(gl.normfield, "power_iteration_sigma", lambda a: captured.append(a) or sigma(a))
+    gl.group_regular_norm(f, chart, 0.3, grid)
+    monkeypatch.setattr(gl.normfield, "_BLOCK_POINTS", budget)
+    gl.group_regular_norm(f, chart, 0.3, grid)
+    default, blocked = captured
+    assert blocked.tobytes() == default.tobytes()

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 import groupoidlab as gl
-from groupoidlab.reports import write_csv, write_svg_plot
+from groupoidlab.plots import write_svg_plot
+from groupoidlab.reports import write_csv
 
 G = gl.SymbolSpec.gaussian
 

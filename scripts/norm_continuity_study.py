@@ -10,7 +10,8 @@ import argparse
 from pathlib import Path
 
 import groupoidlab as gl
-from groupoidlab.reports import write_csv, write_svg_plot
+from groupoidlab.plots import write_svg_plot
+from groupoidlab.reports import write_csv
 
 WIDTHS = (0.4, 0.5, 0.7)
 T_VALUES = (0.4, 0.2, 0.1, 0.05)

@@ -11,14 +11,21 @@ Commands map one-to-one onto the package operations:
 * ``normfield``     the operator-norm curve with its t = 0 value.
 
 Exit codes: 0 all configured thresholds pass, 1 computation failure or a
-failed threshold, 2 config error.  Output files are byte-identical across
-reruns and worker counts; timing goes to stderr only.
+failed threshold, 2 config or usage error.  Output files are byte-identical
+across reruns and worker counts; timing goes to stderr only.
+
+Each ``_cmd_*`` imports its own layer when it runs (``charts`` for
+``validate``, ``algebroid``, ``poisson`` for ``bracket`` and
+``fourier-check``, ``deformation``, ``normfield``) and ``plots`` is imported
+only under ``--plot``, so a process loads only the modules its command
+calls.  Keep layer imports out of module level.  ``main`` prints the
+``[groupoidlab]`` timing and check lines to stderr; ``run_command`` prints
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import time
 import warnings
@@ -27,25 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebroid import extract_algebroid
-from .charts import AXIOMS, validate_axioms
 from .config import RunConfig, build_config, load_config
-from .deformation import DeformationField, classical_limit_error_table, limit_sweep_problems
 from .errors import ConfigError, DecayWarning, GroupoidLabError
 from .grids import boundary_fraction, scale_of
-from .normfield import norm_curve, pair_cstar_identity_residual
-from .poisson import (
-    DUAL_DECAY_THRESHOLD,
-    convolution_theorem_residual,
-    intertwining_residual,
-    is_unit_weight,
-    poisson_bracket,
-    roundtrip_residual,
-    unit_weight_on_grid,
-)
-from .reports import Check, ReportBundle, write_csv, write_json, write_svg_plot
-
-log = logging.getLogger("groupoidlab")
+from .reports import Check, ReportBundle, write_csv, write_json
 
 COMMANDS = ("validate", "algebroid", "bracket", "fourier-check", "deform", "normfield")
 
@@ -55,6 +47,8 @@ COMMANDS = ("validate", "algebroid", "bracket", "fourier-check", "deform", "norm
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(config: RunConfig) -> ReportBundle:
+    from .charts import AXIOMS, validate_axioms
+
     tol = config.tolerances
     report = validate_axioms(config.chart, config.sample_count, config.seed)
     d = report.as_dict()
@@ -69,6 +63,8 @@ def _cmd_validate(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_algebroid(config: RunConfig) -> ReportBundle:
+    from .algebroid import extract_algebroid
+
     chart, grid, tol = config.chart, config.grid, config.tolerances
     data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
     n, m = chart.base_dim, chart.fiber_dim
@@ -96,6 +92,8 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_bracket(config: RunConfig) -> ReportBundle:
+    from .poisson import DUAL_DECAY_THRESHOLD, poisson_bracket
+
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     f, g = config.symbols["f"], config.symbols["g"]
@@ -131,6 +129,14 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
+    from .poisson import (
+        convolution_theorem_residual,
+        intertwining_residual,
+        is_unit_weight,
+        roundtrip_residual,
+        unit_weight_on_grid,
+    )
+
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     mu = unit_weight_on_grid(chart, grid)
@@ -174,6 +180,8 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_deform(config: RunConfig) -> ReportBundle:
+    from .deformation import DeformationField, classical_limit_error_table, limit_sweep_problems
+
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     problems = limit_sweep_problems(config.t_values)
@@ -231,6 +239,9 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_normfield(config: RunConfig) -> ReportBundle:
+    from .normfield import norm_curve, pair_cstar_identity_residual
+    from .poisson import unit_weight_on_grid
+
     config.require_symbols("f")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     if not config.t_values:
@@ -293,10 +304,11 @@ _IMPLEMENTATIONS = {
 def run_command(
     name: str, config: RunConfig, output_dir=None, plot: bool = False
 ) -> ReportBundle:
-    """Execute one command and write its report files.
+    """Execute one command and write its report files; prints nothing.
 
-    Returns the bundle; ``bundle.passed`` drives the exit status.  Under
-    ``config.strict`` every DecayWarning the command raises is an error.
+    Returns the bundle; ``bundle.passed`` drives the exit status and
+    ``bundle.seconds`` is the command's wall time.  Under ``config.strict``
+    every DecayWarning the command raises is an error.
     """
     if name not in _IMPLEMENTATIONS:
         raise ConfigError([f"unknown command {name!r}; have {sorted(_IMPLEMENTATIONS)}"])
@@ -305,8 +317,7 @@ def run_command(
         if config.strict:
             warnings.simplefilter("error", DecayWarning)
         bundle = _IMPLEMENTATIONS[name](config)
-    elapsed = time.perf_counter() - start
-    log.info("%s finished in %.3f s (timing is not part of the report files)", name, elapsed)
+    bundle.seconds = time.perf_counter() - start
 
     if output_dir is not None:
         out = Path(output_dir)
@@ -322,6 +333,8 @@ def run_command(
             bundle.files.append(str(csv_path))
         plot_spec = getattr(bundle, "plot", None)
         if plot and plot_spec is not None:
+            from .plots import write_svg_plot
+
             stem_name, series, title, xlabel, ylabel, loglog = plot_spec
             svg_path = out / f"{stem}.svg"
             write_svg_plot(svg_path, series, title, xlabel, ylabel, loglog)
@@ -330,7 +343,6 @@ def run_command(
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="[groupoidlab] %(message)s")
     parser = argparse.ArgumentParser(
         prog="groupoidlab",
         description="chart-level groupoid laws, brackets, deformation and norm curves",
@@ -345,6 +357,8 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None, help="compute worker count")
         p.add_argument("--seed", type=int, default=None, help="sampling seed override")
     args = parser.parse_args(argv)
+    if args.output is not None and Path(args.output).exists() and not Path(args.output).is_dir():
+        parser.error(f"--output {args.output} exists and is not a directory")
 
     try:
         config = load_config(args.config)
@@ -370,20 +384,29 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except GroupoidLabError as exc:
+    except (GroupoidLabError, OSError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         if args.output is not None:
-            out = Path(args.output)
-            out.mkdir(parents=True, exist_ok=True)
-            write_json(
-                out / f"{args.command.replace('-', '_')}_error.json",
-                {"command": args.command, "error": str(exc)},
-            )
+            try:
+                out = Path(args.output)
+                out.mkdir(parents=True, exist_ok=True)
+                write_json(
+                    out / f"{args.command.replace('-', '_')}_error.json",
+                    {"command": args.command, "error": str(exc)},
+                )
+            except OSError as write_exc:
+                print(f"error report not written: {write_exc}", file=sys.stderr)
         return 1
 
+    print(
+        f"[groupoidlab] {args.command} finished in {bundle.seconds:.3f} s"
+        " (timing is not part of the report files)",
+        file=sys.stderr,
+    )
     for check in bundle.checks:
         status = "PASS" if check.passed else "FAIL"
-        log.info("%s: %s (value %.6g, threshold %.6g)", check.name, status, check.value, check.threshold)
+        line = "%s: %s (value %.6g, threshold %.6g)" % (check.name, status, check.value, check.threshold)
+        print(f"[groupoidlab] {line}", file=sys.stderr)
     return 0 if bundle.passed else 1
 
 

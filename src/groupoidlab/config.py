@@ -3,7 +3,8 @@
 A config names a chart (built-in with parameters, or a custom expression
 chart), a grid, the symbols, the parameter sweep and the numeric knobs.
 Validation happens before any computation and collects every violation it
-can find rather than stopping at the first.
+can find rather than stopping at the first.  The t-sweep rules live here
+too; the deformation layers import them from this module.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 from .charts import BUILTIN_CHARTS, GroupoidChart, builtin_chart, chart_from_spec
-from .deformation import deformation_domain_problems, sweep_problems
 from .errors import ConfigError
 from .grids import Axis, GridSpec
 from .symbols import SymbolSpec, decay_problems, parse_symbol
@@ -165,6 +166,44 @@ def _build_grid(raw: dict, chart: GroupoidChart | None, problems: list[str]) -> 
         return None
 
 
+def sweep_problems(t_values: Sequence[float]) -> list[str]:
+    """Violations of the sweep rule: every t nonzero, |t| strictly decreasing."""
+    problems = []
+    if any(t == 0.0 for t in t_values):
+        problems.append("t must be nonzero in sweep")
+    mags = [abs(t) for t in t_values]
+    if any(b >= a for a, b in zip(mags, mags[1:])):
+        problems.append("t values must decrease strictly in magnitude toward 0")
+    return problems
+
+
+def deformation_domain_problems(
+    chart: GroupoidChart, grid: GridSpec, t_values: Sequence[float]
+) -> list[str]:
+    """All violations of the sweep preconditions (empty list when admissible)."""
+    if grid.fiber_dim != chart.fiber_dim or grid.base_dim != chart.base_dim:
+        return [
+            f"grid dims ({grid.base_dim},{grid.fiber_dim}) do not match chart "
+            f"dims ({chart.base_dim},{chart.fiber_dim})"
+        ]
+    problems = sweep_problems(t_values)
+    for k, ax in enumerate(grid.fiber):
+        lo, hi = chart.fiber_box[k]
+        for t in t_values:
+            reach = abs(t) * ax.half_width
+            if reach > hi or -reach < lo:
+                problems.append(
+                    f"t={t} pushes fiber axis {k} to {reach:.3g}, outside its box "
+                    f"[{lo:.3g}, {hi:.3g}]"
+                )
+                break
+    for j, ax in enumerate(grid.base):
+        lo, hi = chart.base_box[j]
+        if ax.start < lo or ax.start + ax.step * (ax.count - 1) > hi:
+            problems.append(f"base axis {j} leaves the chart base box")
+    return problems
+
+
 def build_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig; raises ConfigError."""
     problems: list[str] = []
@@ -277,9 +316,14 @@ def _finite_number(value) -> bool:
 def load_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file {path} does not exist"])
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError([f"config file {path} does not exist"]) from None
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc.strerror or exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

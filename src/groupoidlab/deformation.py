@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .charts import GroupoidChart, _in_box, _sample_box
+from .config import deformation_domain_problems
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -198,7 +198,8 @@ class DeformationField:
     The sections are constant in blow-up coordinates: at every ``t`` the same
     coordinate expressions ``f0`` and ``g0`` are used.  Every ``t`` must keep
     all evaluation points inside the chart boxes, and the sweep must follow
-    the rule of :func:`sweep_problems` (t nonzero, |t| strictly decreasing).
+    the rule of :func:`groupoidlab.config.sweep_problems` (t nonzero, |t|
+    strictly decreasing).
     """
 
     chart: GroupoidChart
@@ -212,44 +213,6 @@ class DeformationField:
         problems = deformation_domain_problems(self.chart, self.grid, self.t_values)
         if problems:
             raise GroupoidLabError("; ".join(problems))
-
-
-def sweep_problems(t_values: Sequence[float]) -> list[str]:
-    """Violations of the sweep rule: every t nonzero, |t| strictly decreasing."""
-    problems = []
-    if any(t == 0.0 for t in t_values):
-        problems.append("t must be nonzero in sweep")
-    mags = [abs(t) for t in t_values]
-    if any(b >= a for a, b in zip(mags, mags[1:])):
-        problems.append("t values must decrease strictly in magnitude toward 0")
-    return problems
-
-
-def deformation_domain_problems(
-    chart: GroupoidChart, grid: GridSpec, t_values: Sequence[float]
-) -> list[str]:
-    """All violations of the sweep preconditions (empty list when admissible)."""
-    if grid.fiber_dim != chart.fiber_dim or grid.base_dim != chart.base_dim:
-        return [
-            f"grid dims ({grid.base_dim},{grid.fiber_dim}) do not match chart "
-            f"dims ({chart.base_dim},{chart.fiber_dim})"
-        ]
-    problems = sweep_problems(t_values)
-    for k, ax in enumerate(grid.fiber):
-        lo, hi = chart.fiber_box[k]
-        for t in t_values:
-            reach = abs(t) * ax.half_width
-            if reach > hi or -reach < lo:
-                problems.append(
-                    f"t={t} pushes fiber axis {k} to {reach:.3g}, outside its box "
-                    f"[{lo:.3g}, {hi:.3g}]"
-                )
-                break
-    for j, ax in enumerate(grid.base):
-        lo, hi = chart.base_box[j]
-        if ax.start < lo or ax.start + ax.step * (ax.count - 1) > hi:
-            problems.append(f"base axis {j} leaves the chart base box")
-    return problems
 
 
 def _coordinate_major(points: np.ndarray) -> np.ndarray:
@@ -374,6 +337,8 @@ def _deformed_products(
         for b in blocks:
             run(b)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
     return outs

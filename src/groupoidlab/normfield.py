@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .charts import GroupoidChart
-from .deformation import _BLOCK_POINTS, _Transport, sweep_problems
+from .config import sweep_problems
+from .deformation import _BLOCK_POINTS, _Transport
 from .errors import ConvergenceError, DomainError, GroupoidLabError
 from .grids import GridSpec, interpolation_corners
 from .poisson import _mu_base, fourier_transform, select_dual_grid, unit_weight_on_grid

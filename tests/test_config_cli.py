@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,84 @@ def test_summary_embeds_hash_and_version(tmp_path):
     assert summary["config_sha256"] == config_hash(raw)
     assert summary["version"] == gl.__version__
     assert summary["passed"] is True
+
+
+# -- bad paths and the stderr contract ------------------------------------------------
+
+VALIDATE = str(CONFIGS / "heisenberg_validate.json")
+
+
+def _unreadable_config(tmp_path, kind: str) -> Path:
+    if kind == "directory":
+        path = tmp_path / "config_dir"
+        path.mkdir()
+    elif kind == "not_utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+    else:  # a path through a regular file: NotADirectoryError, an OSError
+        (tmp_path / "plain").write_text("{}")
+        path = tmp_path / "plain" / "config.json"
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "under_a_file"])
+def test_unreadable_config_is_a_config_error(kind, tmp_path, capsys):
+    path = _unreadable_config(tmp_path, kind)
+    with pytest.raises(ConfigError, match="config file"):
+        gl.load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and str(path) in lines[0], lines
+
+
+def test_output_naming_a_file_is_a_usage_error_before_computing(tmp_path, capsys, monkeypatch):
+    import groupoidlab.cli as cli
+
+    monkeypatch.setattr(cli, "run_command", lambda *args: pytest.fail("the command ran"))
+    existing = tmp_path / "report.txt"
+    existing.write_text("keep me\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--config", VALIDATE, "--output", str(existing)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not a directory" in err and "Traceback" not in err
+    assert existing.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("blocked", [("validate_summary.json",), ("validate_summary.json", "validate_error.json")])
+def test_report_write_failure_exits_1_without_traceback(blocked, tmp_path, capsys):
+    # a directory where a report file goes makes its write raise IsADirectoryError
+    out = tmp_path / "out"
+    for name in blocked:
+        (out / name).mkdir(parents=True)
+    assert main(["validate", "--config", VALIDATE, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and "validate_summary.json" in err, err
+    assert "Traceback" not in err
+    assert (out / "validate_error.json").is_file() == (len(blocked) == 1)
+
+
+def test_main_prints_the_timing_and_one_line_per_check(tmp_path, capsys):
+    path = str(CONFIGS / "corrupted_validate.json")
+    assert main(["validate", "--config", path, "--output", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(
+        r"\[groupoidlab\] validate finished in \d+\.\d{3} s \(timing is not part of the report files\)",
+        lines[0],
+    )
+    checks = json.loads((tmp_path / "validate_summary.json").read_text())["checks"]
+    assert len(lines) == 1 + len(checks)
+    for line, check in zip(lines[1:], checks):
+        status = "PASS" if check["passed"] else "FAIL"
+        value, threshold = float(check["value"]), float(check["threshold"])
+        assert line == f"[groupoidlab] {check['name']}: {status} (value {value:.6g}, threshold {threshold:.6g})"
+    assert any(line.endswith(")") and ": FAIL (" in line for line in lines[1:])
+
+
+def test_run_command_writes_nothing_to_stderr(tmp_path, capsys):
+    bundle = run_command("validate", gl.load_config(VALIDATE), tmp_path)
+    assert bundle.passed and bundle.seconds > 0.0
+    assert capsys.readouterr() == ("", "")
 
 
 # -- strict runs and the decay contract ------------------------------------------------

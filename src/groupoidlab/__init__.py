@@ -33,6 +33,7 @@ _EXPORTS = {
         "chart_from_spec",
         "compose",
         "invert_element",
+        "solve_product",
         "source_coords",
         "validate_axioms",
     ),
@@ -46,7 +47,6 @@ _EXPORTS = {
         "haar_density",
         "left_invariance_residual",
         "scaled_commutator",
-        "solve_product",
     ),
     "errors": (
         "ConfigError",

@@ -6,29 +6,32 @@ map ``source_map(u, v)`` on base x fiber coordinates, the product law
 unit weight on the base (the density of the fiberwise measure at units), and
 the rectangular boxes on which the maps are defined.  Everything downstream
 (structure extraction, deformed convolution, norm curves) consumes this one
-data structure.
+data structure.  Every chart, built-in or from a JSON config, is compiled
+from expression trees by :func:`chart_from_spec`; the built-ins are short
+spec builders.
 
 All maps are vectorized: they accept arrays whose last axis is the coordinate
 axis and broadcast over leading batch axes.  That axis may be strided: the
 deformed product passes views of coordinate-major memory, whose coordinate
-axis is outermost (``v[..., l]`` is one contiguous plane), and maps that
-address components as ``v[..., l]`` keep every inner loop over a contiguous
-plane.  ``product`` and ``product_solver`` also take a keyword-only ``out``,
-a float64 array of the result's shape that overlaps no input; a map given one
-writes its result there and returns it, so a caller that solves many blocks
-of one shape reuses its arrays.  All operations here are pure functions of
-their arguments (and ``out``).
+axis is outermost (``v[..., l]`` is one contiguous plane), and the compiled
+trees address components as ``v[..., l]``, so every inner loop runs over a
+contiguous plane.  ``product`` and ``product_solver`` also take a
+keyword-only ``out``, a float64 array of the result's shape that overlaps no
+input; a map given one writes its result there and returns it, so a caller
+that solves many blocks of one shape reuses its arrays.  All operations here
+are pure functions of their arguments (and ``out``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError
-from .expressions import compile_expression, compile_vector, derivative
+from .expressions import compile_expression, compile_solver, compile_vector, derivative
 
 Array = np.ndarray
 
@@ -43,12 +46,13 @@ class GroupoidChart:
     ``product(u, 0, w) = w`` and ``product(u, v, 0) = v``.
 
     ``product_w_jacobian`` is exact: ``[..., i, l] = d product_i / d w_l``,
-    from derivative trees for custom charts.  Closed forms ``inverse`` and
-    ``product_solver`` are used when present, else Newton iteration.
+    from the product's derivative trees.  ``product_solver`` solves
+    ``product(u, v, w) = target`` in closed form, by forward substitution
+    where the product is affine and lower triangular in w (every built-in
+    is); it is None otherwise, and :func:`solve_product` runs Newton.  A
+    custom chart's ``inverse`` is used where given, else the product solve.
     ``product(u, v, w, *, out=None)`` and ``product_solver(u, v, target, *,
     out=None)`` write into ``out`` when given (see the module docs).
-    ``exact_structure`` holds the analytic structure constants of the
-    built-ins, kept as a test oracle for the finite-difference extraction path.
 
     The chart is assumed to intersect the unit space exactly in the zero
     fiber section; that is a property of the data supplied and is documented
@@ -67,7 +71,6 @@ class GroupoidChart:
     kind: str = "custom"
     inverse: Optional[Callable[[Array, Array], Array]] = None
     product_solver: Optional[Callable[[Array, Array, Array], Array]] = None
-    exact_structure: Optional[Callable[[Array], Array]] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -130,24 +133,79 @@ def source_coords(chart: GroupoidChart, u, v) -> Array:
     return check_box(out, chart.base_box, "source_map(u, v)")
 
 
+def _product_residual(chart: GroupoidChart, u, v, w, target, out: Array) -> Array:
+    """``product(u, v, w) - target``, written into the caller's ``out``."""
+    chart.product(u, v, w, out=out)
+    out -= target
+    return out
+
+
+def solve_product(
+    chart: GroupoidChart, u, v, target, tol: float = 1e-12, max_iter: int = 50, *, out=None, residual=None
+) -> Array:
+    """Solve ``product(u, v, w) = target`` for ``w`` (batched).
+
+    Uses the chart's ``product_solver`` when present, otherwise Newton on its
+    exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
+    checked: the closed form's residual, Newton's until it is below ``tol``;
+    a residual that is not finite fails the check.  ``out`` receives ``w``
+    and ``residual`` the residual, both float64 arrays of the broadcast batch
+    shape times ``fiber_dim``; a caller that solves many blocks of one shape
+    passes its own.  Raises ConvergenceError, SingularJacobianError or
+    DomainError (iterate left the fiber box).
+    """
+    u, v, target = (np.asarray(a, dtype=float) for a in (u, v, target))
+    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]) + (chart.fiber_dim,)
+    if out is None:
+        out = np.empty(shape)
+    if residual is None:
+        residual = np.empty(shape)
+    if chart.product_solver is not None:
+        w = chart.product_solver(u, v, target, out=out)
+        _product_residual(chart, u, v, w, target, residual)
+        worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
+        if not worst <= tol:
+            raise ConvergenceError(f"closed-form product solver violates its contract: residual {worst:.3e}")
+        return w
+
+    w = np.subtract(target, v, out=out)
+    for _ in range(max_iter):
+        _product_residual(chart, u, v, w, target, residual)
+        worst = float(np.max(np.abs(residual))) if residual.size else 0.0
+        if worst <= tol:
+            return w
+        jac = chart.product_w_jacobian(u, v, w)
+        try:
+            step = np.linalg.solve(jac, residual[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian in product solve: {exc}")
+        w -= step
+        if not np.all(_in_box(w, chart.fiber_box)):
+            raise DomainError("Newton iterate for the product solve left the fiber box")
+    raise ConvergenceError(
+        f"product solve did not reach {tol:.1e} in {max_iter} iterations (residual {worst:.3e})"
+    )
+
+
+def _inverse(chart: GroupoidChart, u, v) -> Array:
+    """The custom ``inverse`` where given, else the solve of ``product(u, v, w) = 0``."""
+    if chart.inverse is not None:
+        return np.asarray(chart.inverse(u, v), dtype=float)
+    return solve_product(chart, u, v, np.zeros_like(np.asarray(v, dtype=float)))
+
+
 def invert_element(chart: GroupoidChart, u, v) -> Array:
     """Fiber coordinate ``w`` of the inverse arrow, solving ``product(u, v, w) = 0``.
 
-    Uses the chart's closed-form inverse when available, otherwise Newton
-    iteration (see :func:`groupoidlab.deformation.solve_product`).  The
-    residual ``|product(u, v, w)|`` is guaranteed <= 1e-12.
+    Uses the custom chart's ``inverse`` when given, otherwise
+    :func:`solve_product`.  The residual ``|product(u, v, w)|`` is
+    guaranteed <= 1e-12.
     """
     u = check_box(u, chart.base_box, "base point u")
     v = check_box(v, chart.fiber_box, "fiber vector v")
-    if chart.inverse is not None:
-        w = np.asarray(chart.inverse(u, v), dtype=float)
-    else:
-        from .deformation import solve_product
-
-        target = np.zeros_like(np.asarray(v, dtype=float))
-        w = solve_product(chart, u, v, target)
+    w = _inverse(chart, u, v)
     residual = np.max(np.abs(chart.product(u, v, w))) if w.size else 0.0
-    if residual > 1e-12:
+    if not residual <= 1e-12:
         raise ConvergenceError(f"inverse residual {residual:.3e} exceeds 1.0e-12")
     return w
 
@@ -176,19 +234,8 @@ class AxiomReport:
         return max(getattr(self, name) for name in AXIOMS)
 
     def as_dict(self) -> dict:
-        return {
-            "chart": self.chart_name,
-            "samples": self.samples,
-            "associativity": self.associativity,
-            "source_compatibility": self.source_compatibility,
-            "left_unit": self.left_unit,
-            "right_unit": self.right_unit,
-            "source_unit": self.source_unit,
-            "inverse_law": self.inverse_law,
-            "inverse_checked": self.inverse_checked,
-            "min_unit_weight": self.min_unit_weight,
-            "max_residual": self.max_residual,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        return {"chart": self.chart_name, **values, "max_residual": self.max_residual}
 
 
 def _sample_box(rng: np.random.Generator, box: Array, count: int, shrink: float) -> Array:
@@ -199,11 +246,7 @@ def _sample_box(rng: np.random.Generator, box: Array, count: int, shrink: float)
     return center + (2.0 * rng.random((count, box.shape[0])) - 1.0) * half
 
 
-def validate_axioms(
-    chart: GroupoidChart,
-    sample_count: int = 100,
-    seed: int = 0,
-) -> AxiomReport:
+def validate_axioms(chart: GroupoidChart, sample_count: int = 100, seed: int = 0) -> AxiomReport:
     """Check associativity, source compatibility, unit and inverse laws.
 
     Composable triples are drawn by rejection sampling: candidates come from
@@ -272,12 +315,7 @@ def validate_axioms(
     inverse_res = 0.0
     inverse_checked = 0
     try:
-        if chart.inverse is not None:
-            winv = np.asarray(chart.inverse(u, v), dtype=float)
-        else:
-            from .deformation import solve_product
-
-            winv = solve_product(chart, u, v, np.zeros_like(v))
+        winv = _inverse(chart, u, v)
         in_box = _in_box(winv, chart.fiber_box)
         inverse_checked = int(np.count_nonzero(in_box))
         if inverse_checked:
@@ -311,197 +349,54 @@ def _max_abs(arr: Array) -> float:
 # built-in catalog
 # ---------------------------------------------------------------------------
 
-def _constant_weight(value: float = 1.0):
-    def weight(u):
-        u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1], float(value))
-
-    return weight
-
-
-def _centered_box(dim: int, half_width: float) -> Array:
-    return np.tile([[-half_width, half_width]], (dim, 1)) if dim else np.empty((0, 2))
-
-
 def _resolve_weight(mu_e, dim: int):
     """Accept a callable, an expression tree, or None (constant 1)."""
     if mu_e is None:
-        return _constant_weight(1.0)
+        return lambda u: np.ones(np.shape(u)[:-1])
     if callable(mu_e):
         return mu_e
     expr = compile_expression(mu_e, dim, 0, slots="u")
     return lambda u: expr(u=np.asarray(u, dtype=float))
 
 
-def _additive_chart(name: str, kind: str, n: int, m: int, source_map, half_width, mu_e, params):
-    """The additive group law on the fiber R^m over the base R^n."""
-    return GroupoidChart(
-        name=name,
-        base_dim=n,
-        fiber_dim=m,
-        source_map=source_map,
-        product=lambda u, v, w, *, out=None: np.add(v, w, out=out),
-        product_w_jacobian=lambda u, v, w: np.broadcast_to(np.eye(m), np.shape(v)[:-1] + (m, m)).copy(),
-        unit_weight=_resolve_weight(mu_e, n),
-        base_box=_centered_box(n, half_width),
-        fiber_box=_centered_box(m, half_width),
-        kind=kind,
-        inverse=lambda u, v: -np.asarray(v, dtype=float),
-        product_solver=lambda u, v, target, *, out=None: np.subtract(target, v, out=out),
-        exact_structure=lambda u: np.zeros((m, m, m)),
-        params=params,
-    )
+def _builtin(name, kind, source_map, product, half_width, mu_e=None, **params) -> GroupoidChart:
+    n, m = len(source_map), len(product)
+    box = lambda dim: [[-half_width, half_width]] * dim
+    spec = dict(name=name, kind=kind, base_dim=n, fiber_dim=m, source_map=source_map, product=product)
+    spec.update(unit_weight=mu_e, base_box=box(n), fiber_box=box(m))
+    return chart_from_spec(spec, dict(params, half_width=half_width))
+
+
+def _additive(m: int) -> list:
+    return [["+", f"v{i}", f"w{i}"] for i in range(1, m + 1)]
 
 
 def pair_chart(n: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Pair groupoid on R^n x R^n: source u + v, additive product."""
     if n < 1:
         raise ValueError("pair chart needs n >= 1")
-    params = {"n": n, "half_width": half_width}
-    return _additive_chart(f"pair({n})", "pair", n, n, lambda u, v: u + v, half_width, mu_e, params)
+    source_map = [["+", f"u{j}", f"v{j}"] for j in range(1, n + 1)]
+    return _builtin(f"pair({n})", "pair", source_map, _additive(n), half_width, mu_e, n=n)
 
 
 def abelian_bundle_chart(n: int, m: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Bundle of abelian groups R^m over R^n (n = 0 gives the group R^m)."""
-    source_map = lambda u, v: np.asarray(u, dtype=float) + np.zeros(np.shape(v)[:-1] + (n,))
-    params = {"n": n, "m": m, "half_width": half_width}
-    name = f"abelian_bundle({n},{m})"
-    return _additive_chart(name, "bundle", n, m, source_map, half_width, mu_e, params)
-
-
-# The Heisenberg maps use the planes of their result as their only scratch, so
-# a caller's ``out`` takes every intermediate; each rounds as the plain formula
-# (v3 + w3) + (v1 w2 - v2 w1) / 2 does, term by term.
-
-def _heisenberg_product(u, v, w, *, out=None):
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(v.shape, w.shape))
-    p1, p2, p3 = (out[..., k] for k in range(3))
-    np.multiply(v[..., 0], w[..., 1], out=p3)
-    p3 -= np.multiply(v[..., 1], w[..., 0], out=p1)
-    p3 *= 0.5
-    p3 += np.add(v[..., 2], w[..., 2], out=p1)
-    np.add(v[..., 0], w[..., 0], out=p1)
-    np.add(v[..., 1], w[..., 1], out=p2)
-    return out
-
-
-def _heisenberg_solver(u, v, target, *, out=None):
-    # w1, w2 = t1 - v1, t2 - v2, then w3 = (t3 - v3) - (v1 w2 - v2 w1) / 2
-    v = np.asarray(v, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(v.shape, target.shape))
-    w1, w2, w3 = (out[..., k] for k in range(3))
-    np.subtract(target[..., 0], v[..., 0], out=w1)
-    np.multiply(v[..., 1], w1, out=w3)
-    np.subtract(target[..., 1], v[..., 1], out=w1)  # w2, held in w1's plane
-    np.multiply(v[..., 0], w1, out=w2)
-    w2 -= w3
-    w2 *= 0.5
-    np.subtract(target[..., 2], v[..., 2], out=w3)
-    w3 -= w2
-    np.copyto(w2, w1)
-    np.subtract(target[..., 0], v[..., 0], out=w1)
-    return out
-
-
-def _heisenberg_structure(u):
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
-    return c
+    source_map = [f"u{j}" for j in range(1, n + 1)]
+    return _builtin(f"abelian_bundle({n},{m})", "bundle", source_map, _additive(m), half_width, mu_e, n=n, m=m)
 
 
 def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
     """Heisenberg group in exponential coordinates (base dimension 0)."""
-
-    def w_jacobian(u, v, w):
-        v = np.asarray(v, dtype=float)
-        shape = v.shape[:-1]
-        jac = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-        jac[..., 2, 0] = -0.5 * v[..., 1]
-        jac[..., 2, 1] = 0.5 * v[..., 0]
-        return jac
-
-    return GroupoidChart(
-        name="heisenberg",
-        base_dim=0,
-        fiber_dim=3,
-        source_map=lambda u, v: np.zeros(np.shape(v)[:-1] + (0,)),
-        product=_heisenberg_product,
-        unit_weight=_constant_weight(1.0),
-        base_box=np.empty((0, 2)),
-        fiber_box=_centered_box(3, half_width),
-        kind="group",
-        inverse=lambda u, v: -np.asarray(v, dtype=float),
-        product_solver=_heisenberg_solver,
-        product_w_jacobian=w_jacobian,
-        exact_structure=_heisenberg_structure,
-        params={"half_width": half_width},
-    )
-
-
-def _ax_plus_b_product(u, v, w, *, out=None):
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(v.shape, w.shape), dtype=float)
-    np.add(v[..., 0], w[..., 0], out=out[..., 0])
-    np.multiply(np.exp(v[..., 0]), w[..., 1], out=out[..., 1])
-    out[..., 1] += v[..., 1]
-    return out
-
-
-def _ax_plus_b_structure(u):
-    # algebra [e1, e2] = e2
-    c = np.zeros((2, 2, 2))
-    c[0, 1, 1] = 1.0
-    c[1, 0, 1] = -1.0
-    return c
+    twist = ["*", 0.5, ["-", ["*", "v1", "w2"], ["*", "v2", "w1"]]]
+    # summed as twist + (v3 + w3), in one scratch plane; validate and algebroid bytes depend on the order
+    product = _additive(2) + [["+", ["+", "v3", "w3"], twist]]
+    return _builtin("heisenberg", "group", [], product, half_width)
 
 
 def ax_plus_b_chart(half_width: float = 2.0) -> GroupoidChart:
     """Affine group of the line in global coordinates; non-unimodular."""
-
-    def solver(u, v, target, *, out=None):
-        v = np.asarray(v, dtype=float)
-        target = np.asarray(target, dtype=float)
-        w = np.empty(np.broadcast_shapes(v.shape, target.shape), dtype=float) if out is None else out
-        np.subtract(target[..., 0], v[..., 0], out=w[..., 0])
-        np.subtract(target[..., 1], v[..., 1], out=w[..., 1])
-        w[..., 1] *= np.exp(-v[..., 0])
-        return w
-
-    def inverse(u, v):
-        return solver(u, v, np.zeros_like(np.asarray(v, dtype=float)))
-
-    def w_jacobian(u, v, w):
-        v = np.asarray(v, dtype=float)
-        shape = v.shape[:-1]
-        jac = np.zeros(shape + (2, 2))
-        jac[..., 0, 0] = 1.0
-        jac[..., 1, 1] = np.exp(v[..., 0])
-        return jac
-
-    return GroupoidChart(
-        name="ax_plus_b",
-        base_dim=0,
-        fiber_dim=2,
-        source_map=lambda u, v: np.zeros(np.shape(v)[:-1] + (0,)),
-        product=_ax_plus_b_product,
-        unit_weight=_constant_weight(1.0),
-        base_box=np.empty((0, 2)),
-        fiber_box=_centered_box(2, half_width),
-        kind="group",
-        inverse=inverse,
-        product_solver=solver,
-        product_w_jacobian=w_jacobian,
-        exact_structure=_ax_plus_b_structure,
-        params={"half_width": half_width},
-    )
+    product = [["+", "v1", "w1"], ["+", "v2", ["*", ["exp", "v1"], "w2"]]]
+    return _builtin("ax_plus_b", "group", [], product, half_width)
 
 
 BUILTIN_CHARTS = {
@@ -519,14 +414,18 @@ def builtin_chart(name: str, **params) -> GroupoidChart:
     return BUILTIN_CHARTS[name](**params)
 
 
-def chart_from_spec(spec: dict) -> GroupoidChart:
+def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     """Build a chart from the JSON description used in config files.
 
     Required keys: ``name``, ``base_dim``, ``fiber_dim``, ``source_map`` (list
     of ``base_dim`` expression trees in u, v), ``product`` (list of
     ``fiber_dim`` trees in u, v, w), ``base_box``, ``fiber_box``.  Optional:
-    ``inverse`` (list of trees in u, v) and ``unit_weight`` (tree in u,
-    default 1).  ``product_w_jacobian`` compiles the product's derivative trees.
+    ``inverse`` (list of trees in u, v), ``unit_weight`` (tree in u, or a
+    callable; default 1) and ``kind``.  ``product_w_jacobian`` compiles the
+    product's derivative trees, and ``product_solver`` is the forward
+    substitution of :func:`groupoidlab.expressions.compile_solver` where the
+    product is affine and lower triangular in w, else None (Newton).
+    ``params`` default to ``{"spec": "custom"}``; the built-ins pass theirs.
     """
     n = int(spec["base_dim"])
     m = int(spec["fiber_dim"])
@@ -539,14 +438,14 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
 
     source_fn = compile_vector(source_exprs, n, m, slots="uv")
     product_fn = compile_vector(product_exprs, n, m, slots="uvw")
-    w_trees = [derivative(p, f"w{l + 1}") for p in product_exprs for l in range(m)]
-    jacobian_fn = compile_vector(w_trees, n, m, slots="uvw")
+    jacobian = [[derivative(p, f"w{l + 1}") for l in range(m)] for p in product_exprs]
+    # compiled on first use: only the Haar density and Newton read it
+    entries = [d for row in jacobian for d in row]
+    jacobian_fn = functools.cache(lambda: compile_vector(entries, n, m, slots="uvw"))
 
     def w_jacobian(u, v, w):
-        flat = jacobian_fn(u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float))
+        flat = jacobian_fn()(u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float))
         return flat.reshape(flat.shape[:-1] + (m, m))
-
-    weight = _resolve_weight(spec.get("unit_weight"), n)
 
     inverse_fn = None
     if "inverse" in spec:
@@ -565,10 +464,11 @@ def chart_from_spec(spec: dict) -> GroupoidChart:
             u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float), out=out
         ),
         product_w_jacobian=w_jacobian,
-        unit_weight=weight,
+        unit_weight=_resolve_weight(spec.get("unit_weight"), n),
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),
         fiber_box=np.asarray(spec["fiber_box"], dtype=float).reshape(m, 2),
         kind=str(spec.get("kind", "custom")),
         inverse=inverse_fn,
-        params={"spec": "custom"},
+        product_solver=compile_solver(product_exprs, jacobian, n, m),
+        params={"spec": "custom"} if params is None else params,
     )

@@ -61,14 +61,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .charts import GroupoidChart, _in_box, _sample_box
+from .charts import GroupoidChart, _in_box, _sample_box, solve_product
 from .config import deformation_domain_problems
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GroupoidLabError,
-    SingularJacobianError,
-)
+from .errors import DomainError, GroupoidLabError, SingularJacobianError
 from .grids import GridSpec, SampledSymbol, scale_of
 from .poisson import TWO_PI_I, poisson_bracket
 from .symbols import SymbolSpec
@@ -84,72 +79,6 @@ Operand = Union[SymbolSpec, SampledSymbol]
 _BLOCK_POINTS = 1 << 16
 
 
-def _product_residual(chart: GroupoidChart, u, v, w, target, out: np.ndarray) -> np.ndarray:
-    """``product(u, v, w) - target``, written into the caller's ``out``."""
-    chart.product(u, v, w, out=out)
-    out -= target
-    return out
-
-
-def solve_product(
-    chart: GroupoidChart,
-    u,
-    v,
-    target,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    *,
-    out=None,
-    residual=None,
-) -> np.ndarray:
-    """Solve ``product(u, v, w) = target`` for ``w`` (batched).
-
-    Uses the chart's closed-form solver when present, otherwise Newton on its
-    exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
-    checked: the closed form's residual, Newton's until it is below ``tol``.
-    ``out`` receives ``w`` and ``residual`` the residual, both float64 arrays
-    of the broadcast batch shape times ``fiber_dim``; a caller that solves
-    many blocks of one shape passes its own.  Raises ConvergenceError,
-    SingularJacobianError or DomainError (iterate left the fiber box).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    target = np.asarray(target, dtype=float)
-    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]) + (chart.fiber_dim,)
-    if out is None:
-        out = np.empty(shape)
-    if residual is None:
-        residual = np.empty(shape)
-    if chart.product_solver is not None:
-        w = chart.product_solver(u, v, target, out=out)
-        _product_residual(chart, u, v, w, target, residual)
-        worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
-        if worst > tol:
-            raise ConvergenceError(
-                f"closed-form product solver violates its contract: residual {worst:.3e}"
-            )
-        return w
-
-    w = np.subtract(target, v, out=out)
-    for _ in range(max_iter):
-        _product_residual(chart, u, v, w, target, residual)
-        worst = float(np.max(np.abs(residual))) if residual.size else 0.0
-        if worst <= tol:
-            return w
-        jac = chart.product_w_jacobian(u, v, w)
-        try:
-            step = np.linalg.solve(jac, residual[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian in product solve: {exc}")
-        w -= step
-        if not np.all(_in_box(w, chart.fiber_box)):
-            raise DomainError("Newton iterate for the product solve left the fiber box")
-    raise ConvergenceError(
-        f"product solve did not reach {tol:.1e} in {max_iter} iterations "
-        f"(residual {worst:.3e})"
-    )
-
-
 def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     """Chart density of the left-invariant fiber measure (see module docs).
 
@@ -163,7 +92,7 @@ def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     zeros = np.zeros_like(v)
     jac = chart.product_w_jacobian(u, v, zeros)
     det = np.abs(np.linalg.det(jac))
-    if det.size and float(np.min(det)) < 1e-13:
+    if det.size and not float(np.min(det)) >= 1e-13:
         raise SingularJacobianError("product Jacobian is singular at the unit section")
     return mu / det
 
@@ -360,8 +289,8 @@ def deformed_product(
     symbols and by multilinear interpolation for sampled ones; a real ``g0``
     is evaluated in float64.  The output is complex, sampled on ``grid``.
     Workers only run the fixed blocks of output nodes on threads; results
-    are identical at any worker count and, with a closed-form product solver,
-    at any block size.
+    are identical at any worker count and, with a ``product_solver`` (every
+    chart affine and triangular in w), at any block size.
     """
     (values,) = _deformed_products(chart, grid, [(f0, g0)], t, workers)
     return SampledSymbol(values=values.reshape(grid.shape), grid=grid)

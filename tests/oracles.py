@@ -97,6 +97,17 @@ def kernel_composition_additive(f0, g0, xs, xis, z_span=12.0, z_count=961):
     return out
 
 
+def structure_constants_exact(name: str):
+    """``c[i, j, k]`` with ``[e_i, e_j] = sum_k c[i, j, k] e_k`` of the built-in group ``name``.
+
+    Heisenberg: ``[e1, e2] = e3``; ax+b: ``[e1, e2] = e2``.
+    """
+    m, (i, j, k) = {"heisenberg": (3, (0, 1, 2)), "ax_plus_b": (2, (0, 1, 1))}[name]
+    c = np.zeros((m, m, m))
+    c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return c
+
+
 def corrupted_associativity_defect(v: float, w: float, z: float) -> float:
     """Associativity defect of p(v, w) = v + w + 0.01 v^2 w at one triple."""
     p = lambda a, b: a + b + 0.01 * a * a * b

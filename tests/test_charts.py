@@ -117,6 +117,55 @@ def test_maps_write_coordinate_major_points_into_out(name, params):
     assert out.tobytes() == np.broadcast_to(chart.product(u, v, w), shape).tobytes()
 
 
+def _one_chart(product, fiber_dim=2):
+    return gl.chart_from_spec(
+        {
+            "name": "probe",
+            "base_dim": 0,
+            "fiber_dim": fiber_dim,
+            "source_map": [],
+            "product": product,
+            "base_box": [],
+            "fiber_box": [[-4.0, 4.0]] * fiber_dim,
+        }
+    )
+
+
+def test_the_solver_is_derived_only_for_affine_lower_triangular_products():
+    for name, params in ALL_BUILTINS:
+        assert gl.builtin_chart(name, **params).product_solver is not None
+    assert corrupted_chart().product_solver is not None  # 1 + 0.01 v1^2 on the diagonal
+    cubic = [["+", "v1", "w1", ["*", 0.4, "w1", "w1", "w1"]]]
+    assert _one_chart(cubic, fiber_dim=1).product_solver is None  # not affine: Newton
+    upper = [["+", "v1", "w1", "w2"], ["+", "v2", "w2"]]
+    assert _one_chart(upper).product_solver is None  # upper triangular: Newton
+    lower = [["+", "v1", "w1"], ["+", "v2", "w2", ["*", 3.0, "v1", "w1"]]]
+    assert _one_chart(lower).product_solver is not None
+
+
+def test_the_derived_solver_multiplies_by_the_reciprocal_diagonal():
+    # ax+b: J_22 = exp(v1), so w2 = (t2 - v2) * exp(-v1), the closed form bit for bit
+    chart = gl.builtin_chart("ax_plus_b")
+    rng = np.random.default_rng(4)
+    v, target = rng.uniform(-1.5, 1.5, (2, 50, 2))
+    w = chart.product_solver(np.zeros((50, 0)), v, target)
+    assert w[:, 0].tobytes() == (target[:, 0] - v[:, 0]).tobytes()
+    assert w[:, 1].tobytes() == ((target[:, 1] - v[:, 1]) * np.exp(-v[:, 0])).tobytes()
+
+
+def test_the_derived_solver_reads_no_unsolved_coordinate():
+    # 0 * w2 has the constant 0.0 as its derivative but still reads w2: a
+    # NaN-filled, reused out must not leak into w1
+    chart = _one_chart([["+", "v1", "w1", ["*", 0.0, "w2"]], ["+", "v2", ["*", ["exp", "v1"], "w2"]]])
+    rng = np.random.default_rng(9)
+    u, v, target = np.zeros((6, 0)), rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
+    out = np.moveaxis(np.full((2, 6), np.nan), 0, -1)
+    for _ in range(2):
+        w = gl.solve_product(chart, u, v, target, out=out)
+        assert w is out and np.all(np.isfinite(w))
+        np.testing.assert_allclose(w[:, 0], target[:, 0] - v[:, 0], rtol=1e-15)
+
+
 def test_compose_deterministic(pair1):
     args = (np.array([0.11]), np.array([0.23]), np.array([-0.37]))
     first = gl.compose(pair1, *args)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,41 @@ def test_deform_measures_against_the_bracket_under_the_unit_weight(tmp_path):
     rows = json.loads((out / "deform_summary.json").read_text())["results"]["rows"]
     ratios = [row[2] for row in rows[1:]]
     assert len(ratios) == 2 and all(0.35 <= r <= 0.65 for r in ratios), ratios
+
+
+def _custom_line_group(product) -> dict:
+    """A deform config on the 1-d custom chart with the given product tree; t v1 reaches 1."""
+    chart = {"name": "line", "base_dim": 0, "fiber_dim": 1, "source_map": [], "product": [product]}
+    chart.update(unit_weight=1.0, base_box=[], fiber_box=[[-4.0, 4.0]])
+    return {
+        "chart": {"custom": chart},
+        "grid": {"base": [], "fiber": [{"half_width": 2.0, "intervals": 8}]},
+        "symbols": {"f": [{"xi_widths": [1.0]}], "g": [{"xi_powers": [1], "xi_widths": [1.0]}]},
+        "t_values": [0.5, 0.25, 0.125],
+    }
+
+
+@pytest.mark.parametrize(
+    "product, message",
+    [
+        # d p / d w1 = 1 - v1 vanishes at v1 = 1
+        (["+", "v1", "w1", ["*", -1.0, "v1", "w1"]], "singular at the unit section"),
+        # d p / d w1 = v1 / v1 is 0/0 at v1 = 0: a NaN density
+        (["+", "v1", ["*", "w1", ["/", "v1", "v1"]]], "singular at the unit section"),
+        # d p / d w1 = 1 + exp(1000 v1) overflows, so the solved w times it is inf * 0
+        (["+", "v1", ["*", ["+", 1.0, ["exp", ["*", 1000.0, "v1"]]], "w1"]], "violates its contract: residual nan"),
+    ],
+)
+def test_a_singular_or_non_finite_product_solve_exits_1(product, message, tmp_path, capsys):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(_custom_line_group(product)))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["deform", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "computation failed: " in err and message in err, err
+    assert "Traceback" not in err
 
 
 def test_non_finite_summary_value_fails_without_traceback(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import groupoidlab as gl
 from groupoidlab import deformation
-from groupoidlab.errors import ConvergenceError, GroupoidLabError
+from groupoidlab.errors import ConvergenceError, GroupoidLabError, SingularJacobianError
 
 from conftest import CUSTOM_AX_PLUS_B
 from oracles import (
@@ -35,6 +35,7 @@ def test_solve_product_heisenberg_contract(heisenberg):
 
 
 def test_newton_matches_closed_form(heisenberg):
+    assert heisenberg.product_solver is not None  # forward substitution from the product's trees
     newton_chart = replace(heisenberg, product_solver=None)
     rng = np.random.default_rng(5)
     v = rng.uniform(-1.5, 1.5, (50, 3))
@@ -91,7 +92,8 @@ def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin):
     # the derivative trees give the built-in chart's closed-form Jacobian, entry
     # [..., i, l] = d product_i / d w_l, so one Newton step lands and the second
     # iteration only confirms the residual
-    custom, reference = gl.chart_from_spec(spec), gl.builtin_chart(builtin)
+    custom = replace(gl.chart_from_spec(spec), product_solver=None)  # Newton, not forward substitution
+    reference = gl.builtin_chart(builtin)
     rng = np.random.default_rng(8)
     u = np.zeros((200, 0))
     v, w = rng.uniform(-1.0, 1.0, (2, 200, custom.fiber_dim))
@@ -99,6 +101,56 @@ def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin):
     target = custom.product(u, v, w)
     got = gl.solve_product(custom, u, v, target, max_iter=2)
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
+
+
+# w1 = (target - v1) / (1 - v1): the diagonal of the w-Jacobian vanishes at v1 = 1
+SINGULAR_AT_V1_ONE = {
+    "name": "singular_at_v1_one",
+    "base_dim": 0,
+    "fiber_dim": 1,
+    "source_map": [],
+    "product": [["+", "v1", "w1", ["*", -1.0, "v1", "w1"]]],
+    "unit_weight": 1.0,
+    "base_box": [],
+    "fiber_box": [[-4.0, 4.0]],
+}
+
+
+def test_a_vanishing_diagonal_raises_singular_jacobian():
+    chart = gl.chart_from_spec(SINGULAR_AT_V1_ONE)
+    assert chart.product_solver is not None
+    u, v, target = np.zeros((2, 0)), np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]])
+    for solver in (chart, replace(chart, product_solver=None)):  # forward substitution, Newton
+        with pytest.raises(SingularJacobianError):
+            gl.solve_product(solver, u, v, target)
+    np.testing.assert_allclose(gl.solve_product(chart, u[:1], v[:1], target[:1]), [[1.0]], rtol=1e-15)
+
+
+def test_a_closed_form_solver_returning_nan_fails_its_contract(pair1):
+    nan_solver = lambda u, v, target, *, out=None: np.full(np.broadcast_shapes(np.shape(v), np.shape(target)), np.nan)
+    chart = replace(pair1, product_solver=nan_solver)
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        gl.solve_product(chart, np.zeros((3, 1)), np.zeros((3, 1)), np.ones((3, 1)))
+
+
+def test_haar_density_rejects_a_nan_jacobian():
+    # d p / d w1 = v1 / v1 is 0/0 at the unit section's v1 = 0
+    spec = dict(SINGULAR_AT_V1_ONE, product=[["+", "v1", ["*", "w1", ["/", "v1", "v1"]]]])
+    chart = gl.chart_from_spec(spec)
+    with np.errstate(invalid="ignore"), pytest.raises(SingularJacobianError):
+        gl.haar_density(chart, np.zeros((3, 0)), np.array([[-0.5], [0.0], [0.5]]))
+
+
+@pytest.mark.parametrize("spec, builtin", [(CUSTOM_HEISENBERG, "heisenberg"), (CUSTOM_AX_PLUS_B, "ax_plus_b")])
+def test_custom_specs_give_the_builtins_scaled_commutator_bitwise(spec, builtin, request):
+    # one chart implementation: the built-ins are specs too, solved by the same forward substitution
+    half_width = spec["fiber_box"][0][1]
+    field = _commutator_case("heisenberg" if builtin == "heisenberg" else "custom_ax_plus_b", request)
+    custom = replace(field, chart=gl.chart_from_spec(spec))
+    reference = replace(field, chart=gl.builtin_chart(builtin, half_width=half_width))
+    t = field.t_values[1]
+    got = gl.scaled_commutator(custom, t).values
+    assert got.tobytes() == gl.scaled_commutator(reference, t).values.tobytes()
 
 
 # -- haar density ---------------------------------------------------------------
@@ -243,8 +295,8 @@ def _commutator_case(name, request):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "custom_ax_plus_b"])
 def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, request):
-    # both orderings read one transport per t (closed form on heisenberg, Newton
-    # on the custom chart); the values are those of two separate products, bit for bit
+    # both orderings read one transport per t; the values are those of two
+    # separate products, bit for bit
     field = _commutator_case(chart_name, request)
     t = field.t_values[0]
     fg = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, t, workers=workers)
@@ -259,17 +311,14 @@ def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, req
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
 def test_block_size_does_not_change_the_product(chart_name, workers, budget, request, monkeypatch):
-    # every node sum runs over the same contiguous row whatever the blocks; Newton
-    # on the custom chart stops on the worst point of a block, so it agrees to roundoff
+    # every node sum runs over the same contiguous row whatever the blocks, and
+    # forward substitution solves each point on its own
     field = _commutator_case(chart_name, request)
     t = field.t_values[1]
     default = gl.scaled_commutator(field, t, workers=workers).values
     monkeypatch.setattr(deformation, "_BLOCK_POINTS", budget)
     blocked = gl.scaled_commutator(field, t, workers=workers).values
-    if chart_name == "custom_ax_plus_b":
-        assert np.max(np.abs(blocked - default)) <= 1e-12 * gl.scale_of(default)
-    else:
-        assert blocked.tobytes() == default.tobytes()
+    assert blocked.tobytes() == default.tobytes()
 
 
 @pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])

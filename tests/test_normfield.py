@@ -315,7 +315,7 @@ def test_group_regular_norm_matches_per_node_oracle(chart_name, rel, request):
     "chart_name, intervals, half_width, t",
     [
         ("ax_plus_b", (24, 24), 3.5, 0.2),  # 7 row blocks
-        ("custom_ax_plus_b", (16, 16), 3.0, 0.2),  # 2 row blocks, Newton
+        ("custom_ax_plus_b", (16, 16), 3.0, 0.2),  # 2 row blocks
         ("heisenberg", (6, 6, 6), 4.0, 0.3),  # 4 row blocks
     ],
 )

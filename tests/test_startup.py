@@ -30,10 +30,10 @@ def _modules_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _run_command(command: str, config: str) -> str:
+def _run_command(command: str, config: str, code: int = 0) -> str:
     return (
         "from groupoidlab.cli import main\n"
-        f"assert main([{command!r}, '--config', {str(CONFIGS / config)!r}]) == 0\n"
+        f"assert main([{command!r}, '--config', {str(CONFIGS / config)!r}]) == {code}\n"
     )
 
 
@@ -56,6 +56,12 @@ def test_validate_loads_no_bracket_deformation_or_norm_layer():
     loaded = _modules_after(_run_command("validate", "heisenberg_validate.json"))
     assert "groupoidlab.charts" in loaded
     assert not loaded & {"groupoidlab.poisson", "groupoidlab.deformation", "groupoidlab.normfield"}
+
+
+def test_validate_on_a_custom_chart_without_an_inverse_loads_no_command_layer():
+    # its inverse law runs the product solve, which lives in charts
+    loaded = _modules_after(_run_command("validate", "corrupted_validate.json", code=1))
+    assert not loaded & {f"groupoidlab.{layer}" for layer in LAYERS}
 
 
 def test_deform_loads_no_norm_layer():

@@ -70,15 +70,15 @@ _EXPORTS = {
         "zero_fiber_norm",
     ),
     "poisson": (
+        "FourierCheck",
         "IntertwiningResult",
-        "convolution_theorem_residual",
         "dual_poisson_bracket",
         "fiber_convolve",
+        "fourier_check",
         "fourier_transform",
         "intertwining_residual",
         "inverse_fourier",
         "poisson_bracket",
-        "roundtrip_residual",
         "select_dual_grid",
         "unit_weight_on_grid",
     ),

@@ -103,16 +103,9 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
         forward.values, backward.values
     )
 
-    base_pts = grid.base_points_flat()
-    fiber_pts = grid.fiber_points_flat()
     header = [f"x_{j + 1}" for j in range(grid.base_dim)]
     header += [f"xi_{i + 1}" for i in range(grid.fiber_dim)]
     header += ["real", "imag"]
-    K, H = base_pts.shape[0], fiber_pts.shape[0]
-    values = forward.values.reshape(-1)
-    rows = np.column_stack(
-        (np.repeat(base_pts, H, 0), np.tile(fiber_pts, (K, 1)), values.real, values.imag)
-    )
     bundle = ReportBundle(
         command="bracket",
         summary={
@@ -124,25 +117,19 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
     bundle.checks = [
         Check("antisymmetry", antisym <= tol.antisymmetry, antisym, tol.antisymmetry)
     ]
-    bundle.table = (header, rows)
+    values = forward.values.reshape(-1)
+    nodes = [ax.nodes for ax in grid.base + grid.fiber]
+    bundle.table = (header, np.column_stack((values.real, values.imag)), nodes)
     return bundle
 
 
 def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
-    from .poisson import (
-        convolution_theorem_residual,
-        intertwining_residual,
-        is_unit_weight,
-        roundtrip_residual,
-        unit_weight_on_grid,
-    )
+    from .poisson import fourier_check
 
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    mu = unit_weight_on_grid(chart, grid)
-    f, g = config.symbols["f"], config.symbols["g"]
-    roundtrip = roundtrip_residual(f, grid, mu)
-    convtheo = convolution_theorem_residual(f, g, grid, mu)
+    result = fourier_check(config.symbols["f"], config.symbols["g"], chart, grid, config.fd_step)
+    roundtrip, convtheo = result.roundtrip, result.convolution_theorem
     checks = [
         Check("roundtrip", roundtrip <= tol.roundtrip, roundtrip, tol.roundtrip),
         Check(
@@ -155,19 +142,19 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
     summary = {"roundtrip_residual": roundtrip, "convolution_theorem_residual": convtheo}
     rows = [["roundtrip", roundtrip], ["convolution_theorem", convtheo]]
 
-    if is_unit_weight(mu):
-        result = intertwining_residual(f, g, chart, grid, config.fd_step)
-        summary["intertwining_residual"] = result.residual
-        summary["selected_signs"] = list(result.signs)
+    intertwining = result.intertwining
+    if intertwining is not None:
+        summary["intertwining_residual"] = intertwining.residual
+        summary["selected_signs"] = list(intertwining.signs)
         checks.append(
             Check(
                 "intertwining",
-                result.residual <= tol.intertwining,
-                result.residual,
+                intertwining.residual <= tol.intertwining,
+                intertwining.residual,
                 tol.intertwining,
             )
         )
-        rows.append(["intertwining", result.residual])
+        rows.append(["intertwining", intertwining.residual])
     else:
         summary["intertwining_residual"] = None
         summary["selected_signs"] = None
@@ -329,7 +316,7 @@ def run_command(
         table = getattr(bundle, "table", None)
         if table is not None:
             csv_path = out / f"{stem}.csv"
-            write_csv(csv_path, table[0], table[1])
+            write_csv(csv_path, *table)
             bundle.files.append(str(csv_path))
         plot_spec = getattr(bundle, "plot", None)
         if plot and plot_spec is not None:

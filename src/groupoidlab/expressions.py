@@ -186,12 +186,21 @@ def derivative(tree, name: str):
     ``(n' - (n / m) * m') / m``, so every denominator of a derivative tree is
     one of ``tree``'s: the derivative of every tree that compiles compiles.
     """
-    if not _tree_uses(tree, name):
-        return 0.0
+    result = _derivative(tree, name)
+    return 0.0 if result is None else result
+
+
+def _derivative(tree, name: str):
+    """:func:`derivative`, or None where ``tree`` is free of ``name``: each subtree is visited once."""
     if isinstance(tree, str):
-        return 1.0
+        return 1.0 if _tree_uses(tree, name) else None
+    if not isinstance(tree, (list, tuple)):
+        return None
     op, args = tree[0], list(tree[1:])
-    d = [derivative(a, name) for a in args]
+    d = [_derivative(a, name) for a in args]
+    if all(dk is None for dk in d):
+        return None
+    d = [0.0 if dk is None else dk for dk in d]
     if op == "neg" or (op == "-" and len(d) == 1):
         return _neg(d[0])
     if op in ("+", "-"):

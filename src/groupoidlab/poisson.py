@@ -27,6 +27,7 @@ intertwining tests:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -36,7 +37,7 @@ import numpy as np
 from .algebroid import DEFAULT_FD_STEP, AlgebroidData, extract_algebroid
 from .charts import GroupoidChart
 from .errors import DecayWarning, GridMismatchError, GroupoidLabError
-from .grids import GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
+from .grids import Axis, GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
 
 TWO_PI_I = 2j * np.pi
@@ -116,14 +117,21 @@ def _check_base_axes(a: GridSpec, b: GridSpec):
         raise GridMismatchError("grids disagree on base axes")
 
 
+@functools.lru_cache(maxsize=8)
+def _axis_kernel(src: Axis, dst: Axis, sign: float) -> np.ndarray:
+    """``exp(sign 2 pi i dst_r src_c)`` times the ``src`` weights; read-only, as callers share it."""
+    phase = sign * TWO_PI_I * np.outer(dst.nodes, src.nodes)
+    kernel = np.exp(phase) * src.trapezoid_weights()
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _fiber_transform(values: np.ndarray, src: GridSpec, dst: GridSpec, sign: float) -> np.ndarray:
     """Apply the kernel ``exp(sign 2 pi i <dst, src>)`` times the ``src`` weights, axis by axis."""
     nb = src.base_dim
     vals = values.astype(complex)
     for k in range(src.fiber_dim):
-        src_ax, dst_ax = src.fiber[k], dst.fiber[k]
-        phase = sign * TWO_PI_I * np.outer(dst_ax.nodes, src_ax.nodes)
-        kernel = np.exp(phase) * src_ax.trapezoid_weights()
+        kernel = _axis_kernel(src.fiber[k], dst.fiber[k], sign)
         moved = np.moveaxis(vals, nb + k, -1)
         vals = np.moveaxis(moved @ kernel.T, -1, nb + k)
     return vals
@@ -164,7 +172,9 @@ def select_dual_grid(
 
     Returns the dual grid and the transforms of ``sampled`` on it, in order;
     the decay check computes them anyway, so callers reuse them rather than
-    transforming again.
+    transforming again.  :func:`fourier_check` passes every symbol it
+    transforms (f, g, their convolution and their bracket) in one call, so
+    the check covers them all.
 
     The conjugate grid already spans every frequency the primal sampling can
     represent (the discrete transform is periodic beyond it), so no widening
@@ -365,7 +375,7 @@ def dual_poisson_bracket(
 
 
 # ---------------------------------------------------------------------------
-# intertwining check
+# the fourier-check: round trip, convolution theorem, intertwining
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -373,6 +383,54 @@ class IntertwiningResult:
     residual: float
     signs: tuple[float, float]
     per_sign: dict
+
+
+@dataclass(frozen=True)
+class FourierCheck:
+    """Residuals of :func:`fourier_check`; ``intertwining`` is None where the unit weight is not 1."""
+
+    roundtrip: float
+    convolution_theorem: float
+    intertwining: IntertwiningResult | None
+
+
+def fourier_check(
+    f: SymbolSpec,
+    g: SymbolSpec,
+    chart: GroupoidChart,
+    grid: GridSpec,
+    fd_step: float = DEFAULT_FD_STEP,
+) -> FourierCheck:
+    """Transform conventions checked on ``f`` and ``g`` with the unit weight of ``chart``.
+
+    * round trip: the inverse transform of ``F f`` against ``f``;
+    * convolution theorem: ``F (f * g)`` against ``F f F g``;
+    * intertwining, on a chart whose unit weight is the constant 1
+      (:func:`is_unit_weight`): the transformed bracket against the
+      dual-side bracket, see :func:`intertwining_residual`.
+
+    Each residual is a relative sup mismatch.  f, g, their convolution and
+    (with unit weight) their bracket are sampled once and transformed once,
+    together by :func:`select_dual_grid`, so its decay check sees all four;
+    the round trip adds one inverse transform.
+    """
+    mu = unit_weight_on_grid(chart, grid)
+    fs = eval_symbol(f, grid, name="f")
+    gs = eval_symbol(g, grid, name="g")
+    sampled = [fs, gs, fiber_convolve(fs, gs, mu)]
+    data = None
+    if is_unit_weight(mu):
+        data = extract_algebroid(chart, grid.base_points_flat(), fd_step)
+        sampled.append(_bracket(f, g, data, grid, mu))
+    _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
+    Ff, Fg, Fconv = transforms[:3]
+
+    back = inverse_fourier(Ff, mu, grid)
+    roundtrip = float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
+    product = Ff.values * Fg.values
+    convolution = float(np.max(np.abs(Fconv.values - product))) / scale_of(Fconv.values, product)
+    intertwining = None if data is None else _intertwining(Ff, Fg, transforms[3], data)
+    return FourierCheck(roundtrip, convolution, intertwining)
 
 
 def intertwining_residual(
@@ -391,24 +449,22 @@ def intertwining_residual(
     minimizing pair; callers compare the pair across symbol pairs and charts.
     Raises GroupoidLabError when no orientation gives a finite mismatch.
 
-    ``f``, ``g`` and their bracket are transformed once, by
-    :func:`select_dual_grid`.  The dual-side derivatives are taken once too;
-    each orientation only recombines the unsigned anchor and
-    structure-constant parts.
+    Computed by :func:`fourier_check`, with the other two residuals of the
+    command.  The dual-side derivatives are taken once; each orientation
+    only recombines the unsigned anchor and structure-constant parts.
     """
-    mu = unit_weight_on_grid(chart, grid)
-    if not is_unit_weight(mu):
+    result = fourier_check(f, g, chart, grid, fd_step).intertwining
+    if result is None:
         raise GroupoidLabError("intertwining check requires unit weight == 1")
+    return result
 
-    fs = eval_symbol(f, grid, name="f")
-    gs = eval_symbol(g, grid, name="g")
-    data = extract_algebroid(chart, grid.base_points_flat(), fd_step)
-    bracket = _bracket(f, g, data, grid, mu)
 
-    _, (Ff, Fg, Fbracket) = select_dual_grid(grid, [fs, gs, bracket], mu_on_base=mu)
+def _intertwining(
+    Ff: SampledSymbol, Fg: SampledSymbol, Fbracket: SampledSymbol, data: AlgebroidData
+) -> IntertwiningResult:
+    """:func:`intertwining_residual` from the transforms of f, g and their bracket."""
     lhs = Fbracket.values
     parts = _dual_bracket_parts(Ff, Fg, data)
-
     per_sign = {}
     best_signs = None
     best = np.inf
@@ -422,28 +478,3 @@ def intertwining_residual(
     if best_signs is None:
         raise GroupoidLabError("intertwining residual is not finite for any sign pair")
     return IntertwiningResult(residual=best, signs=best_signs, per_sign=per_sign)
-
-
-# ---------------------------------------------------------------------------
-# convention checks used by the fourier-check command
-# ---------------------------------------------------------------------------
-
-def roundtrip_residual(f: SymbolSpec, grid: GridSpec, mu_on_base=None) -> float:
-    fs = eval_symbol(f, grid)
-    mu = _mu_base(mu_on_base, grid)
-    _, (F,) = select_dual_grid(grid, [fs], mu_on_base=mu)
-    back = inverse_fourier(F, mu, grid)
-    return float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
-
-
-def convolution_theorem_residual(
-    f: SymbolSpec, g: SymbolSpec, grid: GridSpec, mu_on_base=None
-) -> float:
-    fs = eval_symbol(f, grid)
-    gs = eval_symbol(g, grid)
-    mu = _mu_base(mu_on_base, grid)
-    conv = fiber_convolve(fs, gs, mu)
-    _, (Ff, Fg, Fconv) = select_dual_grid(grid, [fs, gs, conv], mu_on_base=mu)
-    lhs = Fconv.values
-    rhs = Ff.values * Fg.values
-    return float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)

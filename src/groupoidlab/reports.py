@@ -11,6 +11,7 @@ instead.  SVG plots are in :mod:`groupoidlab.plots`, loaded only under
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,25 +45,42 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` (lists, or a 2-D array) as CSV lines.
+def write_csv(path: Path, header: list[str], rows, nodes=()) -> None:
+    """Write ``rows`` (lists, or a 2-D float array) as CSV lines.
 
-    A 2-D float array is written in blocks of ``_CSV_BLOCK_ROWS`` rows, each
+    A float array is written in blocks of ``_CSV_BLOCK_ROWS`` rows, each
     block formatted by one ``%`` operation with ``%.17g`` per cell: the same
     bytes as :func:`format_number`, without a Python call per cell, and
     without the whole file in memory at once.  Rows given as lists (which
     may hold strings, bools and ints) go through :func:`format_number`.
+
+    ``nodes`` (1-D float arrays, one per axis) puts coordinate columns before
+    the cells of a float array: row r holds the r-th node of the axes'
+    product grid in C order.  Each node is formatted once; a block joins
+    those strings into its rows, so only the array's cells are formatted per
+    row.
     """
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-                block = rows[start : start + _CSV_BLOCK_ROWS]
-                handle.write((line * len(block)) % tuple(block.ravel().tolist()))
+        if nodes or (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
+            for text in _float_blocks(rows, nodes):
+                handle.write(text)
             return
         for row in rows:
             handle.write(",".join(format_number(cell) for cell in row) + "\n")
+
+
+def _float_blocks(rows: np.ndarray, nodes):
+    """The CSV text of a float array after the coordinate columns of ``nodes``, block by block."""
+    if nodes and len(rows) != math.prod(len(axis) for axis in nodes):
+        raise ValueError(f"{len(rows)} rows for a grid of {[len(axis) for axis in nodes]} nodes")
+    cells = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    axes = [["%.17g," % x for x in np.asarray(axis, dtype=float).tolist()] for axis in nodes]
+    coordinates = itertools.product(*axes) if axes else itertools.repeat(())
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        lines = ["".join(point) + cells for point in itertools.islice(coordinates, len(block))]
+        yield "".join(lines) % tuple(block.ravel().tolist())
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -115,7 +133,8 @@ def _json_number(x):
 class ReportBundle:
     """What a command produced: the summary payload, files written, verdict.
 
-    ``table`` is an optional ``(header, rows)`` pair for the CSV output and
+    ``table`` is an optional ``(header, rows)`` or ``(header, rows, nodes)``
+    tuple, the arguments of :func:`write_csv` for the CSV output, and
     ``plot`` an optional SVG description
     ``(stem, series, title, xlabel, ylabel, loglog)``.
     """

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import groupoidlab as gl
 from groupoidlab.cli import main, run_command
 from groupoidlab.errors import ConfigError
+from groupoidlab import reports
 from groupoidlab.reports import _CSV_BLOCK_ROWS, config_hash, format_number, write_csv
 
 from conftest import CUSTOM_AX_PLUS_B
@@ -279,6 +280,15 @@ def test_deform_strict_fails_on_the_decay_of_a_derived_symbol(tmp_path, capsys):
     assert "only decays to" in json.loads((tmp_path / "deform_error.json").read_text())["error"]
 
 
+def test_fourier_check_strict_fails_on_a_grid_too_coarse_for_the_symbols(capsys):
+    # heisenberg_fourier's grid does not resolve the decay of its symbols, their
+    # bracket samples or their transforms; a strict run fails on the first of these
+    path = str(CONFIGS / "heisenberg_fourier.json")
+    assert main(["fourier-check", "--config", path]) == 0
+    assert main(["fourier-check", "--config", path, "--strict"]) == 1
+    assert "computation failed:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, decay_ok", [("heisenberg_fourier", False), ("pair1_fourier", True)])
 def test_bracket_decay_ok_describes_the_written_bracket(name, decay_ok, tmp_path):
     # heisenberg_fourier's bracket is still 2.3e-6 of its peak at the grid edge
@@ -368,6 +378,42 @@ def test_float_table_blocks_write_the_bytes_of_format_number(edge, ncol, tmp_pat
     write_csv(tmp_path / "blocks.csv", header, table)
     write_csv(tmp_path / "cells.csv", header, table.tolist())
     written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "cells.csv").read_bytes()
+    assert written.count(b"\n") == rows + 1
+
+
+# (base node counts, fiber node counts): base dimension 0, 1 and 2 with 1-3 fiber axes
+GRID_TABLE_SHAPES = [
+    ((), (5,)), ((), (3, 5)), ((), (3, 5, 3)),
+    ((4,), (3,)), ((4,), (5, 3)), ((4,), (3, 3, 5)),
+    ((2, 3), (3,)), ((3, 2), (5, 3)), ((3, 2), (3, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@pytest.mark.parametrize("base, fiber", GRID_TABLE_SHAPES)
+def test_grid_table_writes_the_bytes_of_format_number(base, fiber, edge, tmp_path, monkeypatch):
+    # the bracket's grid table: coordinates written from each axis's nodes
+    # against the same table with every point repeated into its columns and
+    # written cell by cell; the block size is set one row around the table so
+    # that a short last block, an exact fit and one block too many are covered
+    grid = gl.GridSpec(
+        base=tuple(gl.Axis(-1.25 - k, 0.1 + k / 3, count) for k, count in enumerate(base)),
+        fiber=tuple(gl.Axis.centered(0.7 * (k + 1), count - 1) for k, count in enumerate(fiber)),
+    )
+    rows = int(np.prod(grid.shape))
+    monkeypatch.setattr(reports, "_CSV_BLOCK_ROWS", rows - edge)
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-300, 300, (rows, 2))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 1e-300, -1e300]
+    values.reshape(-1)[: len(special)] = special
+    values.reshape(-1)[-len(special) :] = special[::-1]
+    base_pts, fiber_pts = grid.base_points_flat(), grid.fiber_points_flat()
+    points = np.column_stack((np.repeat(base_pts, len(fiber_pts), 0), np.tile(fiber_pts, (len(base_pts), 1))))
+    header = [f"c{i}" for i in range(points.shape[1] + 2)]
+    write_csv(tmp_path / "grid.csv", header, values, [ax.nodes for ax in grid.base + grid.fiber])
+    write_csv(tmp_path / "cells.csv", header, np.column_stack((points, values)).tolist())
+    written = (tmp_path / "grid.csv").read_bytes()
     assert written == (tmp_path / "cells.csv").read_bytes()
     assert written.count(b"\n") == rows + 1
 

@@ -89,12 +89,16 @@ def test_fourier_real_even_input_gives_real_output():
     assert np.max(np.abs(F.values.imag)) <= 1e-12 * np.max(np.abs(F.values.real))
 
 
+LINE = gl.builtin_chart("abelian_bundle", n=0, m=1)
+
+
 def test_roundtrip_and_convolution_theorem_fine_grid():
     grid = grid_1d(half=8.0, intervals=256)
     f = gl.SymbolSpec.gaussian(0, 1)
     g = gl.SymbolSpec.gaussian(0, 1, xi_powers=[1], xi_widths=1.2)
-    assert gl.roundtrip_residual(f, grid) <= 1e-8
-    assert gl.convolution_theorem_residual(f, g, grid) <= 1e-6
+    result = gl.fourier_check(f, g, LINE, grid)
+    assert result.roundtrip <= 1e-8
+    assert result.convolution_theorem <= 1e-6
 
 
 def test_residuals_at_floor_across_refinement():
@@ -105,9 +109,9 @@ def test_residuals_at_floor_across_refinement():
     f = gl.SymbolSpec.gaussian(0, 1, xi_widths=2.5)
     g = gl.SymbolSpec.gaussian(0, 1, xi_widths=2.2)
     for intervals in (48, 96):
-        grid = grid_1d(half=6.0, intervals=intervals)
-        assert gl.roundtrip_residual(f, grid) <= 1e-13
-        assert gl.convolution_theorem_residual(f, g, grid) <= 1e-13
+        result = gl.fourier_check(f, g, LINE, grid_1d(half=6.0, intervals=intervals))
+        assert result.roundtrip <= 1e-13
+        assert result.convolution_theorem <= 1e-13
 
 
 def test_inverse_of_spike_has_constant_magnitude_and_positive_phase():

@@ -1,9 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import groupoidlab as gl
+from groupoidlab import charts
 from groupoidlab.errors import ConfigError
-from groupoidlab.expressions import compile_expression, compile_vector, derivative
+from groupoidlab.expressions import _fold, _neg, compile_expression, compile_vector, derivative
+
+from conftest import CUSTOM_AX_PLUS_B
+from test_deformation import CUSTOM_HEISENBERG, SINGULAR_AT_V1_ONE
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_constants_and_variables():
@@ -134,6 +144,75 @@ def test_derivative_rules():
     assert derivative(["-", "w02"], "w2") == ["neg", 1.0]
     # the quotient's derivative divides by the original denominator, never its square
     assert derivative(["/", 1.0, "w1"], "w1") == ["/", ["neg", ["/", 1.0, "w1"]], "w1"]
+
+
+def _rescanning_derivative(tree, name):
+    """The derivative rules with a scan of each subtree for ``name`` at every level."""
+
+    def uses(t):
+        if isinstance(t, str):
+            return t[:1] == name[:1] and int(t[1:]) == int(name[1:])
+        return isinstance(t, (list, tuple)) and any(uses(a) for a in t[1:])
+
+    if not uses(tree):
+        return 0.0
+    if isinstance(tree, str):
+        return 1.0
+    op, args = tree[0], list(tree[1:])
+    d = [_rescanning_derivative(a, name) for a in args]
+    if op == "neg" or (op == "-" and len(d) == 1):
+        return _neg(d[0])
+    if op in ("+", "-"):
+        return _fold("+", d if op == "+" else [d[0], _neg(d[1])])
+    if op == "*":
+        return _fold("+", [_fold("*", args[:k] + [dk] + args[k + 1 :]) for k, dk in enumerate(d)])
+    if op == "/":
+        return ["/", _fold("+", [d[0], _neg(_fold("*", [tree, d[1]]))]), args[1]]
+    outer = {"exp": tree, "sin": ["cos", args[0]], "cos": ["neg", ["sin", args[0]]]}[op]
+    return _fold("*", [outer, d[0]])
+
+
+CHART_BUILDS = {
+    "pair(1)": lambda: gl.builtin_chart("pair", n=1),
+    "pair(2)": lambda: gl.builtin_chart("pair", n=2),
+    "abelian_bundle(1,2)": lambda: gl.builtin_chart("abelian_bundle", n=1, m=2),
+    "heisenberg": lambda: gl.builtin_chart("heisenberg"),
+    "ax_plus_b": lambda: gl.builtin_chart("ax_plus_b"),
+    "custom_ax_plus_b": lambda: gl.chart_from_spec(CUSTOM_AX_PLUS_B),
+    "custom_heisenberg": lambda: gl.chart_from_spec(CUSTOM_HEISENBERG),
+    "singular_at_v1_one": lambda: gl.chart_from_spec(SINGULAR_AT_V1_ONE),
+    "corrupted_pair": lambda: gl.chart_from_spec(
+        json.loads((CONFIGS / "corrupted_validate.json").read_text())["chart"]["custom"]
+    ),
+    "cubic": lambda: gl.chart_from_spec(
+        dict(SINGULAR_AT_V1_ONE, product=[["+", "v1", "w1", ["*", 0.4, "w1", "w1", "w1"]]])
+    ),
+}
+
+
+@pytest.mark.parametrize("build", CHART_BUILDS.values(), ids=CHART_BUILDS)
+def test_chart_derivative_trees_match_the_rescanning_rules(build, monkeypatch):
+    # every w-Jacobian tree a chart build takes, built-in or spec, is the tree
+    # of the rules applied with a rescan of each subtree
+    taken = []
+    def spy(tree, name):
+        taken.append((tree, name))
+        return derivative(tree, name)
+
+    monkeypatch.setattr(charts, "derivative", spy)
+    build()
+    assert taken
+    for tree, name in taken:
+        assert derivative(tree, name) == _rescanning_derivative(tree, name)
+
+
+@given(
+    tree=trees(ops=("+", "-", "*", "/", "neg", "exp", "sin", "cos"), constants=st.sampled_from([0.0, 1.0, 2.5]))
+)
+@settings(max_examples=200, deadline=None)
+def test_derivative_trees_match_the_rescanning_rules(tree):
+    for name in ("u1", "v1", "w1"):
+        assert derivative(tree, name) == _rescanning_derivative(tree, name)
 
 
 def _complex_step(tree, point, name, h=2.0**-100):

@@ -240,11 +240,35 @@ def test_unit_weight_fourier_check_transforms_each_operand_once(monkeypatch):
         return transform(values, src, dst, sign)
 
     monkeypatch.setattr(poisson, "_fiber_transform", counted)
+    poisson._axis_kernel.cache_clear()
     assert main(["fourier-check", "--config", str(CONFIGS / "pair1_fourier.json")]) == 0
-    # round trip: f and its inverse; convolution theorem: f, g and f conv g;
-    # intertwining: f, g and the bracket
-    assert len(signs) == 8
+    # forward: f, g, f conv g and the bracket; inverse: the round trip of f
+    assert len(signs) == 5
     assert signs.count(1.0) == 1
+    # the one fiber axis's kernel is built once per sign and reused by the other transforms
+    assert poisson._axis_kernel.cache_info()[:2] == (3, 2)  # (hits, misses)
+
+
+def test_fourier_check_decay_check_sees_all_four_transforms(pair_setup, monkeypatch):
+    # select_dual_grid's boundary test reads the transforms of f, g, f conv g
+    # and the bracket, the ones the three residuals are computed from
+    chart, grid, mu = pair_setup
+    f, g = PAIR_SYMBOLS[0]
+    seen = []
+    boundary_fraction = poisson.boundary_fraction
+
+    def spy(values):
+        seen.append(values)
+        return boundary_fraction(values)
+
+    monkeypatch.setattr(poisson, "boundary_fraction", spy)
+    gl.fourier_check(f, g, chart, grid)
+    monkeypatch.undo()
+    fs, gs = gl.eval_symbol(f, grid), gl.eval_symbol(g, grid)
+    sampled = [fs, gs, gl.fiber_convolve(fs, gs, mu), gl.poisson_bracket(f, g, chart, grid)]
+    assert len(seen) == 4 and len({values.tobytes() for values in seen}) == 4
+    for values, symbol in zip(seen, sampled):
+        assert np.array_equal(values, gl.fourier_transform(symbol, mu, grid.dual()).values)
 
 
 def test_sampled_operand_grid_checked(pair_setup):

@@ -178,16 +178,12 @@ class _Transport:
         self._buffers = threading.local()
 
     def coefficient(self, f0: Operand) -> np.ndarray:
-        """``(K, H)`` complex coefficients ``f0 * rho * weight``; the left factor is read at nodes only.
-
-        Complex also for a real ``f0``: the regular-action norm scatters it into
-        a complex matrix, and a float addend takes ``np.add.at`` off its fast path.
-        """
+        """``(K, H)`` coefficients ``f0 * rho * weight``, in ``f0``'s dtype; ``f0`` is read at nodes only."""
         if isinstance(f0, SymbolSpec):
             values = f0.evaluate(self.base[:, 0], self.fiber_pts[None])
         else:
             values = f0.values.reshape(self.rho.shape)
-        return (values * self.rho * self.weights).astype(complex, copy=False)
+        return values * self.rho * self.weights
 
     def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """This thread's array ``name`` of ``shape``: the head of a flat buffer kept for later blocks."""
@@ -234,18 +230,21 @@ def _deformed_products(
     The output nodes go in blocks of about ``_BLOCK_POINTS`` transported
     points, ``K * H`` per node, so a block's points and symbol values stay in
     cache; each block is transported once and every pair reads it.  A real
-    ``g0`` is contracted with the real and the imaginary part of the
-    coefficient in two float64 einsums.  Each output value is one einsum sum
-    over the contiguous integration-node axis of one block row, which sums
-    with vector partial sums, not in node order; the row and so the sum are
-    the same whatever the blocks, so the values do not depend on the block
-    size or the worker count.
+    ``g0`` is contracted with the real and, for a complex ``f0``, the
+    imaginary part of the coefficient in float64 einsums.  Each output value
+    is one einsum sum over the contiguous integration-node axis of one block
+    row, which sums with vector partial sums, not in node order; the row and
+    so the sum are the same whatever the blocks, so the values do not depend
+    on the block size or the worker count.
     """
     transport = _Transport(chart, grid, t)
     K, H = transport.rho.shape
     sigma = _coordinate_major(chart.source_map(transport.base, transport.v_eta))  # (K, 1, H, n)
-    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) complex each
-    parts = [(c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)) for c in coeffs]
+    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) in each f0's dtype
+    parts = [
+        (c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag) if np.iscomplexobj(c) else None)
+        for c in coeffs
+    ]
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
     bounds = list(range(0, H, max(1, _BLOCK_POINTS // (K * H)))) + [H]
@@ -259,7 +258,8 @@ def _deformed_products(
                 out[:, start:stop] = np.einsum("kh,kah->ka", coeff, values, optimize=False)
             else:
                 out.real[:, start:stop] = np.einsum("kh,kah->ka", real, values, optimize=False)
-                out.imag[:, start:stop] = np.einsum("kh,kah->ka", imag, values, optimize=False)
+                if imag is not None:
+                    out.imag[:, start:stop] = np.einsum("kh,kah->ka", imag, values, optimize=False)
 
     blocks = range(len(bounds) - 1)
     if workers <= 1 or len(blocks) == 1:

@@ -294,42 +294,39 @@ def stencil_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray
     return out / step
 
 
-def interpolation_corners(axes, coords):
+def interpolation_corners(axes, coords, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Corners of multilinear interpolation on the node grid of ``axes``.
 
     ``coords`` holds one coordinate array per axis; their shapes broadcast to
-    a common batch shape.  Yields ``(flat_index, weight)`` corner by corner,
-    both of that batch shape: the C-order index of the corner node and its
-    interpolation weight, which is 0 where the corner lies outside the grid
-    (the index is then clamped into it).
+    a common batch shape.  Returns ``(flat_index, weight)`` of shape
+    ``(2^len(axes), *batch_shape)``, corner-major: the C-order index of the
+    corner node and its interpolation weight, which is 0 where the corner
+    lies outside the grid (the index is then clamped into it).  Corner ``c``
+    takes the upper node on axis ``k`` where bit ``k`` of ``c`` is set.  Each
+    axis's two index terms and two weights (0 outside) are computed once;
+    corner weights multiply them in axis order from 1.  ``out``, a pair of
+    arrays of that shape, receives the corners in place of new arrays.
     """
     batch_shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-    lows, fracs, valid_low, valid_high = [], [], [], []
-    for c, ax in zip(coords, axes):
+    shape = (1 << len(axes),) + batch_shape
+    index, weight = out if out is not None else (np.empty(shape, dtype=np.int64), np.empty(shape))
+    index[0], weight[0] = 0, 1.0
+    stride = int(np.prod([ax.count for ax in axes], dtype=np.int64))
+    for k, (c, ax) in enumerate(zip(coords, axes)):
+        stride //= ax.count
         tpos = (np.asarray(c, dtype=float) - ax.start) / ax.step
-        low = np.floor(tpos).astype(np.int64)
-        lows.append(low)
-        fracs.append(tpos - low)
-        valid_low.append((low >= 0) & (low <= ax.count - 1))
-        valid_high.append((low + 1 >= 0) & (low + 1 <= ax.count - 1))
-    counts = [ax.count for ax in axes]
-    strides = [int(np.prod(counts[k + 1 :], dtype=np.int64)) for k in range(len(axes))]
-
-    for corner in range(1 << len(axes)):
-        weight = np.ones(batch_shape, dtype=float)
-        index = np.zeros(batch_shape, dtype=np.int64)
-        ok = np.ones(batch_shape, dtype=bool)
-        for k in range(len(axes)):
-            if corner >> k & 1:
-                idx_k = lows[k] + 1
-                weight = weight * fracs[k]
-                ok = ok & valid_high[k]
-            else:
-                idx_k = lows[k]
-                weight = weight * (1.0 - fracs[k])
-                ok = ok & valid_low[k]
-            index = index + np.clip(idx_k, 0, counts[k] - 1) * strides[k]
-        yield index, np.where(ok, weight, 0.0)
+        low = np.floor(tpos)
+        frac = tpos - low
+        nodes = np.add.outer((0.0, 1.0), low).astype(np.int64)
+        terms = np.minimum(np.maximum(nodes, 0), ax.count - 1)
+        parts = np.where(nodes == terms, np.stack([1.0 - frac, frac]), 0.0)
+        terms *= stride
+        n = 1 << k
+        np.add(index[:n], terms[1], out=index[n : 2 * n])
+        index[:n] += terms[0]
+        np.multiply(weight[:n], parts[1], out=weight[n : 2 * n])
+        weight[:n] *= parts[0]
+    return index, weight
 
 
 def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
@@ -345,6 +342,6 @@ def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.nd
     coords.extend(np.moveaxis(np.asarray(fiber_points, dtype=float), -1, 0))
     flat = sym.values.reshape(-1)
     out = 0.0
-    for index, weight in interpolation_corners(grid.base + grid.fiber, coords):
+    for index, weight in zip(*interpolation_corners(grid.base + grid.fiber, coords)):
         out = out + weight * flat[index]
     return out

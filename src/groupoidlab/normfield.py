@@ -21,9 +21,12 @@ next.  The regular-action matrix is assembled in blocks of output rows from the
 deformed product's transport (:class:`groupoidlab.deformation._Transport`),
 one product solve per block, so it maps samples g to ``f *_t g``.  A block
 holds ``_BLOCK_POINTS`` transported points, the deformed product's budget;
-each point scatters to its ``2^m`` interpolation corners a complex value, a
-flat index and a weight, so the ordered scatter takes a block's rows in
-chunks of about ``_BLOCK_POINTS`` corners.
+each point scatters to its ``2^m`` interpolation corners a value, a flat
+index and a weight, so the ordered scatter (one ``np.bincount`` per part of
+the value) takes a block's rows in chunks of about ``_BLOCK_POINTS`` corners.
+Every matrix has the symbol's dtype (:attr:`SymbolSpec.dtype`): a real
+symbol's is float64, assembled and solved in real arithmetic; a complex
+symbol's runs the same code in complex128.
 """
 
 from __future__ import annotations
@@ -91,17 +94,20 @@ def power_iteration_sigma(matrix: np.ndarray) -> tuple[float, float, int]:
     vector of ``B``), at an invariant subspace (``alpha`` or ``beta`` is 0),
     or at the rank bound ``min(matrix.shape)``.  ``A`` is read only through
     ``A v`` and ``(u^H A)^H``; a wide matrix runs as its transpose, a view.
-    ``residual`` is ``|A^H A v - sigma^2 v| / sigma^2`` of the Ritz vector.
+    The steps run in the matrix's dtype: float64 for a real matrix (integers
+    too), complex128 for a complex one.  ``residual`` is
+    ``|A^H A v - sigma^2 v| / sigma^2`` of the Ritz vector.
     The name is left from an earlier solver and stays, with the triple,
     because ``benchmarks/tracing.py`` patches it by name and counts ``result[2]``.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     a = a.T if a.shape[0] < a.shape[1] else a
     eps = np.finfo(float).eps
-    v = np.random.default_rng(0).standard_normal(a.shape[1]).astype(complex)
+    v = np.random.default_rng(0).standard_normal(a.shape[1]).astype(a.dtype)
     v /= np.linalg.norm(v)
-    vs, us = v[None, :], np.empty((0, a.shape[0]), dtype=complex)
-    alphas, betas, sigma, beta, u = [], [], 0.0, 0.0, np.zeros(a.shape[0], dtype=complex)
+    vs, us = v[None, :], np.empty((0, a.shape[0]), dtype=a.dtype)
+    alphas, betas, sigma, beta, u = [], [], 0.0, 0.0, np.zeros(a.shape[0], dtype=a.dtype)
     while True:
         p = a @ v - beta * u
         alpha = _orthogonalize(p, us)
@@ -178,10 +184,10 @@ def _pair_weighted_matrix(
         )
     x = pts[:, None, :]
     y = pts[None, :, :]
-    kernel = f0.evaluate(np.broadcast_to(x, (K, K, n)), (y - x) / t).astype(complex, copy=False)
-    # divided in complex128, where numpy multiplies by the reciprocal; a float64
+    kernel = f0.evaluate(np.broadcast_to(x, (K, K, n)), (y - x) / t)
+    # times the reciprocal, as numpy's complex division scales; a float64
     # division would move the norms by an ulp
-    kernel /= abs(t) ** n
+    kernel *= 1.0 / abs(t) ** n
     kernel *= _mu_base(mu_on_base, grid).reshape(-1)[None, :]
     sqw = np.sqrt(grid.base_weights().reshape(-1))
     kernel *= sqw[:, None]
@@ -225,16 +231,16 @@ def pair_cstar_identity_residual(
 # base-dimension-0 group charts: regular action on the fiber grid
 # ---------------------------------------------------------------------------
 
-def _interp_scatter(points: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _interp_scatter(points: np.ndarray, grid: GridSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Multilinear weights of arbitrary fiber points onto the fiber nodes.
 
-    Returns ``(flat_indices, weights)`` of shape (..., 2^m); contributions
-    outside the grid get weight 0 (their index is clamped into the grid).
+    Returns ``(flat_indices, weights)`` of shape (..., 2^m), views of
+    corner-major memory (``out`` if given, see :func:`interpolation_corners`);
+    contributions outside the grid get weight 0 (their index is clamped into
+    the grid).
     """
-    corners = list(interpolation_corners(grid.fiber, list(np.moveaxis(points, -1, 0))))
-    indices = np.stack([index for index, _ in corners], axis=-1)
-    weights = np.stack([weight for _, weight in corners], axis=-1)
-    return indices, weights
+    index, weight = interpolation_corners(grid.fiber, list(np.moveaxis(points, -1, 0)), out)
+    return np.moveaxis(index, 0, -1), np.moveaxis(weight, 0, -1)
 
 
 def group_regular_norm(
@@ -254,7 +260,7 @@ def group_regular_norm(
         raise GroupoidLabError("regular-action norms are implemented for base dimension 0")
     transport = _Transport(chart, grid, t)
     H, m = transport.fiber_pts.shape
-    (coeff,) = transport.coefficient(f0)  # (H,), K = 1
+    (coeff,) = transport.coefficient(f0)  # (H,) of the symbol's dtype, K = 1
 
     # Integration node b sends output node a (the nodes coincide) to the
     # transported point w/t, solving product(t eta_b, w) = t xi_a; its 2^m
@@ -264,22 +270,36 @@ def group_regular_norm(
     # do not depend on the block size (Newton stops on the worst point of a block).
     # The scatter arrays hold 2^m corners per point, so they take a block's
     # rows in chunks of about _BLOCK_POINTS corners; entries of other rows are
-    # other entries, so the chunks do not change a sum.
-    matrix = np.zeros(H * H, dtype=complex)
+    # other entries, so the chunks do not change a sum.  A chunk's corners are
+    # computed corner-major into buffers that every chunk reuses (new arrays
+    # would fault in fresh pages chunk after chunk), then copied out in (row,
+    # node, corner) order for np.bincount, which adds in input order; a
+    # complex matrix takes one bincount per part.
+    matrix = np.zeros(H * H, dtype=coeff.dtype)
+    parts = [(matrix, coeff)]
+    if np.iscomplexobj(coeff):
+        parts = [(matrix.real, coeff.real), (matrix.imag, coeff.imag)]
     block = max(1, _BLOCK_POINTS // H)
     chunk = max(1, block >> m)
+    corners = (np.empty((1 << m, chunk, H), dtype=np.int64), np.empty((1 << m, chunk, H)))
+    flat_index, values = np.empty((chunk, H, 1 << m), dtype=np.int64), np.empty((chunk, H, 1 << m))
     for start in range(0, H, block):
         stop = min(start + block, H)
         (points,) = transport.solve(start, stop)  # (A, H, m)
         for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            indices, weights = _interp_scatter(points[lo - start : hi - start], grid)  # (rows, H, 2^m)
-            indices += (np.arange(lo, hi, dtype=np.int64) * H)[:, None, None]
-            np.add.at(matrix, indices.reshape(-1), (coeff[None, :, None] * weights).reshape(-1))
+            rows = min(chunk, stop - lo)
+            out = tuple(c[:, :rows] for c in corners)
+            indices, weights = _interp_scatter(points[lo - start :][:rows], grid, out)  # (rows, H, 2^m)
+            offsets = (np.arange(rows, dtype=np.int64) * H)[:, None, None]
+            index = np.add(indices, offsets, out=flat_index[:rows])
+            for plane, part in parts:
+                value = np.multiply(part[None, :, None], weights, out=values[:rows])
+                plane[lo * H : (lo + rows) * H] = np.bincount(index.reshape(-1), value.reshape(-1), rows * H)
     matrix = matrix.reshape(H, H)
     sqw = np.sqrt(grid.fiber_weights().reshape(-1))
     matrix *= sqw[:, None]
-    matrix /= sqw[None, :]
+    # times the reciprocal, as numpy's complex division scales
+    matrix *= 1.0 / sqw[None, :]
     sigma, residual, _ = power_iteration_sigma(matrix)
     return NormRow(t=float(t), value=sigma, residual=residual, size=H)
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import groupoidlab as gl
 from groupoidlab import charts
@@ -222,22 +222,30 @@ def _complex_step(tree, point, name, h=2.0**-100):
     return float(np.imag(_reference_eval(tree, *(np.array([c]) for c in z)))) / h
 
 
-def _term_scale(tree, point, name):
-    """Largest term summed into the derivative of any subtree: the scale of its rounding error."""
+def _term_scale(tree, point, name, factor=1.0):
+    """Largest term summed into the derivative of any subtree, times the ``*`` and ``/``
+    factors that multiply that subtree's derivative on the way up to ``tree``: the
+    scale of its rounding error in the derivative of ``tree``."""
     if not isinstance(tree, list):
         return 0.0
     op, *args = tree
     d = [_complex_step(a, point, name) for a in args]
     value = lambda t: np.squeeze(_reference_eval(t, *(np.array([c]) for c in point)).real)
+    factors = [1.0] * len(args)
     if op == "*":
         terms = [d[0] * value(args[1]), d[1] * value(args[0])]
+        factors = [abs(value(args[1])), abs(value(args[0]))]
     elif op == "/":
         terms = [d[0] / value(args[1]), value(tree) * d[1] / value(args[1])]
+        factors = [1.0 / abs(value(args[1])), abs(value(tree) / value(args[1]))]
     elif op in ("+", "-", "neg"):
         terms = d
     else:
         terms = [_complex_step(tree, point, name)]
-    return np.max([abs(t) for t in terms] + [_term_scale(a, point, name) for a in args])
+    return np.max(
+        [factor * abs(t) for t in terms]
+        + [_term_scale(a, point, name, factor * f) for a, f in zip(args, factors)]
+    )
 
 
 def _not_tiny(x):
@@ -253,12 +261,16 @@ def _not_tiny(x):
     ),
     point=st.tuples(*[st.floats(-1, 1).filter(_not_tiny)] * 3),
 )
+@example(  # the reference's roundoff in d(v1 / v1), divided by 2.8e-9
+    tree=["+", ["/", ["/", "v1", "v1"], 2.8196662876484784e-09], 0.0], point=(0.0, 0.41796875, 0.0)
+)
 @settings(max_examples=200, deadline=None)
 def test_derivative_trees_compile_and_match_the_complex_step(tree, point):
     # the derivative of every tree that compiles compiles.  Where the tree, its
     # terms and the complex step of the independent interpreter are finite and
     # the step is settled, the two agree to 1e-10 of the largest term the
-    # derivative sums, or to 1e-250 where h * d underflows in both steps.
+    # derivative sums (times the factors above it, see _term_scale), or to
+    # 1e-250 where h * d underflows in both steps.
     # Settled: a step of 2^-40 gives the same value (steps are powers of two,
     # so in the linear regime they scale exactly); it does not when a
     # singularity lies within the step or an intermediate h * d underflows.

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import groupoidlab as gl
 from groupoidlab.errors import DecayWarning, GridMismatchError
-from groupoidlab.grids import interpolate
+from groupoidlab.grids import interpolate, interpolation_corners
 from groupoidlab.normfield import _interp_scatter
 from groupoidlab.symbols import SymbolSpec, decay_problems
 
@@ -264,6 +264,42 @@ def test_interpolation_is_the_sum_over_scatter_corners():
     got = interpolate(s, np.zeros(pts.shape[:-1] + (0,)), pts)
     assert got.tobytes() == expected.tobytes()
     assert np.array_equal(s.evaluate(np.zeros(pts.shape[:-1] + (0,)), pts), got)
+
+
+def _corner_loop(axes, coords):
+    """Multilinear corners one at a time: weights multiplied in axis order, then masked."""
+    batch = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    strides = [int(np.prod([ax.count for ax in axes[k + 1 :]])) for k in range(len(axes))]
+    indices, weights = [], []
+    for corner in range(1 << len(axes)):
+        index, weight, ok = np.zeros(batch, dtype=np.int64), np.ones(batch), np.ones(batch, dtype=bool)
+        for k, (c, ax) in enumerate(zip(coords, axes)):
+            tpos = (np.asarray(c, dtype=float) - ax.start) / ax.step
+            node = np.floor(tpos).astype(np.int64) + (corner >> k & 1)
+            frac = tpos - np.floor(tpos)
+            weight = weight * (frac if corner >> k & 1 else 1.0 - frac)
+            ok = ok & (node >= 0) & (node <= ax.count - 1)
+            index = index + np.clip(node, 0, ax.count - 1) * strides[k]
+        indices.append(index)
+        weights.append(np.where(ok, weight, 0.0))
+    return np.stack(indices), np.stack(weights)
+
+
+@pytest.mark.parametrize("fiber_axes", [1, 2, 3])
+def test_interpolation_corners_match_the_corner_loop(fiber_axes):
+    # one base axis and up to three fiber axes whose coordinate arrays only
+    # broadcast to the batch shape; points inside, on the edge of and outside the grid
+    axes = (gl.Axis(-1.0, 0.25, 9),) + tuple(gl.Axis.centered(2.0, 4 + 2 * k) for k in range(fiber_axes))
+    rng = np.random.default_rng(fiber_axes)
+    coords = [rng.uniform(-1.6, 1.6, (5, 1, 1))] + [
+        rng.uniform(-2.6, 2.6, (1, 4, 6)) for _ in range(fiber_axes)
+    ]
+    coords[1][0, 0, :2] = 2.0, -2.0
+    index, weight = interpolation_corners(axes, coords)
+    expected_index, expected_weight = _corner_loop(axes, coords)
+    assert index.shape == expected_index.shape == (1 << len(axes), 5, 4, 6)
+    assert np.array_equal(index, expected_index)
+    assert weight.tobytes() == expected_weight.tobytes()
 
 
 def test_parse_symbol_defaults_and_complex_coeff():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,27 @@ def test_power_iteration_matches_svd(shape):
 def test_power_iteration_rank_deficient(rank):
     rng = np.random.default_rng(3)
     matrix = _complex_gaussian(rng, (50, rank)) @ _complex_gaussian(rng, (rank, 40))
+    sigma, residual, iterations = gl.power_iteration_sigma(matrix)
+    exact = np.linalg.svd(matrix, compute_uv=False)[0]
+    assert abs(sigma - exact) <= 1e-14 * exact
+    assert residual <= 1e-12
+    assert iterations <= rank + 2
+
+
+@pytest.mark.parametrize("shape", [(120, 120), (200, 70), (70, 200)])
+def test_power_iteration_matches_svd_real(shape):
+    matrix = np.random.default_rng(7).standard_normal(shape)
+    sigma, residual, iterations = gl.power_iteration_sigma(matrix)
+    exact = np.linalg.svd(matrix, compute_uv=False)[0]
+    assert abs(sigma - exact) <= 1e-14 * exact
+    assert residual <= 1e-7
+    assert 1 <= iterations <= min(shape)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_power_iteration_rank_deficient_real(rank):
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((50, rank)) @ rng.standard_normal((rank, 40))
     sigma, residual, iterations = gl.power_iteration_sigma(matrix)
     exact = np.linalg.svd(matrix, compute_uv=False)[0]
     assert abs(sigma - exact) <= 1e-14 * exact
@@ -367,3 +389,66 @@ def test_regular_action_matrix_does_not_depend_on_its_blocks(chart_name, budget,
     gl.group_regular_norm(f, chart, 0.3, grid)
     default, blocked = captured
     assert blocked.tobytes() == default.tobytes()
+
+
+def _captured_matrix(monkeypatch, norm, args):
+    """The matrix ``norm(*args)`` hands to the singular-value solver, and its row."""
+    captured = []
+    sigma = gl.normfield.power_iteration_sigma
+    monkeypatch.setattr(gl.normfield, "power_iteration_sigma", lambda a: captured.append(a) or sigma(a))
+    row = norm(*args)
+    monkeypatch.undo()
+    (matrix,) = captured
+    return matrix, row
+
+
+def _ax_plus_b_norm(coeff):
+    chart = gl.builtin_chart("ax_plus_b", half_width=4.0)
+    grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.0, 16), gl.Axis.centered(3.0, 12)))
+    f = gl.SymbolSpec.gaussian(0, 2, coeff=coeff, xi_widths=1.3, xi_centers=[0.2, -0.1])
+    return gl.group_regular_norm, (f, chart, 0.2, grid)
+
+
+def _heisenberg_norm(coeff):
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(4.0, 6) for _ in range(3)))
+    f = gl.SymbolSpec.gaussian(0, 3, coeff=coeff, xi_widths=1.3, xi_centers=[0.2, -0.1, -0.3])
+    return gl.group_regular_norm, (f, gl.builtin_chart("heisenberg"), 0.3, grid)
+
+
+def _pair_norm(coeff):
+    chart, grid, mu = pair_norm_setup()
+    f = gl.SymbolSpec.gaussian(1, 1, coeff=coeff, x_widths=1.0, xi_widths=0.5, xi_centers=0.1)
+    return gl.pair_kernel_norm, (f, 0.3, grid, mu)
+
+
+@pytest.mark.parametrize(
+    "case", [_ax_plus_b_norm, _heisenberg_norm, _pair_norm], ids=["ax_plus_b", "heisenberg", "pair"]
+)
+def test_real_symbol_matrix_is_the_imaginary_part_of_its_i_multiple(case, monkeypatch):
+    # a real symbol is assembled and solved in float64; times 1j it runs the
+    # same code at complex dtype, whose imaginary part is the real matrix
+    real, real_row = _captured_matrix(monkeypatch, *case(1.0))
+    imag, imag_row = _captured_matrix(monkeypatch, *case(1j))
+    assert real.dtype == np.float64
+    assert imag.dtype == np.complex128
+    assert real.tobytes() == np.ascontiguousarray(imag.imag).tobytes()
+    assert not np.any(imag.real)
+    assert abs(real_row.value - imag_row.value) <= 1e-14 * imag_row.value
+
+
+def test_regular_norm_peak_memory_holds_one_real_matrix():
+    # ax+b 25^2: the float64 matrix takes 3.1 MB, the transport's and the
+    # scatter's block buffers about 5 MB more; a complex128 matrix would add
+    # another 3.1 MB and cross the bound
+    chart = gl.builtin_chart("ax_plus_b", half_width=4.0)
+    grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.5, 24),) * 2)
+    f = gl.SymbolSpec.gaussian(0, 2, xi_widths=2.5)
+    gl.group_regular_norm(f, chart, 0.2, grid)  # first call's one-time set-up
+    tracemalloc.start()
+    try:
+        gl.group_regular_norm(f, chart, 0.2, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    H = math.prod(grid.fiber_shape)
+    assert peak < 3.4 * H * H * 8

@@ -7,11 +7,12 @@ From the chart maps three families of functions on the base are extracted:
   law in the canonical fiber frame,
 * the gradient of the logarithm of the unit weight.
 
-Central differences are used everywhere; built-in charts carry analytic
-versions of the same data, which the tests treat as the oracle for this
-finite-difference path.  Each function takes a base point (n,) or a batch
-(..., n) and evaluates each stencil offset once over the whole batch, so
+Central differences of step :data:`groupoidlab.charts.FD_STEP` are used
+everywhere; the tests check them against closed forms of the built-in
+charts.  Each function takes a base point (n,) or a batch (..., n) and
+evaluates each stencil offset once over the whole batch, so
 :func:`extract_algebroid` tabulates all k base nodes in one call of each.
+No layer above this one chooses the step.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import GroupoidChart, check_box
+from .charts import FD_STEP, GroupoidChart, check_box
 from .errors import DomainError, GroupoidLabError
-
-DEFAULT_FD_STEP = 1e-3
 
 
 def _first_offender(u: np.ndarray, bad: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -32,7 +31,7 @@ def _first_offender(u: np.ndarray, bad: np.ndarray) -> tuple[np.ndarray, tuple]:
     return u[index[:-1]], index
 
 
-def anchor_matrix(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def anchor_matrix(chart: GroupoidChart, u, step: float = FD_STEP) -> np.ndarray:
     """(..., fiber_dim, base_dim) v-derivatives of the source map at v = 0.
 
     ``u`` is a base point (n,) or a batch of them (..., n).  Entry
@@ -48,7 +47,7 @@ def anchor_matrix(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> np.
     return (chart.source_map(at, dv) - chart.source_map(at, -dv)) / (2.0 * step)
 
 
-def product_bilinear(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def product_bilinear(chart: GroupoidChart, u, step: float = FD_STEP) -> np.ndarray:
     """Bilinear part of the product law on every frame pair, (..., m, m, m).
 
     Entry ``[..., i, j, :]`` is the mixed second partial of ``product`` in
@@ -71,9 +70,7 @@ def product_bilinear(chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP) -> 
     return (pp - pm - mp + mm) / (4.0 * step * step)
 
 
-def structure_constants(
-    chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def structure_constants(chart: GroupoidChart, u, step: float = FD_STEP) -> np.ndarray:
     """(..., m, m, m) array ``c[..., i, j, k]`` of algebroid structure constants at ``u``.
 
     ``c[i, j] = bilinear(i, j) - bilinear(j, i)`` for ``i < j`` and
@@ -89,9 +86,7 @@ def structure_constants(
     return c
 
 
-def log_weight_gradient(
-    chart: GroupoidChart, u, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
+def log_weight_gradient(chart: GroupoidChart, u, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of log(unit_weight) at the base point (n,) or batch (..., n) ``u``."""
     box = chart.base_box
     u = check_box(np.asarray(u, dtype=float), box, "base point u")
@@ -139,9 +134,7 @@ class AlgebroidData:
         return float(np.max(np.abs(total))) if total.size else 0.0
 
 
-def extract_algebroid(
-    chart: GroupoidChart, base_points, step: float = DEFAULT_FD_STEP
-) -> AlgebroidData:
+def extract_algebroid(chart: GroupoidChart, base_points, step: float = FD_STEP) -> AlgebroidData:
     """Tabulate anchor, structure constants and log-weight gradient.
 
     ``base_points`` is (k, n); for base dimension 0 pass the single empty

@@ -31,9 +31,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError
-from .expressions import compile_expression, compile_solver, compile_vector, derivative
+from .expressions import _tree_uses, compile_expression, compile_solver, compile_vector, derivative
 
 Array = np.ndarray
+
+# step of the central differences that extract the algebroid from the chart
+# maps (groupoidlab.algebroid); config keeps the base grid this far inside the box
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class GroupoidChart:
     ``product(u, 0, w) = w`` and ``product(u, v, 0) = v``.
 
     ``product_w_jacobian`` is exact: ``[..., i, l] = d product_i / d w_l``,
-    from the product's derivative trees.  ``product_solver`` solves
+    from the product's derivative trees, at the batch shape of the coordinate
+    groups those trees read (one ``(m, m)`` matrix where they read none),
+    which broadcasts against the inputs'.  ``product_solver`` solves
     ``product(u, v, w) = target`` in closed form, by forward substitution
     where the product is affine and lower triangular in w (every built-in
     is); it is None otherwise, and :func:`solve_product` runs Newton.  A
@@ -350,11 +356,9 @@ def _max_abs(arr: Array) -> float:
 # ---------------------------------------------------------------------------
 
 def _resolve_weight(mu_e, dim: int):
-    """Accept a callable, an expression tree, or None (constant 1)."""
+    """The unit weight of an expression tree in u, or of None (constant 1)."""
     if mu_e is None:
         return lambda u: np.ones(np.shape(u)[:-1])
-    if callable(mu_e):
-        return mu_e
     expr = compile_expression(mu_e, dim, 0, slots="u")
     return lambda u: expr(u=np.asarray(u, dtype=float))
 
@@ -420,11 +424,11 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     Required keys: ``name``, ``base_dim``, ``fiber_dim``, ``source_map`` (list
     of ``base_dim`` expression trees in u, v), ``product`` (list of
     ``fiber_dim`` trees in u, v, w), ``base_box``, ``fiber_box``.  Optional:
-    ``inverse`` (list of trees in u, v), ``unit_weight`` (tree in u, or a
-    callable; default 1) and ``kind``.  ``product_w_jacobian`` compiles the
-    product's derivative trees, and ``product_solver`` is the forward
-    substitution of :func:`groupoidlab.expressions.compile_solver` where the
-    product is affine and lower triangular in w, else None (Newton).
+    ``inverse`` (list of trees in u, v), ``unit_weight`` (tree in u; default
+    1) and ``kind``.  ``product_w_jacobian`` compiles the product's
+    derivative trees, and ``product_solver`` is the forward substitution of
+    :func:`groupoidlab.expressions.compile_solver` where the product is
+    affine and lower triangular in w, else None (Newton).
     ``params`` default to ``{"spec": "custom"}``; the built-ins pass theirs.
     """
     n = int(spec["base_dim"])
@@ -442,9 +446,11 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     # compiled on first use: only the Haar density and Newton read it
     entries = [d for row in jacobian for d in row]
     jacobian_fn = functools.cache(lambda: compile_vector(entries, n, m, slots="uvw"))
+    reads = [s for s in "uvw" if any(_tree_uses(d, s) for d in entries)]
 
     def w_jacobian(u, v, w):
-        flat = jacobian_fn()(u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float))
+        groups = {"u": u, "v": v, "w": w}
+        flat = jacobian_fn()(**{s: np.asarray(groups[s], float) for s in reads})
         return flat.reshape(flat.shape[:-1] + (m, m))
 
     inverse_fn = None

@@ -66,7 +66,7 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
     from .algebroid import extract_algebroid
 
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    data = extract_algebroid(chart, grid.base_points_flat(), config.fd_step)
+    data = extract_algebroid(chart, grid.base_points_flat())
     n, m = chart.base_dim, chart.fiber_dim
     header = [f"x_{j + 1}" for j in range(n)]
     header += [f"anchor_{i + 1}_{j + 1}" for i in range(m) for j in range(n)]
@@ -82,7 +82,7 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
         command="algebroid",
         summary={
             "base_points": int(data.base_points.shape[0]),
-            "fd_step": config.fd_step,
+            "fd_step": data.fd_step,
             "jacobi_residual": jacobi,
         },
     )
@@ -97,8 +97,8 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     f, g = config.symbols["f"], config.symbols["g"]
-    forward = poisson_bracket(f, g, chart, grid, config.fd_step)
-    backward = poisson_bracket(g, f, chart, grid, config.fd_step)
+    forward = poisson_bracket(f, g, chart, grid)
+    backward = poisson_bracket(g, f, chart, grid)
     antisym = float(np.max(np.abs(forward.values + backward.values))) / scale_of(
         forward.values, backward.values
     )
@@ -128,7 +128,7 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    result = fourier_check(config.symbols["f"], config.symbols["g"], chart, grid, config.fd_step)
+    result = fourier_check(config.symbols["f"], config.symbols["g"], chart, grid)
     roundtrip, convtheo = result.roundtrip, result.convolution_theorem
     checks = [
         Check("roundtrip", roundtrip <= tol.roundtrip, roundtrip, tol.roundtrip),
@@ -181,7 +181,7 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
         g0=config.symbols["g"],
         t_values=config.t_values,
     )
-    table = classical_limit_error_table(field, fd_step=config.fd_step, workers=config.workers)
+    table = classical_limit_error_table(field, workers=config.workers)
     errors = [r[1] for r in table.rows]
     ratios = table.ratios()
     degenerate = all(e <= tol.degenerate for e in errors)
@@ -226,8 +226,7 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_normfield(config: RunConfig) -> ReportBundle:
-    from .normfield import norm_curve, pair_cstar_identity_residual
-    from .poisson import unit_weight_on_grid
+    from .normfield import norm_curve
 
     config.require_symbols("f")
     chart, grid, tol = config.chart, config.grid, config.tolerances
@@ -251,9 +250,8 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
         "reduced_equals_full": True,
         "note": "regular (reduced) picture only; equals the full norm on amenable charts",
     }
-    if chart.kind == "pair":
-        mu = unit_weight_on_grid(chart, grid)
-        cstar = pair_cstar_identity_residual(f, config.t_values[0], grid, mu)
+    cstar = curve.cstar_identity
+    if cstar is not None:
         summary["cstar_identity_residual"] = cstar
         checks.append(
             Check("cstar_identity", cstar <= tol.cstar_identity, cstar, tol.cstar_identity)

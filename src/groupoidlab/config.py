@@ -3,8 +3,9 @@
 A config names a chart (built-in with parameters, or a custom expression
 chart), a grid, the symbols, the parameter sweep and the numeric knobs.
 Validation happens before any computation and collects every violation it
-can find rather than stopping at the first.  The t-sweep rules live here
-too; the deformation layers import them from this module.
+can find rather than stopping at the first; a top-level key outside
+:data:`KEYS` is one.  The t-sweep rules live here too; the deformation
+layers import them from this module.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .charts import BUILTIN_CHARTS, GroupoidChart, builtin_chart, chart_from_spec
+from .charts import BUILTIN_CHARTS, FD_STEP, GroupoidChart, builtin_chart, chart_from_spec
 from .errors import ConfigError
 from .grids import Axis, GridSpec
 from .symbols import SymbolSpec, decay_problems, parse_symbol
 
 MIN_AXIS_INTERVALS = 8
 MAX_GRID_NODES = 1 << 24  # one complex sample on this many nodes takes 256 MiB
+KEYS = ("chart", "grid", "symbols", "t_values", "seed", "sample_count", "workers", "strict", "tolerances")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class RunConfig:
     grid: GridSpec
     symbols: dict[str, SymbolSpec]
     t_values: tuple[float, ...]
-    fd_step: float
     seed: int
     sample_count: int
     strict: bool
@@ -209,14 +210,13 @@ def build_config(raw: dict) -> RunConfig:
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
+    unknown = sorted(set(raw) - set(KEYS))
+    if unknown:
+        problems.append(f"unknown config key(s) {unknown}; have {list(KEYS)}")
 
     chart = _build_chart(raw, problems)
     grid = _build_grid(raw, chart, problems)
 
-    fd_step = raw.get("fd_step", 1e-3)
-    if not _finite_number(fd_step) or fd_step <= 0:
-        problems.append("fd_step must be a positive finite number")
-        fd_step = 1e-3
     seed = raw.get("seed", 2024)
     if not _integer(seed) or seed < 0:
         problems.append("seed must be a nonnegative integer")
@@ -277,9 +277,9 @@ def build_config(raw: dict) -> RunConfig:
         problems.extend(deformation_domain_problems(chart, grid, t_values))
         for j, ax in enumerate(grid.base):
             lo, hi = chart.base_box[j]
-            if ax.start < lo + fd_step or ax.start + ax.step * (ax.count - 1) > hi - fd_step:
+            if ax.start < lo + FD_STEP or ax.start + ax.step * (ax.count - 1) > hi - FD_STEP:
                 problems.append(
-                    f"base axis {j} leaves no fd_step margin inside the chart base box"
+                    f"base axis {j} leaves no {FD_STEP:g} finite-difference margin inside the chart base box"
                 )
         if strict:
             for name, spec in symbols.items():
@@ -294,7 +294,6 @@ def build_config(raw: dict) -> RunConfig:
         grid=grid,
         symbols=symbols,
         t_values=t_values,
-        fd_step=float(fd_step),
         seed=seed,
         sample_count=sample_count,
         strict=strict,

@@ -83,15 +83,15 @@ def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     """Chart density of the left-invariant fiber measure (see module docs).
 
     ``rho(u, v) = unit_weight(source_map(u, v)) / |det product_w_jacobian(u, v, 0)|``;
-    positive wherever defined, equal to the unit weight at ``v = 0``.
+    positive wherever defined, equal to the unit weight at ``v = 0``.  The
+    determinants are taken at the Jacobian's own batch shape (one on pair
+    charts, one per fiber point on groups) and broadcast in the division.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     sigma = chart.source_map(u, v)
     mu = np.asarray(chart.unit_weight(sigma), dtype=float)
-    zeros = np.zeros_like(v)
-    jac = chart.product_w_jacobian(u, v, zeros)
-    det = np.abs(np.linalg.det(jac))
+    det = np.abs(np.linalg.det(chart.product_w_jacobian(u, v, np.zeros_like(v))))
     if det.size and not float(np.min(det)) >= 1e-13:
         raise SingularJacobianError("product Jacobian is singular at the unit section")
     return mu / det
@@ -345,9 +345,7 @@ def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
     return []
 
 
-def classical_limit_error_table(
-    field: DeformationField, fd_step: float = 1e-3, workers: int = 1
-) -> LimitTable:
+def classical_limit_error_table(field: DeformationField, workers: int = 1) -> LimitTable:
     """Convergence table of the scaled commutator toward the bracket limit.
 
     The bracket target carries the chart's unit weight, as the deformed
@@ -358,7 +356,7 @@ def classical_limit_error_table(
     if problems:
         raise GroupoidLabError("; ".join(problems))
 
-    bracket = poisson_bracket(field.f0, field.g0, field.chart, field.grid, fd_step)
+    bracket = poisson_bracket(field.f0, field.g0, field.chart, field.grid)
     target = bracket.values / TWO_PI_I
     bracket_sup = scale_of(bracket.values)
 

@@ -57,10 +57,16 @@ class NormRow:
 
 @dataclass(frozen=True)
 class NormCurve:
-    """Sweep rows (t != 0, in sweep order) plus the commutative row at t = 0."""
+    """Sweep rows (t != 0, in sweep order) plus the commutative row at t = 0.
+
+    On pair charts ``cstar_identity`` is the first row's
+    :func:`pair_cstar_identity_residual`, from that row's own matrix and
+    norm; None on other charts.
+    """
 
     rows: tuple[NormRow, ...]
     zero: NormRow
+    cstar_identity: float | None = None
 
     def deltas(self) -> list[float]:
         return [abs(r.value - self.zero.value) for r in self.rows]
@@ -195,36 +201,37 @@ def _pair_weighted_matrix(
     return kernel
 
 
-def pair_kernel_norm(
-    f0: SymbolSpec,
-    t: float,
-    grid: GridSpec,
-    mu_on_base=None,
-) -> NormRow:
-    """Top singular value of the discretized kernel ``f0(x, (y-x)/t) / t^n``."""
+def _pair_row(
+    f0: SymbolSpec, t: float, grid: GridSpec, mu_on_base, cstar: bool = False
+) -> tuple[NormRow, float | None]:
+    """:func:`pair_kernel_norm`, and with ``cstar`` the :func:`pair_cstar_identity_residual` of its matrix."""
     if t == 0.0:
         raise GroupoidLabError("pair kernel norm needs t != 0")
     weighted = _pair_weighted_matrix(f0, t, grid, mu_on_base)
     sigma, residual, _ = power_iteration_sigma(weighted)
-    return NormRow(t=float(t), value=sigma, residual=residual, size=weighted.shape[0])
+    row = NormRow(t=float(t), value=sigma, residual=residual, size=weighted.shape[0])
+    if not cstar:
+        return row, None
+    composed = weighted @ weighted.conj().T
+    sigma2, _, _ = power_iteration_sigma(composed)
+    if sigma == 0.0:
+        return row, 0.0 if sigma2 == 0.0 else float("inf")
+    return row, abs(sigma2 - sigma**2) / sigma**2
 
 
-def pair_cstar_identity_residual(
-    f0: SymbolSpec, t: float, grid: GridSpec, mu_on_base=None
-) -> float:
+def pair_kernel_norm(f0: SymbolSpec, t: float, grid: GridSpec, mu_on_base=None) -> NormRow:
+    """Top singular value of the discretized kernel ``f0(x, (y-x)/t) / t^n``."""
+    return _pair_row(f0, t, grid, mu_on_base)[0]
+
+
+def pair_cstar_identity_residual(f0: SymbolSpec, t: float, grid: GridSpec, mu_on_base=None) -> float:
     """Relative mismatch of ``norm(f conv f^*) = norm(f)^2`` at parameter ``t``.
 
     The adjoint kernel is the conjugate transpose; the composition is a
     matrix product, i.e. quadrature on the base grid, then both norms come
     from the same Golub-Kahan-Lanczos solver as the norm curve.
     """
-    weighted = _pair_weighted_matrix(f0, t, grid, mu_on_base)
-    sigma, _, _ = power_iteration_sigma(weighted)
-    composed = weighted @ weighted.conj().T
-    sigma2, _, _ = power_iteration_sigma(composed)
-    if sigma == 0.0:
-        return 0.0 if sigma2 == 0.0 else float("inf")
-    return abs(sigma2 - sigma**2) / sigma**2
+    return _pair_row(f0, t, grid, mu_on_base, cstar=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +325,20 @@ def norm_curve(
 
     Every row carries the chart's unit weight: the pair kernels and the t = 0
     row read it on the base grid, the regular action through the Haar density.
+    Each row assembles and solves its matrix once; on pair charts the first
+    row's also gives ``cstar_identity``.
     """
     ts = [float(t) for t in t_values]
     problems = sweep_problems(ts)
     if problems:
         raise GroupoidLabError("; ".join(problems))
     mu = unit_weight_on_grid(chart, grid)
-    rows = []
+    rows, cstar = [], None
     for t in ts:
         if chart.kind == "pair":
-            rows.append(pair_kernel_norm(f0, t, grid, mu))
+            row, residual = _pair_row(f0, t, grid, mu, cstar=not rows)
+            cstar = cstar if rows else residual
+            rows.append(row)
         elif chart.base_dim == 0:
             rows.append(group_regular_norm(f0, chart, t, grid))
         else:
@@ -335,4 +346,4 @@ def norm_curve(
                 "norm curves support pair charts and base-dimension-0 group charts"
             )
     zero = zero_fiber_norm(f0, grid, mu)
-    return NormCurve(rows=tuple(rows), zero=zero)
+    return NormCurve(rows=tuple(rows), zero=zero, cstar_identity=cstar)

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebroid import DEFAULT_FD_STEP, AlgebroidData, extract_algebroid
+from .algebroid import AlgebroidData, extract_algebroid
 from .charts import GroupoidChart
 from .errors import DecayWarning, GridMismatchError, GroupoidLabError
 from .grids import Axis, GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
@@ -212,25 +212,19 @@ def _op_values(op: Operand, grid: GridSpec, name: str) -> np.ndarray:
     return op.values
 
 
-def poisson_bracket(
-    f: Operand,
-    g: Operand,
-    chart: GroupoidChart,
-    grid: GridSpec,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> SampledSymbol:
+def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec) -> SampledSymbol:
     """Bracket of two symbols over the convolution product, sampled on ``grid``.
 
-    The algebroid data (finite-difference step ``fd_step``) and the unit
-    weight come from ``chart`` at the grid's base nodes.  ``f`` and ``g`` may
-    be analytic symbols or samples on ``grid``; with sampled operands the
-    coordinate multiplications act on node values and the derivatives fall
-    back to high-order central stencils.  The result is antisymmetric under
-    swapping ``f`` and ``g`` bitwise.  Decay warnings name the sampled
-    symbol by operand and operation, e.g. ``d/dxi_2 (xi_1 f)``.
+    The algebroid data and the unit weight come from ``chart`` at the grid's
+    base nodes.  ``f`` and ``g`` may be analytic symbols or samples on
+    ``grid``; with sampled operands the coordinate multiplications act on
+    node values and the derivatives fall back to high-order central
+    stencils.  The result is antisymmetric under swapping ``f`` and ``g``
+    bitwise.  Decay warnings name the sampled symbol by operand and
+    operation, e.g. ``d/dxi_2 (xi_1 f)``.
     """
     mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat(), fd_step), grid, mu)
+    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu)
 
 
 def _bracket(
@@ -355,11 +349,7 @@ def _oriented_dual_bracket(parts: tuple[np.ndarray, np.ndarray], signs) -> np.nd
 
 
 def dual_poisson_bracket(
-    F: SampledSymbol,
-    G: SampledSymbol,
-    chart: GroupoidChart,
-    signs: tuple[float, float] = (-1.0, -1.0),
-    fd_step: float = DEFAULT_FD_STEP,
+    F: SampledSymbol, G: SampledSymbol, chart: GroupoidChart, signs: tuple[float, float] = (-1.0, -1.0)
 ) -> SampledSymbol:
     """Poisson bracket of fiberwise transforms on the dual grid.
 
@@ -369,7 +359,7 @@ def dual_poisson_bracket(
     that matches the convolution-side bracket through the Fourier transform.
     Derivatives are central differences on the dual grid.
     """
-    data = extract_algebroid(chart, F.grid.base_points_flat(), fd_step)
+    data = extract_algebroid(chart, F.grid.base_points_flat())
     values = _oriented_dual_bracket(_dual_bracket_parts(F, G, data), signs)
     return SampledSymbol(values=values, grid=F.grid)
 
@@ -394,13 +384,7 @@ class FourierCheck:
     intertwining: IntertwiningResult | None
 
 
-def fourier_check(
-    f: SymbolSpec,
-    g: SymbolSpec,
-    chart: GroupoidChart,
-    grid: GridSpec,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> FourierCheck:
+def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: GridSpec) -> FourierCheck:
     """Transform conventions checked on ``f`` and ``g`` with the unit weight of ``chart``.
 
     * round trip: the inverse transform of ``F f`` against ``f``;
@@ -420,7 +404,7 @@ def fourier_check(
     sampled = [fs, gs, fiber_convolve(fs, gs, mu)]
     data = None
     if is_unit_weight(mu):
-        data = extract_algebroid(chart, grid.base_points_flat(), fd_step)
+        data = extract_algebroid(chart, grid.base_points_flat())
         sampled.append(_bracket(f, g, data, grid, mu))
     _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
     Ff, Fg, Fconv = transforms[:3]
@@ -434,11 +418,7 @@ def fourier_check(
 
 
 def intertwining_residual(
-    f: SymbolSpec,
-    g: SymbolSpec,
-    chart: GroupoidChart,
-    grid: GridSpec,
-    fd_step: float = DEFAULT_FD_STEP,
+    f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: GridSpec
 ) -> IntertwiningResult:
     """Mismatch between the transformed bracket and the dual-side bracket.
 
@@ -453,7 +433,7 @@ def intertwining_residual(
     command.  The dual-side derivatives are taken once; each orientation
     only recombines the unsigned anchor and structure-constant parts.
     """
-    result = fourier_check(f, g, chart, grid, fd_step).intertwining
+    result = fourier_check(f, g, chart, grid).intertwining
     if result is None:
         raise GroupoidLabError("intertwining check requires unit weight == 1")
     return result

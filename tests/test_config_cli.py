@@ -32,7 +32,7 @@ def minimal_config(**overrides):
 
 def test_minimal_config_fills_defaults():
     config = gl.build_config(minimal_config())
-    assert config.fd_step == 1e-3
+    assert not hasattr(config, "fd_step")
     assert config.workers == 1
     assert config.seed == 2024
     assert config.sample_count == 100
@@ -54,14 +54,21 @@ def test_strict_decay_violation_names_symbol():
 
 
 def test_all_violations_reported_not_just_first():
-    raw = minimal_config(t_values=[0.0, 0.2], fd_step=-1.0, workers=0)
+    raw = minimal_config(t_values=[0.0, 0.2], fd_step=1e-3, workers=0)
     with pytest.raises(ConfigError) as excinfo:
         gl.build_config(raw)
     text = "; ".join(excinfo.value.violations)
     assert "t must be nonzero" in text
-    assert "fd_step" in text
+    assert "unknown config key(s) ['fd_step']" in text
     assert "workers" in text
     assert len(excinfo.value.violations) >= 3
+
+
+def test_algebroid_summary_records_the_constant_step(tmp_path):
+    # no config sets the finite-difference step; the summary still reports the one used
+    assert main(["algebroid", "--config", str(CONFIGS / "pair1_deform.json"), "--output", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "algebroid_summary.json").read_text())
+    assert summary["results"]["fd_step"] == gl.charts.FD_STEP == 1e-3
 
 
 def test_unknown_tolerance_rejected():
@@ -496,8 +503,10 @@ MALFORMED = [
     ("symbol_terms_object", minimal_config(symbols={"f": {"xi_widths": [1.0]}}), "symbol 'f'"),
     ("nan_t_value", minimal_config(t_values=[0.2, float("nan")]), "t_values"),
     ("nan_half_width", _nan_half_width(), "grid.base[0]"),
-    ("nan_fd_step", minimal_config(fd_step=float("nan")), "fd_step"),
-    ("integer_fd_step_beyond_float", minimal_config(fd_step=10**400), "fd_step"),
+    # the finite-difference step is no setting: the key is rejected whatever its value
+    ("nan_fd_step", minimal_config(fd_step=float("nan")), "unknown config key(s) ['fd_step']"),
+    ("integer_fd_step_beyond_float", minimal_config(fd_step=10**400), "unknown config key(s) ['fd_step']"),
+    ("misspelt_key", minimal_config(t_value=[0.2, 0.1, 0.05]), "unknown config key(s) ['t_value']"),
     ("infinite_tolerance", minimal_config(tolerances={"axiom": float("inf")}), "tolerance"),
     ("chart_params_not_object", minimal_config(chart={"builtin": "pair", "params": 5}), "chart 'pair'"),
     ("nan_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [float("nan")]}]}), "xi_widths"),

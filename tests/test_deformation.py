@@ -181,6 +181,34 @@ def test_haar_density_of_a_custom_chart_is_exact(custom_ax_plus_b):
     np.testing.assert_allclose(rho, np.exp(-v[:, 0]), rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "chart, jacobian_batch",
+    [
+        (gl.builtin_chart("pair", n=1, mu_e=["exp", ["-", ["*", "u1", "u1"]]]), ()),
+        (gl.builtin_chart("heisenberg"), (1, 9)),
+        (gl.builtin_chart("ax_plus_b"), (1, 9)),
+        (gl.chart_from_spec(CUSTOM_AX_PLUS_B), (1, 9)),
+    ],
+    ids=["pair", "heisenberg", "ax_plus_b", "custom_ax_plus_b"],
+)
+def test_haar_density_takes_determinants_at_the_jacobians_own_batch_shape(chart, jacobian_batch):
+    # the transport's call: K = 7 base nodes (K, 1, n) against H = 9 fiber points (1, H, m);
+    # a constant Jacobian is one matrix, one read from v one per fiber point
+    n, m = chart.base_dim, chart.fiber_dim
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-1.0, 1.0, (7 if n else 1, 1, n))
+    v = rng.uniform(-0.5, 0.5, (1, 9, m))
+    jac = chart.product_w_jacobian(u, v, np.zeros_like(v))
+    assert jac.shape == jacobian_batch + (m, m)
+    # against determinants of the Jacobian broadcast to every (u, v) pair
+    full = np.broadcast_to(jac, np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (m, m))
+    mu = chart.unit_weight(chart.source_map(u, v))
+    expected = mu / np.abs(np.linalg.det(full))
+    got = gl.haar_density(chart, u, v)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_haar_density_normalized_at_units():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", ["-", ["*", "u1", "u1"]]])
     u = np.array([[0.5], [-0.3]])

@@ -1,10 +1,14 @@
+import json
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import groupoidlab as gl
+from groupoidlab.cli import main
 from groupoidlab.errors import DomainError, GroupoidLabError
 
 from oracles import (
@@ -185,6 +189,31 @@ def test_cstar_identity():
     f = gl.SymbolSpec.gaussian(1, 1, xi_widths=0.5)
     for t in (0.4, 0.1):
         assert gl.pair_cstar_identity_residual(f, t, grid, mu) <= 1e-5
+
+
+def test_normfield_assembles_each_pair_kernel_once(monkeypatch, tmp_path):
+    # the C*-identity residual reuses the first row's matrix and norm: one
+    # assembly and one solve per row, plus the solve of the composed matrix
+    config = Path(__file__).parent.parent / "configs" / "pair1_normfield.json"
+    rows = len(json.loads(config.read_text())["t_values"])
+    calls = {"assembly": 0, "solve": 0}
+    assemble, solve = gl.normfield._pair_weighted_matrix, gl.normfield.power_iteration_sigma
+
+    def counted(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    monkeypatch.setattr(gl.normfield, "_pair_weighted_matrix", counted("assembly", assemble))
+    monkeypatch.setattr(gl.normfield, "power_iteration_sigma", counted("solve", solve))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gl.DecayWarning)
+        assert main(["normfield", "--config", str(config), "--output", str(tmp_path)]) == 0
+    assert calls == {"assembly": rows, "solve": rows + 1}
+    monkeypatch.undo()
+    run = gl.load_config(config)
+    mu = gl.unit_weight_on_grid(run.chart, run.grid)
+    expected = gl.pair_cstar_identity_residual(run.symbols["f"], run.t_values[0], run.grid, mu)
+    summary = json.loads((tmp_path / "normfield_summary.json").read_text())
+    assert summary["results"]["cstar_identity_residual"] == expected
 
 
 def test_triangle_inequality():

@@ -277,7 +277,9 @@ def build_config(raw: dict) -> RunConfig:
         problems.extend(deformation_domain_problems(chart, grid, t_values))
         for j, ax in enumerate(grid.base):
             lo, hi = chart.base_box[j]
-            if ax.start < lo + FD_STEP or ax.start + ax.step * (ax.count - 1) > hi - FD_STEP:
+            first, last = ax.start, ax.start + ax.step * (ax.count - 1)
+            # an axis outside the box is reported above, as leaving it
+            if lo <= first and last <= hi and (first < lo + FD_STEP or last > hi - FD_STEP):
                 problems.append(
                     f"base axis {j} leaves no {FD_STEP:g} finite-difference margin inside the chart base box"
                 )

@@ -86,12 +86,18 @@ def haar_density(chart: GroupoidChart, u, v) -> np.ndarray:
     positive wherever defined, equal to the unit weight at ``v = 0``.  The
     determinants are taken at the Jacobian's own batch shape (one on pair
     charts, one per fiber point on groups) and broadcast in the division.
+    A batch of lower-triangular Jacobians (heisenberg, ax+b, pair) takes the
+    product of the diagonal, which is exact; any other batch takes LU.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     sigma = chart.source_map(u, v)
     mu = np.asarray(chart.unit_weight(sigma), dtype=float)
-    det = np.abs(np.linalg.det(chart.product_w_jacobian(u, v, np.zeros_like(v))))
+    jacobian = chart.product_w_jacobian(u, v, np.zeros_like(v))
+    if np.triu(jacobian, 1).any():
+        det = np.abs(np.linalg.det(jacobian))
+    else:
+        det = np.abs(np.prod(np.diagonal(jacobian, axis1=-2, axis2=-1), axis=-1))
     if det.size and not float(np.min(det)) >= 1e-13:
         raise SingularJacobianError("product Jacobian is singular at the unit section")
     return mu / det

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,19 @@ def test_algebroid_summary_records_the_constant_step(tmp_path):
     assert main(["algebroid", "--config", str(CONFIGS / "pair1_deform.json"), "--output", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "algebroid_summary.json").read_text())
     assert summary["results"]["fd_step"] == gl.charts.FD_STEP == 1e-3
+
+
+def test_base_axis_outside_the_chart_box_is_reported_once(tmp_path, capsys):
+    # leaving the box implies leaving no finite-difference margin: one problem, not both
+    raw = minimal_config(chart={"builtin": "pair", "params": {"n": 1, "half_width": 4.0}})
+    raw["grid"]["base"][0]["half_width"] = 5.0
+    with pytest.raises(ConfigError) as excinfo:
+        gl.build_config(raw)
+    assert [v for v in excinfo.value.violations if "base axis 0" in v] == ["base axis 0 leaves the chart base box"]
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bracket", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("base axis 0") == 1
 
 
 def test_unknown_tolerance_rejected():
@@ -387,6 +401,52 @@ def test_float_table_blocks_write_the_bytes_of_format_number(edge, ncol, tmp_pat
     written = (tmp_path / "blocks.csv").read_bytes()
     assert written == (tmp_path / "cells.csv").read_bytes()
     assert written.count(b"\n") == rows + 1
+
+
+def _percent_17g_table(table: np.ndarray) -> bytes:
+    """The CSV lines of a float table, one ``'%.17g' %`` call per cell."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist()).encode()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=96), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_float_table_matches_percent_17g_on_raw_bit_patterns(bits, ncol):
+    # any 64-bit pattern is a float64: normal, subnormal, zero, inf or nan of either sign
+    bits += [0] * (-len(bits) % ncol)
+    table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, ncol)
+    assert b"".join(reports._float_blocks(table, ())) == _percent_17g_table(table)
+
+
+def _with_neighbours(values, steps=1):
+    """``values`` and the ``steps`` floats on either side of each."""
+    out = [np.asarray(values, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        x = out[0]
+        for _ in range(steps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def test_float_table_matches_percent_17g_on_its_edge_cases():
+    exponents = range(-323, 309)
+    powers = np.array([float(f"1e{e}") for e in exponents])
+    # some powers' nearest doubles lie below them, close enough to round up across them
+    assert any(Fraction(x) < Fraction(10) ** e and "%.17g" % x == "1e%+03d" % e for e, x in zip(exponents, powers))
+    halves = 2.0 ** -np.arange(1, 1075)  # exact decimals; 2**-25 = 2.98023223876953125e-08 ends in a tie
+    # 11 integer digits and 7 decimals, the last a 5: exact ties that round half to even either way
+    ties = [whole + odd / 128 for whole in (12345678901, 98765432109) for odd in range(1, 128, 2)]
+    cases = np.concatenate([
+        _with_neighbours(powers),
+        _with_neighbours([1e-5, 1e-4, 1e16, 1e17, 9.99995e-5, 9.9999999999999995e-5, 99999999999999999.0], 8),
+        halves,
+        ties,
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+        _with_neighbours([1e-280, 1e280], 4),
+    ])
+    cases = np.concatenate([cases, -cases])
+    cases = np.concatenate([cases, np.zeros(-len(cases) % 3)]).reshape(-1, 3)
+    assert b"".join(reports._float_blocks(cases, ())) == _percent_17g_table(cases)
 
 
 # (base node counts, fiber node counts): base dimension 0, 1 and 2 with 1-3 fiber axes

@@ -209,6 +209,15 @@ def test_haar_density_takes_determinants_at_the_jacobians_own_batch_shape(chart,
     assert got.tobytes() == expected.tobytes()
 
 
+def test_haar_density_of_a_triangular_jacobian_is_exact_where_lu_pivots():
+    # heisenberg's Jacobian is unit lower-triangular, so its determinant is 1; LU with
+    # partial pivoting misses 1 by an ulp at some points where an entry v/2 exceeds 1
+    chart = gl.builtin_chart("heisenberg")
+    v = np.random.default_rng(0).uniform(-5.5, 5.5, (2000, 3))
+    u = np.zeros((2000, 0))
+    assert np.array_equal(gl.haar_density(chart, u, v), chart.unit_weight(chart.source_map(u, v)))
+
+
 def test_haar_density_normalized_at_units():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", ["-", ["*", "u1", "u1"]]])
     u = np.array([[0.5], [-0.3]])

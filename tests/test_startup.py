@@ -52,6 +52,16 @@ def test_importing_the_cli_loads_no_command_layer():
     assert "concurrent.futures" not in loaded
 
 
+def test_the_float_formatter_builds_its_tables_on_first_use():
+    # nothing at import: a process that writes no float table never builds them
+    code = (
+        "import groupoidlab.cli\n"
+        "from groupoidlab import reports\n"
+        "assert reports._formatter_tables.cache_info().currsize == 0\n"
+    )
+    _modules_after(code)
+
+
 def test_validate_loads_no_bracket_deformation_or_norm_layer():
     loaded = _modules_after(_run_command("validate", "heisenberg_validate.json"))
     assert "groupoidlab.charts" in loaded

@@ -54,14 +54,13 @@ def studies():
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="results/classical_limit", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
     series = []
     for name, field in studies():
-        table = gl.classical_limit_error_table(field, workers=args.workers)
+        table = gl.classical_limit_error_table(field)
         rows = [[t, e, r] for t, e, r in table.rows]
         write_csv(out / f"{name}.csv", ["t", "error", "ratio"], rows)
         series.append((name, [r[0] for r in rows], [r[1] for r in rows]))

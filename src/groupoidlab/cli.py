@@ -12,7 +12,7 @@ Commands map one-to-one onto the package operations:
 
 Exit codes: 0 all configured thresholds pass, 1 computation failure or a
 failed threshold, 2 config or usage error.  Output files are byte-identical
-across reruns and worker counts; timing goes to stderr only.
+across reruns; timing goes to stderr only.
 
 Each ``_cmd_*`` imports its own layer when it runs (``charts`` for
 ``validate``, ``algebroid``, ``poisson`` for ``bracket`` and
@@ -181,7 +181,7 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
         g0=config.symbols["g"],
         t_values=config.t_values,
     )
-    table = classical_limit_error_table(field, workers=config.workers)
+    table = classical_limit_error_table(field)
     errors = [r[1] for r in table.rows]
     ratios = table.ratios()
     degenerate = all(e <= tol.degenerate for e in errors)
@@ -215,7 +215,6 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
         [[t, e, r] for t, e, r in table.rows],
     )
     bundle.plot = (
-        "deform",
         [("E(t)", [r[0] for r in table.rows], [r[1] for r in table.rows])],
         "classical-limit error vs t",
         "t",
@@ -262,7 +261,6 @@ def _cmd_normfield(config: RunConfig) -> ReportBundle:
     bundle.checks = checks
     bundle.table = (["t", "norm", "residual", "size"], rows)
     bundle.plot = (
-        "normfield",
         [("norm(t)", [r.t for r in curve.rows], [r.value for r in curve.rows])],
         "operator norm vs t",
         "t",
@@ -311,18 +309,15 @@ def run_command(
         summary_path = out / f"{stem}_summary.json"
         write_json(summary_path, bundle.finalize(config.raw, config.strict))
         bundle.files.append(str(summary_path))
-        table = getattr(bundle, "table", None)
-        if table is not None:
+        if bundle.table is not None:
             csv_path = out / f"{stem}.csv"
-            write_csv(csv_path, *table)
+            write_csv(csv_path, *bundle.table)
             bundle.files.append(str(csv_path))
-        plot_spec = getattr(bundle, "plot", None)
-        if plot and plot_spec is not None:
+        if plot and bundle.plot is not None:
             from .plots import write_svg_plot
 
-            stem_name, series, title, xlabel, ylabel, loglog = plot_spec
             svg_path = out / f"{stem}.svg"
-            write_svg_plot(svg_path, series, title, xlabel, ylabel, loglog)
+            write_svg_plot(svg_path, *bundle.plot)
             bundle.files.append(str(svg_path))
     return bundle
 
@@ -339,7 +334,6 @@ def main(argv=None) -> int:
         p.add_argument("--output", default=None, help="directory for report files")
         p.add_argument("--plot", action="store_true", help="emit SVG plots")
         p.add_argument("--strict", action="store_true", help="promote decay warnings to errors")
-        p.add_argument("--workers", type=int, default=None, help="compute worker count")
         p.add_argument("--seed", type=int, default=None, help="sampling seed override")
     args = parser.parse_args(argv)
     if args.output is not None and Path(args.output).exists() and not Path(args.output).is_dir():
@@ -350,10 +344,6 @@ def main(argv=None) -> int:
         if args.strict and not config.strict:
             # validate as if the file said "strict": true; the summary still hashes the file
             config = replace(build_config(dict(config.raw, strict=True)), raw=config.raw)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(["workers must be a positive integer"])
-            config = replace(config, workers=args.workers)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(["seed must be a nonnegative integer"])

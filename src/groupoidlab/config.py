@@ -24,7 +24,7 @@ from .symbols import SymbolSpec, decay_problems, parse_symbol
 
 MIN_AXIS_INTERVALS = 8
 MAX_GRID_NODES = 1 << 24  # one complex sample on this many nodes takes 256 MiB
-KEYS = ("chart", "grid", "symbols", "t_values", "seed", "sample_count", "workers", "strict", "tolerances")
+KEYS = ("chart", "grid", "symbols", "t_values", "seed", "sample_count", "strict", "tolerances")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class RunConfig:
     seed: int
     sample_count: int
     strict: bool
-    workers: int
     tolerances: Tolerances
 
     def require_symbols(self, *names: str):
@@ -74,7 +73,10 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
             problems.append(f"unknown built-in chart {name!r}; have {sorted(BUILTIN_CHARTS)}")
             return None
         try:
-            return builtin_chart(name, **dict(chart_cfg.get("params", {})))
+            params = dict(chart_cfg.get("params", {}))
+            for key, value in params.items():
+                _not_boolean(value, f"parameter {key}")
+            return builtin_chart(name, **params)
         except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             problems.append(f"chart {name!r}: {exc}")
             return None
@@ -93,9 +95,9 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
 
 def _build_axis(axis_cfg: dict, where: str, fiber: bool, problems: list[str]) -> Axis | None:
     try:
-        half_width = float(axis_cfg["half_width"])
+        half_width = float(_not_boolean(axis_cfg["half_width"], "half_width"))
         intervals = axis_cfg["intervals"]
-        center = float(axis_cfg.get("center", 0.0))
+        center = float(_not_boolean(axis_cfg.get("center", 0.0), "center"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{where}: malformed axis ({exc})")
         return None
@@ -225,10 +227,6 @@ def build_config(raw: dict) -> RunConfig:
     if not _integer(sample_count) or sample_count < 1:
         problems.append("sample_count must be a positive integer")
         sample_count = 100
-    workers = raw.get("workers", 1)
-    if not _integer(workers) or workers < 1:
-        problems.append("workers must be a positive integer")
-        workers = 1
     strict = raw.get("strict", False)
     if not isinstance(strict, bool):
         problems.append("strict must be true or false")
@@ -299,13 +297,19 @@ def build_config(raw: dict) -> RunConfig:
         seed=seed,
         sample_count=sample_count,
         strict=strict,
-        workers=workers,
         tolerances=tolerances,
     )
 
 
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _not_boolean(value, name: str):
+    """``value``, where a number is read; a JSON boolean is not one and raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, not {json.dumps(value)}")
+    return value
 
 
 def _finite_number(value) -> bool:

@@ -39,14 +39,14 @@ output-major: a block's ``(K, A, H, m)`` points are a view of ``(m, K, A,
 H)`` memory, so each coordinate is one plane whose contiguous inner axis
 runs over the ``H`` integration nodes, and the chart maps, the solver's
 contract check and the symbol evaluation all loop over long contiguous
-rows.  Each worker thread allocates a block's arrays (points, residual,
-symbol values and their exponent scratch) once per ``t`` and reuses them for
-every later block.  On a block :func:`scaled_commutator` evaluates both
+rows.  A block's arrays (points, residual, symbol values and their
+exponent scratch) are allocated once per ``t`` and reused for every later
+block.  On a block :func:`scaled_commutator` evaluates both
 orderings, :func:`deformed_product` one, and
 :func:`groupoidlab.normfield.group_regular_norm` assembles the matrix of
 ``g -> f *_t g``.  The product sums each output value over the contiguous
 integration nodes with einsum's vector partial sums, not in node order; the
-sum is the same for any block size and worker count, so the values are too.
+sum is the same for any block size, so the values are too.
 As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
 ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
@@ -55,7 +55,6 @@ As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -166,7 +165,7 @@ class _Transport:
     H, m)`` over ``(m, K, A, H)``, so every map, check and symbol evaluation
     runs inner loops over the ``H`` integration nodes.  The block's points,
     its contract-check residual, its symbol values and their two exponent
-    arrays are allocated once per thread and reused by every later block.
+    arrays are allocated once and reused by every later block.
     """
 
     def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
@@ -181,7 +180,7 @@ class _Transport:
         self.v_eta = _coordinate_major(t * self.fiber_pts)[None, None]  # (1, 1, H, m)
         self.rho = haar_density(chart, self.base[:, 0], self.v_eta[:, 0])  # (K, H)
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
-        self._buffers = threading.local()
+        self._buffers: dict = {}
 
     def coefficient(self, f0: Operand) -> np.ndarray:
         """``(K, H)`` coefficients ``f0 * rho * weight``, in ``f0``'s dtype; ``f0`` is read at nodes only."""
@@ -192,8 +191,8 @@ class _Transport:
         return values * self.rho * self.weights
 
     def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """This thread's array ``name`` of ``shape``: the head of a flat buffer kept for later blocks."""
-        buffers, key, size = self._buffers.__dict__, (name, dtype), math.prod(shape)
+        """The array ``name`` of ``shape``: the head of a flat buffer kept for later blocks."""
+        buffers, key, size = self._buffers, (name, dtype), math.prod(shape)
         if key not in buffers or buffers[key].size < size:
             buffers[key] = np.empty(size, dtype)
         return buffers[key][:size].reshape(shape)
@@ -201,7 +200,7 @@ class _Transport:
     def solve(self, start: int, stop: int) -> np.ndarray:
         """``(K, A, H, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``.
 
-        A view of this thread's ``(m, K, A, H)`` buffer, overwritten by its next call.
+        A view of the ``(m, K, A, H)`` buffer, overwritten by the next call.
         """
         K, H = self.rho.shape
         shape = (self.chart.fiber_dim, K, stop - start, H)
@@ -215,7 +214,7 @@ class _Transport:
     def evaluate(self, g0: Operand, sigma: np.ndarray, points: np.ndarray) -> np.ndarray:
         """``(K, A, H)`` values of ``g0`` at the block's points, over ``sigma`` (``(K, 1, H, n)``).
 
-        An analytic ``g0`` writes into this thread's buffers, overwritten by its next call.
+        An analytic ``g0`` writes into the transport's buffers, overwritten by the next call.
         """
         if not isinstance(g0, SymbolSpec):
             return g0.evaluate(sigma, points)
@@ -229,7 +228,6 @@ def _deformed_products(
     grid: GridSpec,
     pairs: Sequence[tuple[Operand, Operand]],
     t: float,
-    workers: int,
 ) -> list[np.ndarray]:
     """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
@@ -241,7 +239,7 @@ def _deformed_products(
     is one einsum sum over the contiguous integration-node axis of one block
     row, which sums with vector partial sums, not in node order; the row and
     so the sum are the same whatever the blocks, so the values do not depend
-    on the block size or the worker count.
+    on the block size.
     """
     transport = _Transport(chart, grid, t)
     K, H = transport.rho.shape
@@ -255,8 +253,7 @@ def _deformed_products(
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
     bounds = list(range(0, H, max(1, _BLOCK_POINTS // (K * H)))) + [H]
 
-    def run(block: int):
-        start, stop = bounds[block], bounds[block + 1]
+    for start, stop in zip(bounds, bounds[1:]):
         points = transport.solve(start, stop)
         for (_, g0), (coeff, real, imag), out in zip(pairs, parts, outs):
             values = transport.evaluate(g0, sigma, points)
@@ -266,16 +263,6 @@ def _deformed_products(
                 out.real[:, start:stop] = np.einsum("kh,kah->ka", real, values, optimize=False)
                 if imag is not None:
                     out.imag[:, start:stop] = np.einsum("kh,kah->ka", imag, values, optimize=False)
-
-    blocks = range(len(bounds) - 1)
-    if workers <= 1 or len(blocks) == 1:
-        for b in blocks:
-            run(b)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
     return outs
 
 
@@ -285,7 +272,6 @@ def deformed_product(
     f0: Operand,
     g0: Operand,
     t: float,
-    workers: int = 1,
 ) -> SampledSymbol:
     """Deformed convolution of two sections at parameter ``t`` (see module docs).
 
@@ -294,11 +280,10 @@ def deformed_product(
     ``g0`` is evaluated at the transported points, exactly for analytic
     symbols and by multilinear interpolation for sampled ones; a real ``g0``
     is evaluated in float64.  The output is complex, sampled on ``grid``.
-    Workers only run the fixed blocks of output nodes on threads; results
-    are identical at any worker count and, with a ``product_solver`` (every
-    chart affine and triangular in w), at any block size.
+    With a ``product_solver`` (every chart affine and triangular in w) the
+    results are identical at any block size.
     """
-    (values,) = _deformed_products(chart, grid, [(f0, g0)], t, workers)
+    (values,) = _deformed_products(chart, grid, [(f0, g0)], t)
     return SampledSymbol(values=values.reshape(grid.shape), grid=grid)
 
 
@@ -306,15 +291,13 @@ def deformed_convolution(field: DeformationField, t: float) -> SampledSymbol:
     return deformed_product(field.chart, field.grid, field.f0, field.g0, t)
 
 
-def scaled_commutator(field: DeformationField, t: float, workers: int = 1) -> SampledSymbol:
+def scaled_commutator(field: DeformationField, t: float) -> SampledSymbol:
     """(f *_t g - g *_t f) / t, the quantity whose ``t -> 0`` limit is checked.
 
     Both orderings share one transport; the values equal those of two
     :func:`deformed_product` calls bit for bit.
     """
-    fg, gf = _deformed_products(
-        field.chart, field.grid, [(field.f0, field.g0), (field.g0, field.f0)], t, workers
-    )
+    fg, gf = _deformed_products(field.chart, field.grid, [(field.f0, field.g0), (field.g0, field.f0)], t)
     return SampledSymbol(values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid)
 
 
@@ -351,7 +334,7 @@ def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
     return []
 
 
-def classical_limit_error_table(field: DeformationField, workers: int = 1) -> LimitTable:
+def classical_limit_error_table(field: DeformationField) -> LimitTable:
     """Convergence table of the scaled commutator toward the bracket limit.
 
     The bracket target carries the chart's unit weight, as the deformed
@@ -370,7 +353,7 @@ def classical_limit_error_table(field: DeformationField, workers: int = 1) -> Li
     prev_err = None
     last_sup = 0.0
     for t in ts:
-        commutator = scaled_commutator(field, t, workers=workers)
+        commutator = scaled_commutator(field, t)
         err = float(np.max(np.abs(commutator.values - target)))
         ratio = float("nan") if prev_err in (None, 0.0) else err / prev_err
         rows.append((float(t), err, ratio))

@@ -262,8 +262,8 @@ class ReportBundle:
 
     ``table`` is an optional ``(header, rows)`` or ``(header, rows, nodes)``
     tuple, the arguments of :func:`write_csv` for the CSV output, and
-    ``plot`` an optional SVG description
-    ``(stem, series, title, xlabel, ylabel, loglog)``.
+    ``plot`` an optional ``(series, title, xlabel, ylabel, loglog)`` tuple,
+    the arguments of :func:`groupoidlab.plots.write_svg_plot` after the path.
     """
 
     command: str
@@ -279,7 +279,7 @@ class ReportBundle:
         return all(c.passed for c in self.checks)
 
     def finalize(self, raw_config: dict, strict: bool) -> dict:
-        # no worker count, no wall time: output bytes must not depend on either
+        # no wall time: output bytes must not depend on it
         return {
             "command": self.command,
             "version": __version__,

@@ -10,7 +10,7 @@ operations are exact, only convolutions are ever numerical.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,13 +105,7 @@ class SymbolSpec:
 
     def scaled(self, factor: complex) -> "SymbolSpec":
         factor = complex(factor)
-        return SymbolSpec(
-            self.base_dim,
-            self.fiber_dim,
-            tuple(
-                SymbolTerm(t.coeff * factor, *t._key()) for t in self.terms
-            ),
-        )
+        return replace(self, terms=tuple(replace(t, coeff=t.coeff * factor) for t in self.terms))
 
     def merged(self) -> "SymbolSpec":
         """Combine terms with identical monomial and Gaussian data."""
@@ -138,18 +132,8 @@ class SymbolSpec:
         for t in self.terms:
             q = list(t.xi_powers)
             q[index] += 1
-            terms.append(
-                SymbolTerm(
-                    t.coeff,
-                    t.x_powers,
-                    tuple(q),
-                    t.x_widths,
-                    t.x_centers,
-                    t.xi_widths,
-                    t.xi_centers,
-                )
-            )
-        return SymbolSpec(self.base_dim, self.fiber_dim, tuple(terms))
+            terms.append(replace(t, xi_powers=tuple(q)))
+        return replace(self, terms=tuple(terms))
 
     def derivative(self, kind: str, index: int) -> "SymbolSpec":
         """Exact partial derivative; ``kind`` is ``"x"`` or ``"xi"``."""
@@ -160,30 +144,21 @@ class SymbolSpec:
             raise IndexError(f"{kind} index out of range")
         out: list[SymbolTerm] = []
         for t in self.terms:
-            powers = t.x_powers if kind == "x" else t.xi_powers
-            widths = t.x_widths if kind == "x" else t.xi_widths
-            centers = t.x_centers if kind == "x" else t.xi_centers
-            p, a, c0 = powers[index], widths[index], centers[index]
+            powers = getattr(t, f"{kind}_powers")
+            p = powers[index]
+            a = getattr(t, f"{kind}_widths")[index]
+            c0 = getattr(t, f"{kind}_centers")[index]
 
             def rebuild(coeff, new_power):
-                new_powers = list(powers)
-                new_powers[index] = new_power
-                if kind == "x":
-                    return SymbolTerm(
-                        coeff, tuple(new_powers), t.xi_powers,
-                        t.x_widths, t.x_centers, t.xi_widths, t.xi_centers,
-                    )
-                return SymbolTerm(
-                    coeff, t.x_powers, tuple(new_powers),
-                    t.x_widths, t.x_centers, t.xi_widths, t.xi_centers,
-                )
+                new_powers = powers[:index] + (new_power,) + powers[index + 1 :]
+                return replace(t, coeff=coeff, **{f"{kind}_powers": new_powers})
 
             if p > 0:
                 out.append(rebuild(t.coeff * p, p - 1))
             out.append(rebuild(t.coeff * (-2.0 * a), p + 1))
             if c0 != 0.0:
                 out.append(rebuild(t.coeff * (2.0 * a * c0), p))
-        return SymbolSpec(self.base_dim, self.fiber_dim, tuple(out)).merged()
+        return replace(self, terms=tuple(out)).merged()
 
     # -- evaluation ---------------------------------------------------------------
     @property
@@ -301,11 +276,17 @@ def parse_symbol(entries: Iterable[dict], base_dim: int, fiber_dim: int) -> Symb
 
     Each entry may carry ``coeff`` (number or [re, im], default 1),
     ``x_powers``, ``xi_powers`` (default all 0), ``x_widths``/``xi_widths``
-    (default all 1), ``x_centers``/``xi_centers`` (default all 0).
+    (default all 1), ``x_centers``/``xi_centers`` (default all 0).  A JSON
+    boolean is not a number: one anywhere a number is read raises TypeError.
     """
 
+    def numbers(key, raw):
+        if any(isinstance(r, bool) for r in (raw if isinstance(raw, (list, tuple)) else [raw])):
+            raise TypeError(f"{key} must hold numbers, not booleans")
+        return raw
+
     def vector(entry, key, dim, default, cast):
-        raw = entry.get(key, default)
+        raw = numbers(key, entry.get(key, default))
         if np.isscalar(raw):
             out = tuple(cast(raw) for _ in range(dim))
         elif len(raw) != dim:
@@ -318,7 +299,7 @@ def parse_symbol(entries: Iterable[dict], base_dim: int, fiber_dim: int) -> Symb
 
     terms = []
     for entry in entries:
-        raw_coeff = entry.get("coeff", 1.0)
+        raw_coeff = numbers("coeff", entry.get("coeff", 1.0))
         if isinstance(raw_coeff, (list, tuple)):
             coeff = complex(float(raw_coeff[0]), float(raw_coeff[1]))
         else:

@@ -34,7 +34,7 @@ def minimal_config(**overrides):
 def test_minimal_config_fills_defaults():
     config = gl.build_config(minimal_config())
     assert not hasattr(config, "fd_step")
-    assert config.workers == 1
+    assert not hasattr(config, "workers")
     assert config.seed == 2024
     assert config.sample_count == 100
     assert config.strict is False
@@ -55,13 +55,13 @@ def test_strict_decay_violation_names_symbol():
 
 
 def test_all_violations_reported_not_just_first():
-    raw = minimal_config(t_values=[0.0, 0.2], fd_step=1e-3, workers=0)
+    raw = minimal_config(t_values=[0.0, 0.2], fd_step=1e-3, seed=-1)
     with pytest.raises(ConfigError) as excinfo:
         gl.build_config(raw)
     text = "; ".join(excinfo.value.violations)
     assert "t must be nonzero" in text
     assert "unknown config key(s) ['fd_step']" in text
-    assert "workers" in text
+    assert "seed must be a nonnegative integer" in text
     assert len(excinfo.value.violations) >= 3
 
 
@@ -339,28 +339,14 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    outs = []
-    for run, workers in (("w1", "1"), ("w4", "4")):
-        out = tmp_path / run
-        assert (
-            main(
-                [
-                    "deform",
-                    "--config",
-                    str(CONFIGS / "pair1_deform.json"),
-                    "--output",
-                    str(out),
-                    "--plot",
-                    "--workers",
-                    workers,
-                ]
-            )
-            == 0
-        )
-        outs.append(out)
-    for name in ("deform_summary.json", "deform.csv", "deform.svg"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+def test_workers_flag_is_a_usage_error(tmp_path, capsys):
+    # deform runs on one thread; there is no worker count to set
+    with pytest.raises(SystemExit) as excinfo:
+        main(["deform", "--config", str(CONFIGS / "pair1_deform.json"), "--output", str(tmp_path / "out"), "--workers", "2"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_numbers_roundtrip(tmp_path):
@@ -588,9 +574,17 @@ MALFORMED = [
     ("negative_seed", minimal_config(seed=-1), "seed must be a nonnegative integer"),
     ("fractional_intervals", _grid_override(fiber=[{"half_width": 8.0, "intervals": 64.9}]), "intervals must be an integer"),
     ("boolean_seed", minimal_config(seed=True), "seed must be a nonnegative integer"),
-    ("boolean_workers", minimal_config(workers=True), "workers must be a positive integer"),
+    ("workers_key", minimal_config(workers=1), "unknown config key(s) ['workers']"),
     ("boolean_sample_count", minimal_config(sample_count=True), "sample_count must be a positive integer"),
     ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unsupported quadrature 'simpson'"),
+    # a JSON boolean is not a number wherever a number is read
+    ("boolean_half_width", _grid_override(base=[{"half_width": True, "intervals": 16}]), "half_width must be a number"),
+    ("boolean_center", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "center": False}]), "center must be a number"),
+    ("boolean_chart_param", minimal_config(chart={"builtin": "pair", "params": {"n": True}}), "parameter n must be a number"),
+    ("boolean_symbol_power", minimal_config(symbols={"f": [{"x_powers": [True]}]}), "x_powers must hold numbers"),
+    ("boolean_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [True]}]}), "xi_widths must hold numbers"),
+    ("boolean_symbol_coeff", minimal_config(symbols={"f": [{"coeff": True}]}), "coeff must hold numbers"),
+    ("boolean_symbol_coeff_part", minimal_config(symbols={"f": [{"coeff": [1.0, False]}]}), "coeff must hold numbers"),
 ]
 
 

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -299,12 +301,6 @@ def test_real_symbols_give_real_commutator(pair1, pair1_grid64, gauss11, xxigaus
     assert np.max(np.abs(commutator.values.imag)) <= 1e-12 * gl.scale_of(commutator.values)
 
 
-def test_workers_do_not_change_bits(pair1, pair1_grid64, gauss11, xxigauss11):
-    one = gl.deformed_product(pair1, pair1_grid64, gauss11, xxigauss11, 0.1, workers=1)
-    three = gl.deformed_product(pair1, pair1_grid64, gauss11, xxigauss11, 0.1, workers=3)
-    assert np.array_equal(one.values, three.values)
-
-
 def _commutator_case(name, request):
     t_values = (0.2, 0.1, 0.05)
     if name == "pair":
@@ -316,7 +312,7 @@ def _commutator_case(name, request):
             t_values=t_values,
         )
     if name == "heisenberg":
-        # 11^3 nodes take many blocks of the product loop, so workers run them on threads
+        # 11^3 nodes take many blocks of the product loop
         grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 10) for _ in range(3)))
         f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
         g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
@@ -329,43 +325,47 @@ def _commutator_case(name, request):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+def _on_threads(callers: int, compute):
+    """``compute()`` started at once on ``callers`` threads of the caller's own; the results."""
+    barrier = threading.Barrier(callers)
+
+    def run(_):
+        barrier.wait()
+        return compute()
+
+    with ThreadPoolExecutor(max_workers=callers) as pool:
+        return list(pool.map(run, range(callers)))
+
+
+# callers: threads of the caller's own that run the product at once; each
+# call has its own block arrays, and chart evaluation keeps its scratch per thread
+@pytest.mark.parametrize("callers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "custom_ax_plus_b"])
-def test_scaled_commutator_shares_the_transport_exactly(chart_name, workers, request):
+def test_scaled_commutator_shares_the_transport_exactly(chart_name, callers, request):
     # both orderings read one transport per t; the values are those of two
     # separate products, bit for bit
     field = _commutator_case(chart_name, request)
     t = field.t_values[0]
-    fg = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, t, workers=workers)
-    gf = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, t, workers=workers)
-    commutator = gl.scaled_commutator(field, t, workers=workers)
-    assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
+    fg = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, t)
+    gf = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, t)
+    for commutator in _on_threads(callers, lambda: gl.scaled_commutator(field, t)):
+        assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
 
 
 # 1 << 11 makes the blocks of both built-in cases one node wide, 1 << 12
 # makes heisenberg blocks three nodes wide, 1 << 20 puts pair in one block
 @pytest.mark.parametrize("budget", [1 << 11, 1 << 12, 1 << 20])
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("callers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
-def test_block_size_does_not_change_the_product(chart_name, workers, budget, request, monkeypatch):
+def test_block_size_does_not_change_the_product(chart_name, callers, budget, request, monkeypatch):
     # every node sum runs over the same contiguous row whatever the blocks, and
     # forward substitution solves each point on its own
     field = _commutator_case(chart_name, request)
     t = field.t_values[1]
-    default = gl.scaled_commutator(field, t, workers=workers).values
+    default = gl.scaled_commutator(field, t).values
     monkeypatch.setattr(deformation, "_BLOCK_POINTS", budget)
-    blocked = gl.scaled_commutator(field, t, workers=workers).values
-    assert blocked.tobytes() == default.tobytes()
-
-
-@pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
-def test_scaled_commutator_is_bitwise_equal_at_any_worker_count(chart_name, request):
-    # each worker thread keeps its own block arrays; the blocks are the same
-    field = _commutator_case(chart_name, request)
-    t = field.t_values[1]
-    one = gl.scaled_commutator(field, t, workers=1).values
-    three = gl.scaled_commutator(field, t, workers=3).values
-    assert one.tobytes() == three.tobytes()
+    for blocked in _on_threads(callers, lambda: gl.scaled_commutator(field, t).values):
+        assert blocked.tobytes() == default.tobytes()
 
 
 def test_consecutive_products_do_not_alias(request):

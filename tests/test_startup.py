@@ -78,7 +78,7 @@ def test_deform_loads_no_norm_layer():
     loaded = _modules_after(_run_command("deform", "pair1_deform.json"))
     assert "groupoidlab.deformation" in loaded
     assert "groupoidlab.normfield" not in loaded
-    assert "concurrent.futures" not in loaded  # one worker runs no thread pool
+    assert "concurrent.futures" not in loaded  # deform runs on one thread
 
 
 def test_every_public_name_resolves():

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError
+from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError, json_number
 from .expressions import _tree_uses, compile_expression, compile_solver, compile_vector, derivative
 
 Array = np.ndarray
@@ -431,8 +431,8 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     affine and lower triangular in w, else None (Newton).
     ``params`` default to ``{"spec": "custom"}``; the built-ins pass theirs.
     """
-    n = int(spec["base_dim"])
-    m = int(spec["fiber_dim"])
+    n = json_number(spec["base_dim"], "base_dim must be an integer", integer=True)
+    m = json_number(spec["fiber_dim"], "fiber_dim must be an integer", integer=True)
     source_exprs = spec.get("source_map", [])
     if len(source_exprs) != n:
         raise ConfigError([f"source_map needs {n} expression(s), got {len(source_exprs)}"])

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .charts import BUILTIN_CHARTS, FD_STEP, GroupoidChart, builtin_chart, chart_from_spec
-from .errors import ConfigError
+from .errors import ConfigError, json_number
 from .grids import Axis, GridSpec
 from .symbols import SymbolSpec, decay_problems, parse_symbol
 
@@ -75,7 +75,8 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
         try:
             params = dict(chart_cfg.get("params", {}))
             for key, value in params.items():
-                _not_boolean(value, f"parameter {key}")
+                if key != "mu_e":  # the unit weight is an expression tree
+                    json_number(value, f"parameter {key} must be a number")
             return builtin_chart(name, **params)
         except (TypeError, ValueError, OverflowError, ConfigError) as exc:
             problems.append(f"chart {name!r}: {exc}")
@@ -95,16 +96,11 @@ def _build_chart(raw: dict, problems: list[str]) -> GroupoidChart | None:
 
 def _build_axis(axis_cfg: dict, where: str, fiber: bool, problems: list[str]) -> Axis | None:
     try:
-        half_width = float(_not_boolean(axis_cfg["half_width"], "half_width"))
-        intervals = axis_cfg["intervals"]
-        center = float(_not_boolean(axis_cfg.get("center", 0.0), "center"))
+        half_width = float(json_number(axis_cfg["half_width"], "half_width must be a number"))
+        intervals = json_number(axis_cfg["intervals"], "intervals must be an integer", integer=True)
+        center = float(json_number(axis_cfg.get("center", 0.0), "center must be a number"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         problems.append(f"{where}: malformed axis ({exc})")
-        return None
-    if isinstance(intervals, float) and intervals.is_integer():
-        intervals = int(intervals)
-    if not _integer(intervals):
-        problems.append(f"{where}: intervals must be an integer")
         return None
     if not (math.isfinite(half_width) and math.isfinite(center)):
         problems.append(f"{where}: half_width and center must be finite")
@@ -303,13 +299,6 @@ def build_config(raw: dict) -> RunConfig:
 
 def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _not_boolean(value, name: str):
-    """``value``, where a number is read; a JSON boolean is not one and raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, not {json.dumps(value)}")
-    return value
 
 
 def _finite_number(value) -> bool:

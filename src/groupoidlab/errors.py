@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the JSON number reader."""
+
+import json
+import numbers
 
 
 class GroupoidLabError(Exception):
@@ -45,3 +48,18 @@ class ConfigError(GroupoidLabError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def json_number(value, requirement: str, integer: bool = False):
+    """``value``, a JSON number (an int or a float: a bool or a string raises TypeError).
+
+    ``requirement`` starts the message, e.g. "half_width must be a number".
+    With ``integer`` an integral float reads as its int; any other raises ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{requirement}, not {json.dumps(value, default=repr)}")
+    if integer and not isinstance(value, numbers.Integral):
+        if not float(value).is_integer():
+            raise ValueError(f"{requirement}: {value!r} is not an integer")
+        return int(value)
+    return value

@@ -184,7 +184,7 @@ def _tensor_weights(axes: tuple[Axis, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledSymbol:
-    """Complex samples of a symbol on a grid.
+    """Samples of a symbol on a grid: float64 for a real symbol, complex128 otherwise.
 
     Decay is checked where samples are made (:func:`groupoidlab.symbols.eval_symbol`,
     :func:`groupoidlab.poisson.select_dual_grid`), not recorded here.  The
@@ -197,7 +197,8 @@ class SampledSymbol:
 
     @staticmethod
     def wrap(values: np.ndarray, grid: GridSpec) -> "SampledSymbol":
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
+        values = values.astype(np.result_type(values, float), copy=False)  # real stays real
         if values.shape != grid.shape:
             raise GridMismatchError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
@@ -287,11 +288,12 @@ def stencil_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray
     works with; the boundary rows are accurate only when the data has
     decayed there.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values, dtype=np.result_type(values, float))
     out = np.zeros_like(values)
     for shift, coeff in _STENCIL_6:
         out += coeff * _shifted(values, axis, shift)
-    return out / step
+    # times the reciprocal, as numpy divides a complex array by a real: real samples give the real part
+    return out * (1.0 / step)
 
 
 def interpolation_corners(axes, coords, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +335,8 @@ def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.nd
     """Multilinear interpolation of the samples, zero outside the grid.
 
     ``base_points`` is (..., n) and ``fiber_points`` (..., m) with batch
-    shapes that broadcast; returns complex values of the broadcast shape.
+    shapes that broadcast; returns values of the broadcast shape, in the
+    samples' dtype.
     """
     grid = sym.grid
     coords = []

@@ -28,6 +28,7 @@ intertwining tests:
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -83,17 +84,29 @@ def _with_fiber_axes(base_array: np.ndarray, grid: GridSpec) -> np.ndarray:
 # convolution
 # ---------------------------------------------------------------------------
 
+class _Spectra:
+    """FFTs over the fiber axes of ``grid`` (real ones for real samples), each zero-padded
+    to 2 * count: even and composite (2 * count - 1 can be prime), with no wrap-around."""
+
+    def __init__(self, grid: GridSpec, real: bool):
+        counts = grid.fiber_shape
+        self.grid, self.size, self.weights = grid, [2 * c for c in counts], grid.fiber_weights()
+        self.axes = tuple(range(grid.base_dim, grid.base_dim + grid.fiber_dim))
+        self.window = (Ellipsis,) + tuple(slice((c - 1) // 2, (c - 1) // 2 + c) for c in counts)
+        self.forward, self.inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
+
+    def transform(self, values: np.ndarray, weighted: bool) -> np.ndarray:
+        """Spectrum of ``values``, times the quadrature weights when ``weighted`` (a first factor)."""
+        return self.forward(values * self.weights if weighted else values, self.size, self.axes)
+
+    def convolution(self, spectrum: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """The convolution whose spectrum is ``spectrum``, under the weight ``mu``."""
+        return self.inverse(spectrum, self.size, self.axes)[self.window] * _with_fiber_axes(mu, self.grid)
+
+
 def _convolve_values(fv: np.ndarray, gv: np.ndarray, grid: GridSpec, mu: np.ndarray) -> np.ndarray:
-    # zero-padded FFT over the fiber axes; length 2 * count is even and
-    # composite (2 * count - 1 can be prime) and leaves no wrap-around
-    counts = grid.fiber_shape
-    axes = tuple(range(grid.base_dim, grid.base_dim + grid.fiber_dim))
-    size = [2 * c for c in counts]
-    spectrum = np.fft.fftn(fv * grid.fiber_weights(), size, axes)
-    spectrum *= np.fft.fftn(gv, size, axes)
-    full = np.fft.ifftn(spectrum, size, axes)
-    window = (Ellipsis,) + tuple(slice((c - 1) // 2, (c - 1) // 2 + c) for c in counts)
-    return full[window] * _with_fiber_axes(mu, grid)
+    spectra = _Spectra(grid, real=not (np.iscomplexobj(fv) or np.iscomplexobj(gv)))
+    return spectra.convolution(spectra.transform(fv, weighted=True) * spectra.transform(gv, weighted=False), mu)
 
 
 def fiber_convolve(f: SampledSymbol, g: SampledSymbol, mu_on_base=None) -> SampledSymbol:
@@ -118,22 +131,35 @@ def _check_base_axes(a: GridSpec, b: GridSpec):
 
 
 @functools.lru_cache(maxsize=8)
-def _axis_kernel(src: Axis, dst: Axis, sign: float) -> np.ndarray:
-    """``exp(sign 2 pi i dst_r src_c)`` times the ``src`` weights; read-only, as callers share it."""
-    phase = sign * TWO_PI_I * np.outer(dst.nodes, src.nodes)
-    kernel = np.exp(phase) * src.trapezoid_weights()
+def _axis_kernel(src: Axis, dst: Axis, sign: float, real_view: bool = False) -> np.ndarray:
+    """``exp(sign 2 pi i dst_r src_c)`` times the ``src`` weights; read-only, as callers share it.
+
+    ``real_view``: its transpose as C-contiguous float64 ``(src, 2 dst)``, whose
+    real product with real samples is the complex one's parts, interleaved.
+    """
+    if real_view:
+        kernel = np.ascontiguousarray(_axis_kernel(src, dst, sign).T).view(float)
+    else:
+        kernel = np.exp(sign * TWO_PI_I * np.outer(dst.nodes, src.nodes)) * src.trapezoid_weights()
     kernel.flags.writeable = False
     return kernel
 
 
 def _fiber_transform(values: np.ndarray, src: GridSpec, dst: GridSpec, sign: float) -> np.ndarray:
-    """Apply the kernel ``exp(sign 2 pi i <dst, src>)`` times the ``src`` weights, axis by axis."""
+    """Apply the kernel ``exp(sign 2 pi i <dst, src>)`` times the ``src`` weights, axis by axis.
+
+    Real samples take their first axis as one real GEMM against the kernel's
+    real view; complex samples, and every axis after the first, a complex one.
+    """
     nb = src.base_dim
-    vals = values.astype(complex)
+    vals = values
     for k in range(src.fiber_dim):
-        kernel = _axis_kernel(src.fiber[k], dst.fiber[k], sign)
         moved = np.moveaxis(vals, nb + k, -1)
-        vals = np.moveaxis(moved @ kernel.T, -1, nb + k)
+        if np.iscomplexobj(moved):
+            product = moved @ _axis_kernel(src.fiber[k], dst.fiber[k], sign).T
+        else:
+            product = (moved @ _axis_kernel(src.fiber[k], dst.fiber[k], sign, True)).view(complex)
+        vals = np.moveaxis(product, -1, nb + k)
     return vals
 
 
@@ -230,7 +256,15 @@ def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
 def _bracket(
     f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray
 ) -> SampledSymbol:
-    """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``."""
+    """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``.
+
+    In spectral space: the coefficients (``a_ij``, ``a_ij lg_j``, ``-c_ijk / 2``)
+    are real functions of the base point, so each distinct operand is
+    transformed once, ``c (F(a w) F(b) - F(c w) F(d))`` is summed in term order
+    and one inverse transform ends it.  Swapping f and g swaps the two products
+    of every term, which negates the result bitwise.  A real bracket / (2 pi i)
+    takes the real FFT, and the result's real part is +0.
+    """
     _op_grid_check(f, grid)
     _op_grid_check(g, grid)
     n, m = grid.base_dim, grid.fiber_dim
@@ -240,56 +274,50 @@ def _bracket(
     structure = data.structure.reshape(base_shape + (m, m, m))
     log_grad = data.log_weight_grad.reshape(base_shape + (n,))
 
-    conv = lambda av, bv: _convolve_values(av, bv, grid, mu)
+    samples: dict = {}
 
-    own: dict = {}  # samples of f and g themselves, read only by the weight coupling
-    f_mult = [_op_values(f.fiber_multiply(i), grid, f"xi_{i + 1} f") for i in range(m)]
-    g_mult = [_op_values(g.fiber_multiply(i), grid, f"xi_{i + 1} g") for i in range(m)]
-    f_dx = [_op_values(f.derivative("x", j), grid, f"d/dx_{j + 1} f") for j in range(n)]
-    g_dx = [_op_values(g.derivative("x", j), grid, f"d/dx_{j + 1} g") for j in range(n)]
+    def sample(op: Operand, name: str) -> str:
+        if name not in samples:
+            samples[name] = _op_values(op, grid, name)
+        return name
 
-    out = np.zeros(grid.shape, dtype=complex)
+    terms = []  # (coefficient, a, b, c, d) by sample name: coefficient (a w * b - c w * d)
+    f_mult = [sample(f.fiber_multiply(i), f"xi_{i + 1} f") for i in range(m)]
+    g_mult = [sample(g.fiber_multiply(i), f"xi_{i + 1} g") for i in range(m)]
+    f_dx = [sample(f.derivative("x", j), f"d/dx_{j + 1} f") for j in range(n)]
+    g_dx = [sample(g.derivative("x", j), f"d/dx_{j + 1} g") for j in range(n)]
 
     # anchor and weight terms
     for i in range(m):
-        convs_weight = None
         for j in range(n):
             a_ij = anchor[..., i, j]
-            lg_j = log_grad[..., j]
             if np.any(a_ij != 0.0):
-                diff = conv(f_mult[i], g_dx[j]) - conv(g_mult[i], f_dx[j])
-                out += TWO_PI_I * _with_fiber_axes(a_ij, grid) * diff
-                coupling = a_ij * lg_j
+                terms.append((a_ij, f_mult[i], g_dx[j], g_mult[i], f_dx[j]))
+                coupling = a_ij * log_grad[..., j]
                 if np.any(coupling != 0.0):
-                    if convs_weight is None:
-                        if not own:
-                            own.update(f=_op_values(f, grid, "f"), g=_op_values(g, grid, "g"))
-                        convs_weight = conv(f_mult[i], own["g"]) - conv(g_mult[i], own["f"])
-                    out += TWO_PI_I * _with_fiber_axes(coupling, grid) * convs_weight
+                    own_f, own_g = sample(f, "f"), sample(g, "g")
+                    terms.append((coupling, f_mult[i], own_g, g_mult[i], own_f))
 
     # structure-constant terms, explicitly antisymmetrized
-    d_cache: dict = {}
+    def d_first(op: Operand, which: str, i: int, k: int) -> str:
+        return sample(op.fiber_multiply(i).derivative("xi", k), f"d/dxi_{k + 1} (xi_{i + 1} {which})")
 
-    def d_first(which: str, i: int, k: int) -> np.ndarray:
-        key = (which, i, k)
-        if key not in d_cache:
-            source = f if which == "f" else g
-            name = f"d/dxi_{k + 1} (xi_{i + 1} {which})"
-            d_cache[key] = _op_values(source.fiber_multiply(i).derivative("xi", k), grid, name)
-        return d_cache[key]
+    for i, j, k in itertools.product(range(m), repeat=3):
+        c_ijk = structure[..., i, j, k]
+        if np.any(c_ijk != 0.0):
+            terms.append((-0.5 * c_ijk, d_first(f, "f", i, k), g_mult[j], d_first(g, "g", i, k), f_mult[j]))
 
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c_ijk = structure[..., i, j, k]
-                if not np.any(c_ijk != 0.0):
-                    continue
-                term = conv(d_first("f", i, k), g_mult[j]) - conv(
-                    d_first("g", i, k), f_mult[j]
-                )
-                out += (-0.5 * TWO_PI_I) * _with_fiber_axes(c_ijk, grid) * term
-
-    return SampledSymbol(values=out, grid=grid)
+    real = not any(np.iscomplexobj(v) for v in samples.values())
+    spectra = _Spectra(grid, real)
+    transform = functools.cache(lambda name, weighted: spectra.transform(samples[name], weighted))
+    product = lambda a, b: transform(a, True) * transform(b, False)
+    spectrum = sum(_with_fiber_axes(w, grid) * (product(a, b) - product(c, d)) for w, a, b, c, d in terms)
+    values = np.zeros(grid.shape, dtype=complex)
+    if terms and real:  # TWO_PI_I * x would give the real part -0 where x < 0
+        values.imag = TWO_PI_I.imag * spectra.convolution(spectrum, mu)
+    elif terms:
+        values = TWO_PI_I * spectra.convolution(spectrum, mu)
+    return SampledSymbol(values=values, grid=grid)
 
 
 # ---------------------------------------------------------------------------

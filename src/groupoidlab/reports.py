@@ -60,9 +60,10 @@ def write_csv(path: Path, header: list[str], rows, nodes=()) -> None:
     normal, is scaled by ``10**(16 - floor(log10 |x|))`` as a double-double
     product within 1e-14 of exact.  Its rounding to 17 digits is therefore
     certain unless the fraction lies within ``_TIE_MARGIN`` = 1e-6 of 1/2.
-    Zero, non-finite, subnormal and out-of-range cells and those near-ties
-    fall back to ``'%.17g' %``.  Rows given as lists (which may hold
-    strings, bools and ints) go through :func:`format_number`.
+    Zeros are laid out as the integer 0; non-finite, subnormal and
+    out-of-range cells and those near-ties fall back to ``'%.17g' %``.  Rows
+    given as lists (which may hold strings, bools and ints) go through
+    :func:`format_number`.
 
     ``nodes`` (1-D float arrays, one per axis) puts coordinate columns before
     the cells of a float array: row r holds the r-th node of the axes'
@@ -140,10 +141,16 @@ def _significand(a, k, lo_p, high_p, low_p):
     return product.astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
+def _fallback_text(x: np.ndarray) -> np.ndarray:
+    """The words of :func:`_float_text`, one ``'%.17g' %`` call per cell."""
+    return np.array(["%.17g" % value for value in x.tolist()], dtype="S48").view(np.uint64).reshape(-1, 6)
+
+
 def _float_text(x: np.ndarray) -> np.ndarray:
     """The ``'%.17g'`` text of each of the floats ``x``, NUL-padded in six uint64 words a cell."""
     lo_p, high_p, low_p, group_zeros, table, delta, prefixes = _formatter_tables()
     a = np.abs(x)
+    zero = a == 0.0
     fast = (a >= 1e-280) & (a <= 1e280)
     a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int16)
@@ -159,6 +166,9 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     carry = n == 10**17
     n[carry] = 10**16
     k += carry
+    # a zero's stand-in 1.0 has k = 0, so n = 0 lays out "0", and its sign prefix "-0"
+    n[zero] = 0
+    fast |= zero
 
     fixed = (k >= -4) & (k < 17)
     # a cell's words: the leading digit, four groups of four digits, the exponent
@@ -181,8 +191,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     words[:, 0] += prefixes.take(np.signbit(x) * 5 + np.where(fixed & (k < 0), -k, 0))
     slow = np.flatnonzero(~fast)
     if len(slow):
-        text = ["%.17g" % value for value in x[slow].tolist()]
-        words[slow] = np.array(text, dtype="S48").view(np.uint64).reshape(-1, 6)
+        words[slow] = _fallback_text(x[slow])
     return words
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DecayWarning
+from .errors import DecayWarning, json_number
 from .grids import GridSpec, SampledSymbol, boundary_fraction
 
 DECAY_THRESHOLD = 1e-12
@@ -260,10 +260,10 @@ def decay_problems(spec: SymbolSpec, grid: GridSpec, name: str = "symbol") -> li
 def eval_symbol(spec: SymbolSpec, grid: GridSpec, name: str = "symbol") -> SampledSymbol:
     """Sample the symbol at every grid node, warning for each term that fails to decay.
 
-    Each term is evaluated once; the terms are summed in order, so the values
-    equal ``spec.evaluate`` at the nodes bitwise.
+    Each term is evaluated once; the terms are summed in order in
+    ``spec.dtype``, so the values equal ``spec.evaluate`` at the nodes bitwise.
     """
-    values = np.zeros(grid.shape, dtype=complex)
+    values = np.zeros(grid.shape, dtype=spec.dtype)
     for term_values, problem in _sampled_terms(spec, grid, name):
         if problem:
             warnings.warn(problem, DecayWarning, stacklevel=2)
@@ -276,34 +276,27 @@ def parse_symbol(entries: Iterable[dict], base_dim: int, fiber_dim: int) -> Symb
 
     Each entry may carry ``coeff`` (number or [re, im], default 1),
     ``x_powers``, ``xi_powers`` (default all 0), ``x_widths``/``xi_widths``
-    (default all 1), ``x_centers``/``xi_centers`` (default all 0).  A JSON
-    boolean is not a number: one anywhere a number is read raises TypeError.
+    (default all 1), ``x_centers``/``xi_centers`` (default all 0).  Numbers
+    are read by :func:`groupoidlab.errors.json_number`: a JSON boolean or
+    string anywhere a number is read raises TypeError, a fractional power
+    ValueError.
     """
 
-    def numbers(key, raw):
-        if any(isinstance(r, bool) for r in (raw if isinstance(raw, (list, tuple)) else [raw])):
-            raise TypeError(f"{key} must hold numbers, not booleans")
-        return raw
-
     def vector(entry, key, dim, default, cast):
-        raw = numbers(key, entry.get(key, default))
-        if np.isscalar(raw):
-            out = tuple(cast(raw) for _ in range(dim))
-        elif len(raw) != dim:
-            raise ValueError(f"{key} needs {dim} entries, got {len(raw)}")
-        else:
-            out = tuple(cast(r) for r in raw)
+        raw = entry.get(key, default)
+        items = raw if isinstance(raw, (list, tuple)) else [raw] * dim
+        if len(items) != dim:
+            raise ValueError(f"{key} needs {dim} entries, got {len(items)}")
+        out = tuple(cast(json_number(r, f"{key} must hold numbers", integer=cast is int)) for r in items)
         if not np.all(np.isfinite(out)):
             raise ValueError(f"{key} must be finite")
         return out
 
     terms = []
     for entry in entries:
-        raw_coeff = numbers("coeff", entry.get("coeff", 1.0))
-        if isinstance(raw_coeff, (list, tuple)):
-            coeff = complex(float(raw_coeff[0]), float(raw_coeff[1]))
-        else:
-            coeff = complex(float(raw_coeff), 0.0)
+        raw_coeff = entry.get("coeff", 1.0)
+        re, im = raw_coeff if isinstance(raw_coeff, (list, tuple)) else (raw_coeff, 0.0)
+        coeff = complex(*(float(json_number(part, "coeff must hold numbers")) for part in (re, im)))
         if not np.isfinite(coeff):
             raise ValueError("coeff must be finite")
         terms.append(

@@ -435,6 +435,25 @@ def test_float_table_matches_percent_17g_on_its_edge_cases():
     assert b"".join(reports._float_blocks(cases, ())) == _percent_17g_table(cases)
 
 
+def test_float_table_formats_signed_zeros_without_the_fallback(monkeypatch):
+    # a real symbol's bracket has an all-zero real column: its zeros of either
+    # sign take the fast path, next to ordinary cells, byte for byte
+    reports._formatter_tables()
+
+    def fallback(x):
+        raise AssertionError(f"{len(x)} cells took the '%.17g' fallback")
+
+    monkeypatch.setattr(reports, "_fallback_text", fallback)
+    rng = np.random.default_rng(21)
+    # below 1e10 a 17-digit rounding is seldom near a tie (which falls back);
+    # this seed puts no cell there
+    table = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-20, 10, (3000, 3))
+    zeros = rng.random(table.shape) < 0.6
+    table[zeros] = np.where(rng.random(table.shape) < 0.5, 0.0, -0.0)[zeros]
+    assert np.signbit(table[zeros]).any() and not np.signbit(table[zeros]).all()
+    assert b"".join(reports._float_blocks(table, ())) == _percent_17g_table(table)
+
+
 # (base node counts, fiber node counts): base dimension 0, 1 and 2 with 1-3 fiber axes
 GRID_TABLE_SHAPES = [
     ((), (5,)), ((), (3, 5)), ((), (3, 5, 3)),
@@ -585,6 +604,13 @@ MALFORMED = [
     ("boolean_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [True]}]}), "xi_widths must hold numbers"),
     ("boolean_symbol_coeff", minimal_config(symbols={"f": [{"coeff": True}]}), "coeff must hold numbers"),
     ("boolean_symbol_coeff_part", minimal_config(symbols={"f": [{"coeff": [1.0, False]}]}), "coeff must hold numbers"),
+    ("boolean_custom_base_dim", _custom_pair_dims(True), "base_dim must be an integer, not true"),
+    # nor is a JSON string, and a power or a dimension is an integer
+    ("string_half_width", _grid_override(base=[{"half_width": "4.0", "intervals": 16}]), 'half_width must be a number, not "4.0"'),
+    ("string_symbol_power", minimal_config(symbols={"f": [{"x_powers": ["1"]}]}), 'x_powers must hold numbers, not "1"'),
+    ("string_symbol_coeff", minimal_config(symbols={"f": [{"coeff": "1"}]}), 'coeff must hold numbers, not "1"'),
+    ("fractional_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [1.5]}]}), "xi_powers must hold numbers: 1.5 is not an integer"),
+    ("fractional_custom_base_dim", _custom_pair_dims(1.5), "base_dim must be an integer: 1.5 is not an integer"),
 ]
 
 

@@ -5,9 +5,11 @@
 
 Runs the six commands with ``--plot`` on each ``configs/*.json`` of the
 checkout this script sits in, one process per run, writing to
-``DIR/<config>/<command>/``.  Prints one ``exit`` line per run and one
-SHA-256 line per file it wrote, in a fixed order, so two checkouts' output
-bytes compare with ``diff`` of their manifests.  DIR must be empty or absent.
+``DIR/<config>/<command>/``.  Prints one ``exit`` line per run, ending in
+the number of stderr lines that report a DecayWarning, and one SHA-256 line
+per file it wrote, in a fixed order, so two checkouts' output bytes and
+warnings compare with ``diff`` of their manifests.  DIR must be empty or
+absent.
 
 The runs see ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` set to 1: a multithreaded BLAS sums matrix products in
@@ -42,8 +44,9 @@ def main():
             run_dir = out / config.stem / command
             argv = [sys.executable, "-m", "groupoidlab.cli", command,
                     "--config", str(config), "--output", str(run_dir), "--plot"]
-            code = subprocess.run(argv, env=env, capture_output=True).returncode
-            print(f"exit {code} {config.stem} {command}", flush=True)
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+            warned = sum("DecayWarning" in line for line in proc.stderr.splitlines())
+            print(f"exit {proc.returncode} {config.stem} {command} decay_warnings {warned}", flush=True)
             for path in sorted(run_dir.rglob("*")) if run_dir.exists() else ():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path.relative_to(out).as_posix()}", flush=True)

@@ -71,14 +71,13 @@ _EXPORTS = {
     ),
     "poisson": (
         "FourierCheck",
-        "IntertwiningResult",
         "dual_poisson_bracket",
         "fiber_convolve",
         "fourier_check",
         "fourier_transform",
-        "intertwining_residual",
         "inverse_fourier",
         "poisson_bracket",
+        "poisson_bracket_both_orders",
         "select_dual_grid",
         "unit_weight_on_grid",
     ),

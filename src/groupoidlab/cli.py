@@ -92,13 +92,11 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_bracket(config: RunConfig) -> ReportBundle:
-    from .poisson import DUAL_DECAY_THRESHOLD, poisson_bracket
+    from .poisson import DUAL_DECAY_THRESHOLD, poisson_bracket_both_orders
 
     config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    f, g = config.symbols["f"], config.symbols["g"]
-    forward = poisson_bracket(f, g, chart, grid)
-    backward = poisson_bracket(g, f, chart, grid)
+    forward, backward = poisson_bracket_both_orders(config.symbols["f"], config.symbols["g"], chart, grid)
     antisym = float(np.max(np.abs(forward.values + backward.values))) / scale_of(
         forward.values, backward.values
     )
@@ -144,17 +142,12 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 
     intertwining = result.intertwining
     if intertwining is not None:
-        summary["intertwining_residual"] = intertwining.residual
-        summary["selected_signs"] = list(intertwining.signs)
+        summary["intertwining_residual"] = intertwining
+        summary["selected_signs"] = [-1.0, -1.0]  # the dual bracket's fixed orientation
         checks.append(
-            Check(
-                "intertwining",
-                intertwining.residual <= tol.intertwining,
-                intertwining.residual,
-                tol.intertwining,
-            )
+            Check("intertwining", intertwining <= tol.intertwining, intertwining, tol.intertwining)
         )
-        rows.append(["intertwining", intertwining.residual])
+        rows.append(["intertwining", intertwining])
     else:
         summary["intertwining_residual"] = None
         summary["selected_signs"] = None

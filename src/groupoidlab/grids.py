@@ -265,22 +265,6 @@ def scale_of(*arrays) -> float:
 # stencils and interpolation
 # ---------------------------------------------------------------------------
 
-def _shifted(values: np.ndarray, axis: int, shift: int) -> np.ndarray:
-    """values[..., i + shift, ...] with zero fill outside the array."""
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if shift >= 0:
-        src[axis] = slice(shift, n)
-        dst[axis] = slice(0, n - shift)
-    else:
-        src[axis] = slice(0, n + shift)
-        dst[axis] = slice(-shift, n)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def stencil_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray:
     """Sixth-order central difference along ``axis`` with zero extension.
 
@@ -290,8 +274,12 @@ def stencil_derivative(values: np.ndarray, step: float, axis: int) -> np.ndarray
     """
     values = np.asarray(values, dtype=np.result_type(values, float))
     out = np.zeros_like(values)
+    # views with ``axis`` first: out[i] += coeff * values[i + shift] wherever i + shift is a node
+    o, v, n = np.moveaxis(out, axis, 0), np.moveaxis(values, axis, 0), values.shape[axis]
     for shift, coeff in _STENCIL_6:
-        out += coeff * _shifted(values, axis, shift)
+        lo, hi = max(0, -shift), min(n, n - shift)
+        if lo < hi:
+            o[lo:hi] += coeff * v[lo + shift : hi + shift]
     # times the reciprocal, as numpy divides a complex array by a real: real samples give the real part
     return out * (1.0 / step)
 

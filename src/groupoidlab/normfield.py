@@ -31,6 +31,7 @@ symbol's runs the same code in complex128.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,13 +93,14 @@ def power_iteration_sigma(matrix: np.ndarray) -> tuple[float, float, int]:
     """Largest singular value of ``matrix`` by Golub-Kahan-Lanczos bidiagonalization.
 
     Returns ``(sigma, residual, iterations)``.  Step ``k`` extends orthonormal
-    bases ``V``, ``U`` (reorthogonalized in full, twice) from a fixed start
-    vector, with ``A V = U B`` and ``B`` upper bidiagonal (Golub & Van Loan,
-    ch. 10); ``sigma`` is the top singular value of ``B``.  The steps stop
-    when ``sigma`` grows by at most a rounding unit, when the Ritz residual
-    bound ``beta_k |x_k| <= eps sigma`` holds (``x`` the top left singular
-    vector of ``B``), at an invariant subspace (``alpha`` or ``beta`` is 0),
-    or at the rank bound ``min(matrix.shape)``.  ``A`` is read only through
+    bases ``V``, ``U`` (reorthogonalized in full, twice) from a fixed
+    standard normal start vector (``random.Random(0)``), with ``A V = U B``
+    and ``B`` upper bidiagonal (Golub & Van Loan, ch. 10); ``sigma`` is the
+    top singular value of ``B``.  The steps stop when ``sigma`` grows by at
+    most a rounding unit, when the Ritz residual bound
+    ``beta_k |x_k| <= eps sigma`` holds (``x`` the top left singular vector
+    of ``B``), at an invariant subspace (``alpha`` or ``beta`` is 0), or at
+    the rank bound ``min(matrix.shape)``.  ``A`` is read only through
     ``A v`` and ``(u^H A)^H``; a wide matrix runs as its transpose, a view.
     The steps run in the matrix's dtype: float64 for a real matrix (integers
     too), complex128 for a complex one.  ``residual`` is
@@ -110,7 +112,8 @@ def power_iteration_sigma(matrix: np.ndarray) -> tuple[float, float, int]:
     a = a.astype(np.result_type(a.dtype, float), copy=False)
     a = a.T if a.shape[0] < a.shape[1] else a
     eps = np.finfo(float).eps
-    v = np.random.default_rng(0).standard_normal(a.shape[1]).astype(a.dtype)
+    rng = random.Random(0)  # the standard library's: a norm run need not load numpy.random
+    v = np.array([rng.gauss(0.0, 1.0) for _ in range(a.shape[1])], dtype=a.dtype)
     v /= np.linalg.norm(v)
     vs, us = v[None, :], np.empty((0, a.shape[0]), dtype=a.dtype)
     alphas, betas, sigma, beta, u = [], [], 0.0, 0.0, np.zeros(a.shape[0], dtype=a.dtype)

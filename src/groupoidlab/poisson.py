@@ -22,7 +22,12 @@ intertwining tests:
   (derivative of g),
 * the fiber derivative in the structure-constant term is applied analytically
   to the first convolution factor, in an explicitly antisymmetrized form so
-  the bracket changes sign bitwise under swapping its arguments.
+  the bracket changes sign bitwise under swapping its arguments,
+* the dual-side bracket is minus the anchor part minus the structure-constant
+  part: under this kernel ``xi_i`` becomes ``-(1 / 2 pi i) d/dzeta_i`` and
+  ``d/dxi_k`` becomes ``2 pi i zeta_k``, which with the bracket's ``2 pi i``
+  give both parts the sign -1.  The fourier-check compares at this fixed
+  orientation, so a sign error in either part reads a mismatch near 2.
 """
 
 from __future__ import annotations
@@ -45,10 +50,6 @@ TWO_PI_I = 2j * np.pi
 DUAL_DECAY_THRESHOLD = 1e-10  # boundary fraction a transform must stay below
 
 Operand = Union[SymbolSpec, SampledSymbol]
-
-# preference order for tie-breaking: charts that fix only one of the two
-# signs (no anchor, or no structure constants) still report the same pair
-SIGN_CHOICES = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0))
 
 
 def unit_weight_on_grid(chart: GroupoidChart, grid: GridSpec) -> np.ndarray:
@@ -250,20 +251,35 @@ def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
     operation, e.g. ``d/dxi_2 (xi_1 f)``.
     """
     mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu)
+    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu)[0]
+
+
+def poisson_bracket_both_orders(
+    f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
+) -> tuple[SampledSymbol, SampledSymbol]:
+    """:func:`poisson_bracket` of ``(f, g)`` and of ``(g, f)`` from one sampling.
+
+    The second swaps the two products of every term of the first, so it adds
+    one inverse transform and no sample or forward transform; decay warnings
+    name each sample once, by its role in ``(f, g)``.
+    """
+    mu = unit_weight_on_grid(chart, grid)
+    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu, both_orders=True)
 
 
 def _bracket(
-    f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray
-) -> SampledSymbol:
+    f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray,
+    both_orders: bool = False,
+) -> tuple[SampledSymbol, ...]:
     """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``.
 
     In spectral space: the coefficients (``a_ij``, ``a_ij lg_j``, ``-c_ijk / 2``)
     are real functions of the base point, so each distinct operand is
     transformed once, ``c (F(a w) F(b) - F(c w) F(d))`` is summed in term order
     and one inverse transform ends it.  Swapping f and g swaps the two products
-    of every term, which negates the result bitwise.  A real bracket / (2 pi i)
-    takes the real FFT, and the result's real part is +0.
+    of every term, which negates the result bitwise; ``both_orders`` returns
+    that bracket of ``(g, f)`` after the one of ``(f, g)``.  A real bracket /
+    (2 pi i) takes the real FFT, and the result's real part is +0.
     """
     _op_grid_check(f, grid)
     _op_grid_check(g, grid)
@@ -311,13 +327,19 @@ def _bracket(
     spectra = _Spectra(grid, real)
     transform = functools.cache(lambda name, weighted: spectra.transform(samples[name], weighted))
     product = lambda a, b: transform(a, True) * transform(b, False)
-    spectrum = sum(_with_fiber_axes(w, grid) * (product(a, b) - product(c, d)) for w, a, b, c, d in terms)
-    values = np.zeros(grid.shape, dtype=complex)
-    if terms and real:  # TWO_PI_I * x would give the real part -0 where x < 0
-        values.imag = TWO_PI_I.imag * spectra.convolution(spectrum, mu)
-    elif terms:
-        values = TWO_PI_I * spectra.convolution(spectrum, mu)
-    return SampledSymbol(values=values, grid=grid)
+
+    def bracket(terms: list) -> SampledSymbol:
+        spectrum = sum(_with_fiber_axes(w, grid) * (product(a, b) - product(c, d)) for w, a, b, c, d in terms)
+        values = np.zeros(grid.shape, dtype=complex)
+        if terms and real:  # TWO_PI_I * x would give the real part -0 where x < 0
+            values.imag = TWO_PI_I.imag * spectra.convolution(spectrum, mu)
+        elif terms:
+            values = TWO_PI_I * spectra.convolution(spectrum, mu)
+        return SampledSymbol(values=values, grid=grid)
+
+    if not both_orders:
+        return (bracket(terms),)
+    return bracket(terms), bracket([(w, c, d, a, b) for w, a, b, c, d in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +392,23 @@ def _dual_bracket_parts(
     return anchor_part, structure_part
 
 
-def _oriented_dual_bracket(parts: tuple[np.ndarray, np.ndarray], signs) -> np.ndarray:
-    """``s1 * anchor_part + s2 * structure_part`` for ``signs = (s1, s2)``."""
-    anchor_part, structure_part = parts
-    return float(signs[0]) * anchor_part + float(signs[1]) * structure_part
+def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np.ndarray:
+    """Minus the anchor part minus the structure-constant part (module docstring)."""
+    anchor_part, structure_part = _dual_bracket_parts(F, G, data)
+    return -anchor_part - structure_part
 
 
-def dual_poisson_bracket(
-    F: SampledSymbol, G: SampledSymbol, chart: GroupoidChart, signs: tuple[float, float] = (-1.0, -1.0)
-) -> SampledSymbol:
+def dual_poisson_bracket(F: SampledSymbol, G: SampledSymbol, chart: GroupoidChart) -> SampledSymbol:
     """Poisson bracket of fiberwise transforms on the dual grid.
 
-    The algebroid data comes from ``chart`` at the grid's base nodes.
-    ``signs`` fixes the orientation of the anchor part and of the
-    structure-constant part; :func:`intertwining_residual` discovers the pair
-    that matches the convolution-side bracket through the Fourier transform.
-    Derivatives are central differences on the dual grid.
+    The algebroid data comes from ``chart`` at the grid's base nodes.  The
+    anchor and structure-constant parts carry the signs that the transform
+    convention gives the convolution-side bracket (module docstring), so
+    :func:`fourier_check` compares the transformed bracket against this one
+    directly.  Derivatives are central differences on the dual grid.
     """
     data = extract_algebroid(chart, F.grid.base_points_flat())
-    values = _oriented_dual_bracket(_dual_bracket_parts(F, G, data), signs)
-    return SampledSymbol(values=values, grid=F.grid)
+    return SampledSymbol(values=_dual_bracket(F, G, data), grid=F.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +416,12 @@ def dual_poisson_bracket(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntertwiningResult:
-    residual: float
-    signs: tuple[float, float]
-    per_sign: dict
-
-
-@dataclass(frozen=True)
 class FourierCheck:
     """Residuals of :func:`fourier_check`; ``intertwining`` is None where the unit weight is not 1."""
 
     roundtrip: float
     convolution_theorem: float
-    intertwining: IntertwiningResult | None
+    intertwining: float | None
 
 
 def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: GridSpec) -> FourierCheck:
@@ -419,10 +431,12 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     * convolution theorem: ``F (f * g)`` against ``F f F g``;
     * intertwining, on a chart whose unit weight is the constant 1
       (:func:`is_unit_weight`): the transformed bracket against the
-      dual-side bracket, see :func:`intertwining_residual`.
+      dual-side bracket of ``F f`` and ``F g`` (:func:`dual_poisson_bracket`),
+      both from one extraction of the algebroid data.
 
-    Each residual is a relative sup mismatch.  f, g, their convolution and
-    (with unit weight) their bracket are sampled once and transformed once,
+    Each residual is a relative sup mismatch; a non-finite intertwining
+    residual raises GroupoidLabError.  f, g, their convolution and (with
+    unit weight) their bracket are sampled once and transformed once,
     together by :func:`select_dual_grid`, so its decay check sees all four;
     the round trip adds one inverse transform.
     """
@@ -433,7 +447,7 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     data = None
     if is_unit_weight(mu):
         data = extract_algebroid(chart, grid.base_points_flat())
-        sampled.append(_bracket(f, g, data, grid, mu))
+        sampled.append(_bracket(f, g, data, grid, mu)[0])
     _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
     Ff, Fg, Fconv = transforms[:3]
 
@@ -441,48 +455,10 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     roundtrip = float(np.max(np.abs(back.values - fs.values))) / scale_of(fs.values)
     product = Ff.values * Fg.values
     convolution = float(np.max(np.abs(Fconv.values - product))) / scale_of(Fconv.values, product)
-    intertwining = None if data is None else _intertwining(Ff, Fg, transforms[3], data)
+    intertwining = None
+    if data is not None:
+        lhs, rhs = transforms[3].values, _dual_bracket(Ff, Fg, data)
+        intertwining = float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)
+        if not np.isfinite(intertwining):
+            raise GroupoidLabError("intertwining residual is not finite")
     return FourierCheck(roundtrip, convolution, intertwining)
-
-
-def intertwining_residual(
-    f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: GridSpec
-) -> IntertwiningResult:
-    """Mismatch between the transformed bracket and the dual-side bracket.
-
-    Requires a chart whose unit weight is the constant 1 on the grid
-    (:func:`is_unit_weight`); the bracket and the dual side share one
-    extraction of the algebroid data.  Returns the smallest relative sup
-    mismatch over the four sign orientations of the dual bracket, with the
-    minimizing pair; callers compare the pair across symbol pairs and charts.
-    Raises GroupoidLabError when no orientation gives a finite mismatch.
-
-    Computed by :func:`fourier_check`, with the other two residuals of the
-    command.  The dual-side derivatives are taken once; each orientation
-    only recombines the unsigned anchor and structure-constant parts.
-    """
-    result = fourier_check(f, g, chart, grid).intertwining
-    if result is None:
-        raise GroupoidLabError("intertwining check requires unit weight == 1")
-    return result
-
-
-def _intertwining(
-    Ff: SampledSymbol, Fg: SampledSymbol, Fbracket: SampledSymbol, data: AlgebroidData
-) -> IntertwiningResult:
-    """:func:`intertwining_residual` from the transforms of f, g and their bracket."""
-    lhs = Fbracket.values
-    parts = _dual_bracket_parts(Ff, Fg, data)
-    per_sign = {}
-    best_signs = None
-    best = np.inf
-    for signs in SIGN_CHOICES:
-        rhs = _oriented_dual_bracket(parts, signs)
-        residual = float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)
-        per_sign[signs] = residual
-        if residual < best:
-            best = residual
-            best_signs = signs
-    if best_signs is None:
-        raise GroupoidLabError("intertwining residual is not finite for any sign pair")
-    return IntertwiningResult(residual=best, signs=best_signs, per_sign=per_sign)

@@ -126,8 +126,8 @@ def test_dual_bracket_antisymmetric_bitwise(heisenberg, heis_grid16):
     rng = np.random.default_rng(4)
     F = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
     G = gl.SampledSymbol(values=rng.normal(size=heis_grid16.shape) + 0j, grid=heis_grid16)
-    a = gl.dual_poisson_bracket(F, G, heisenberg, signs=(-1.0, -1.0))
-    b = gl.dual_poisson_bracket(G, F, heisenberg, signs=(-1.0, -1.0))
+    a = gl.dual_poisson_bracket(F, G, heisenberg)
+    b = gl.dual_poisson_bracket(G, F, heisenberg)
     assert np.array_equal(a.values, -b.values)
 
 
@@ -138,7 +138,7 @@ def test_dual_bracket_matches_analytic_derivatives(pair1):
     base_gauss = np.exp(-(X**2) - Z**2)
     F = gl.SampledSymbol(values=base_gauss.astype(complex), grid=zgrid)
     G = gl.SampledSymbol(values=(X * Z * base_gauss).astype(complex), grid=zgrid)
-    out = gl.dual_poisson_bracket(F, G, pair1, signs=(-1.0, -1.0))
+    out = gl.dual_poisson_bracket(F, G, pair1)
     F_z = -2 * Z * base_gauss
     F_x = -2 * X * base_gauss
     G_z = X * (1 - 2 * Z**2) * base_gauss
@@ -167,42 +167,50 @@ PAIR_SYMBOLS = [
 ]
 
 
+HEIS_PAIR = (
+    gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2]),
+    gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3]),
+)
+
+
+def _mismatch(lhs, rhs) -> float:
+    return float(np.max(np.abs(lhs - rhs))) / gl.scale_of(lhs, rhs)
+
+
 def test_intertwining_pair_residuals_and_signs(pair_setup):
-    chart, grid, _ = pair_setup
-    signs = set()
+    # the fixed orientation matches on every pair; the opposite one reads a mismatch near 2
+    chart, grid, mu = pair_setup
+    dual = grid.dual()
     for f, g in PAIR_SYMBOLS:
-        result = gl.intertwining_residual(f, g, chart, grid)
-        assert result.residual <= 1e-3
-        signs.add(result.signs)
-    assert signs == {(-1.0, -1.0)}
+        residual = gl.fourier_check(f, g, chart, grid).intertwining
+        assert residual <= 1e-3
+        lhs = gl.fourier_transform(gl.poisson_bracket(f, g, chart, grid), mu, dual).values
+        F, G = (gl.fourier_transform(gl.eval_symbol(s, grid), mu, dual) for s in (f, g))
+        flipped = -gl.dual_poisson_bracket(F, G, chart).values
+        assert abs(_mismatch(lhs, flipped) - 2.0) <= 1e-2
 
 
 def test_intertwining_heisenberg(heisenberg, heis_grid16):
-    f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
-    g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
-    result = gl.intertwining_residual(f, g, heisenberg, heis_grid16)
-    assert result.residual <= 1e-2
-    assert result.signs == (-1.0, -1.0)
+    assert gl.fourier_check(*HEIS_PAIR, heisenberg, heis_grid16).intertwining <= 1e-2
 
 
 def test_intertwining_requires_unit_weight():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", "u1"])
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 16),))
     f = gl.SymbolSpec.gaussian(1, 1)
-    with pytest.raises(GroupoidLabError, match="unit weight"):
-        gl.intertwining_residual(f, f, chart, grid)
+    assert gl.fourier_check(f, f, chart, grid).intertwining is None
 
 
 def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
     chart, grid, _ = pair_setup
 
-    def nan_bracket(parts, signs):
-        return np.full(parts[0].shape, np.nan + 0j)
+    def nan_parts(F, G, data):
+        return np.full(F.values.shape, np.nan + 0j), np.zeros(F.values.shape, dtype=complex)
 
-    monkeypatch.setattr(poisson, "_oriented_dual_bracket", nan_bracket)
+    monkeypatch.setattr(poisson, "_dual_bracket_parts", nan_parts)
     f = gl.SymbolSpec.gaussian(1, 1)
-    with pytest.raises(GroupoidLabError, match="not finite for any sign pair"):
-        gl.intertwining_residual(f, f, chart, grid)
+    with pytest.raises(GroupoidLabError, match="intertwining residual is not finite"):
+        gl.fourier_check(f, f, chart, grid)
     assert main(["fourier-check", "--config", str(CONFIGS / "pair1_fourier.json")]) == 1
     err = capsys.readouterr().err
     assert "computation failed: intertwining residual is not finite" in err
@@ -211,7 +219,7 @@ def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, c
 
 @pytest.mark.parametrize("case", ["pair", "heisenberg"])
 def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, pair_setup):
-    # every per-sign residual equals one computed from the public dual bracket
+    # the intertwining residual equals one computed from the public dual bracket
     # on the selected (conjugate) dual grid, bit for bit
     if case == "pair":
         chart, grid, mu = pair_setup
@@ -219,16 +227,34 @@ def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, 
     else:
         chart, grid = map(request.getfixturevalue, ("heisenberg", "heis_grid16"))
         mu = gl.unit_weight_on_grid(chart, grid)
-        f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
-        g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
+        f, g = HEIS_PAIR
     dual = grid.dual()
-    selected = gl.intertwining_residual(f, g, chart, grid)
+    residual = gl.fourier_check(f, g, chart, grid).intertwining
     lhs = gl.fourier_transform(gl.poisson_bracket(f, g, chart, grid), mu, dual).values
     F = gl.fourier_transform(gl.eval_symbol(f, grid), mu, dual)
     G = gl.fourier_transform(gl.eval_symbol(g, grid), mu, dual)
-    for signs, residual in selected.per_sign.items():
-        rhs = gl.dual_poisson_bracket(F, G, chart, signs).values
-        assert residual == float(np.max(np.abs(lhs - rhs))) / gl.scale_of(lhs, rhs)
+    assert residual == _mismatch(lhs, gl.dual_poisson_bracket(F, G, chart).values)
+
+
+@pytest.mark.parametrize("case", ["heisenberg_structure", "pair1_anchor"])
+def test_a_sign_error_in_the_dual_bracket_fails_the_check(case, request, pair_setup, monkeypatch):
+    # heisenberg has only the structure part and pair1 only the anchor part: flipping
+    # that part reads a mismatch near 2, where the fixed orientation passes
+    if case == "pair1_anchor":
+        chart, grid, _ = pair_setup
+        (f, g), flip = PAIR_SYMBOLS[0], lambda anchor, structure: (-anchor, structure)
+        config, bound = "pair1_fourier.json", 1e-3
+    else:
+        chart, grid = map(request.getfixturevalue, ("heisenberg", "heis_grid16"))
+        (f, g), flip = HEIS_PAIR, lambda anchor, structure: (anchor, -structure)
+        config, bound = "heisenberg_fourier.json", 1e-2
+    assert gl.fourier_check(f, g, chart, grid).intertwining <= bound
+    assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 0
+
+    parts = poisson._dual_bracket_parts
+    monkeypatch.setattr(poisson, "_dual_bracket_parts", lambda F, G, data: flip(*parts(F, G, data)))
+    assert abs(gl.fourier_check(f, g, chart, grid).intertwining - 2.0) <= 1e-2
+    assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 1
 
 
 def test_unit_weight_fourier_check_transforms_each_operand_once(monkeypatch):

@@ -81,6 +81,14 @@ def test_deform_loads_no_norm_layer():
     assert "concurrent.futures" not in loaded  # deform runs on one thread
 
 
+def test_normfield_loads_no_numpy_random_where_validate_does():
+    # the norm solver's start vector comes from the standard library; validate samples with numpy
+    loaded = _modules_after(_run_command("normfield", "pair1_normfield.json"))
+    assert "groupoidlab.normfield" in loaded
+    assert "numpy.random" not in loaded
+    assert "numpy.random" in _modules_after(_run_command("validate", "heisenberg_validate.json"))
+
+
 def test_every_public_name_resolves():
     for name in gl.__all__:
         value = getattr(gl, name)

@@ -84,7 +84,7 @@ _EXPORTS = {
     "symbols": ("SymbolSpec", "SymbolTerm", "eval_symbol", "parse_symbol"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "expressions", "plots", "reports"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "expressions", "floattext", "plots", "reports"}
 
 __all__ = sorted(_OWNER)
 

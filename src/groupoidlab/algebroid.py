@@ -17,7 +17,7 @@ No layer above this one chooses the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def log_weight_gradient(chart: GroupoidChart, u, step: float = FD_STEP) -> np.nd
     return (np.log(plus) - np.log(minus)) / (2.0 * step)
 
 
-@dataclass(frozen=True)
-class AlgebroidData:
+class AlgebroidData(NamedTuple):
     """Structure functions tabulated at a fixed list of base points.
 
     ``base_points`` has shape (k, n); ``anchor`` (k, m, n); ``structure``

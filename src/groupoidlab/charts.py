@@ -25,8 +25,8 @@ are pure functions of their arguments (and ``out``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -220,8 +220,7 @@ def invert_element(chart: GroupoidChart, u, v) -> Array:
 AXIOMS = ("associativity", "source_compatibility", "left_unit", "right_unit", "source_unit", "inverse_law")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Max residuals of the groupoid axioms over the sampled triples."""
 
     chart_name: str
@@ -240,7 +239,7 @@ class AxiomReport:
         return max(getattr(self, name) for name in AXIOMS)
 
     def as_dict(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        values = dict(zip(self._fields[1:], self[1:]))
         return {"chart": self.chart_name, **values, "max_residual": self.max_residual}
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .charts import BUILTIN_CHARTS, FD_STEP, GroupoidChart, builtin_chart, chart_from_spec
 from .errors import ConfigError, json_number
@@ -27,8 +27,7 @@ MAX_GRID_NODES = 1 << 24  # one complex sample on this many nodes takes 256 MiB
 KEYS = ("chart", "grid", "symbols", "t_values", "seed", "sample_count", "strict", "tolerances")
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Pass thresholds used by the CLI commands; all overridable per config."""
 
     axiom: float = 1e-10
@@ -231,7 +230,7 @@ def build_config(raw: dict) -> RunConfig:
     tol_cfg = raw.get("tolerances", {})
     tolerances = Tolerances()
     if isinstance(tol_cfg, dict):
-        known = {f.name for f in fields(Tolerances)}
+        known = set(Tolerances._fields)
         unknown = sorted(set(tol_cfg) - known)
         if unknown:
             problems.append(f"unknown tolerance name(s) {unknown}")
@@ -239,7 +238,7 @@ def build_config(raw: dict) -> RunConfig:
         if non_finite:
             problems.append(f"tolerance(s) {non_finite} must be finite numbers")
         if not unknown and not non_finite:
-            tolerances = replace(tolerances, **{k: float(v) for k, v in tol_cfg.items()})
+            tolerances = tolerances._replace(**{k: float(v) for k, v in tol_cfg.items()})
     elif tol_cfg is not None:
         problems.append("tolerances must be an object")
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -301,8 +301,7 @@ def scaled_commutator(field: DeformationField, t: float) -> SampledSymbol:
     return SampledSymbol(values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid)
 
 
-@dataclass(frozen=True)
-class LimitTable:
+class LimitTable(NamedTuple):
     """Rows ``(t, error, ratio)`` of the classical-limit convergence study.
 
     ``error`` is the sup distance between the scaled commutator and

@@ -9,7 +9,7 @@ products with sampled factors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,19 +25,30 @@ _STENCIL_6 = (
 )
 
 
-@dataclass(frozen=True)
-class Axis:
-    """Uniform 1-D node set ``start + step * arange(count)``."""
+def _validated_make(cls, values):
+    """``NamedTuple._make`` through ``cls.__new__``, so that ``_replace`` validates too."""
+    return cls(*values)
 
+
+class _AxisFields(NamedTuple):
     start: float
     step: float
     count: int
 
-    def __post_init__(self):
-        if self.step <= 0.0:
+
+class Axis(_AxisFields):
+    """Uniform 1-D node set ``start + step * arange(count)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, step: float, count: int):
+        if step <= 0.0:
             raise ValueError("axis step must be positive")
-        if self.count < 2:
+        if count < 2:
             raise ValueError("axis needs at least two nodes")
+        return super().__new__(cls, start, step, count)
+
+    _make = classmethod(_validated_make)
 
     @classmethod
     def centered(cls, half_width: float, intervals: int, center: float = 0.0) -> "Axis":
@@ -87,23 +98,28 @@ class Axis:
         return Axis(start=-0.5 * dstep * (count - 1), step=dstep, count=count)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Product grid: base axes (may be none) times fiber axes (at least one)."""
-
+class _GridFields(NamedTuple):
     base: tuple[Axis, ...]
     fiber: tuple[Axis, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "fiber", tuple(self.fiber))
-        if not self.fiber:
+
+class GridSpec(_GridFields):
+    """Product grid: base axes (may be none) times fiber axes (at least one)."""
+
+    __slots__ = ()
+
+    def __new__(cls, base, fiber):
+        base, fiber = tuple(base), tuple(fiber)
+        if not fiber:
             raise ValueError("grid needs at least one fiber axis")
-        for ax in self.fiber:
+        for ax in fiber:
             if ax.count % 2 == 0:
                 raise ValueError("fiber axes need an odd node count (even interval count)")
             if not ax.is_symmetric():
                 raise ValueError("fiber axes must be symmetric about 0")
+        return super().__new__(cls, base, fiber)
+
+    _make = classmethod(_validated_make)
 
     # -- shapes ------------------------------------------------------------
     @property
@@ -182,8 +198,7 @@ def _tensor_weights(axes: tuple[Axis, ...]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SampledSymbol:
+class SampledSymbol(NamedTuple):
     """Samples of a symbol on a grid: float64 for a real symbol, complex128 otherwise.
 
     Decay is checked where samples are made (:func:`groupoidlab.symbols.eval_symbol`,

@@ -32,8 +32,7 @@ symbol's runs the same code in complex128.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .poisson import _mu_base, fourier_transform, select_dual_grid, unit_weight_
 from .symbols import SymbolSpec, eval_symbol
 
 
-@dataclass(frozen=True)
-class NormRow:
+class NormRow(NamedTuple):
     """One operator-norm estimate: parameter, value, eigen-residual, size."""
 
     t: float
@@ -56,8 +54,7 @@ class NormRow:
     size: int
 
 
-@dataclass(frozen=True)
-class NormCurve:
+class NormCurve(NamedTuple):
     """Sweep rows (t != 0, in sweep order) plus the commutative row at t = 0.
 
     On pair charts ``cstar_identity`` is the first row's

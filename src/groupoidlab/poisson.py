@@ -35,16 +35,17 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
-from .algebroid import AlgebroidData, extract_algebroid
 from .charts import GroupoidChart
 from .errors import DecayWarning, GridMismatchError, GroupoidLabError
 from .grids import Axis, GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
+
+if TYPE_CHECKING:
+    from .algebroid import AlgebroidData
 
 TWO_PI_I = 2j * np.pi
 DUAL_DECAY_THRESHOLD = 1e-10  # boundary fraction a transform must stay below
@@ -239,6 +240,13 @@ def _op_values(op: Operand, grid: GridSpec, name: str) -> np.ndarray:
     return op.values
 
 
+def _algebroid_data(chart: GroupoidChart, grid: GridSpec) -> AlgebroidData:
+    """The algebroid data of ``chart`` at the grid's base nodes."""
+    from .algebroid import extract_algebroid  # here, so that a process that never brackets never loads it
+
+    return extract_algebroid(chart, grid.base_points_flat())
+
+
 def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec) -> SampledSymbol:
     """Bracket of two symbols over the convolution product, sampled on ``grid``.
 
@@ -251,7 +259,7 @@ def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
     operation, e.g. ``d/dxi_2 (xi_1 f)``.
     """
     mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu)[0]
+    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu)[0]
 
 
 def poisson_bracket_both_orders(
@@ -264,7 +272,7 @@ def poisson_bracket_both_orders(
     name each sample once, by its role in ``(f, g)``.
     """
     mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, extract_algebroid(chart, grid.base_points_flat()), grid, mu, both_orders=True)
+    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu, both_orders=True)
 
 
 def _bracket(
@@ -407,7 +415,7 @@ def dual_poisson_bracket(F: SampledSymbol, G: SampledSymbol, chart: GroupoidChar
     :func:`fourier_check` compares the transformed bracket against this one
     directly.  Derivatives are central differences on the dual grid.
     """
-    data = extract_algebroid(chart, F.grid.base_points_flat())
+    data = _algebroid_data(chart, F.grid)
     return SampledSymbol(values=_dual_bracket(F, G, data), grid=F.grid)
 
 
@@ -415,8 +423,7 @@ def dual_poisson_bracket(F: SampledSymbol, G: SampledSymbol, chart: GroupoidChar
 # the fourier-check: round trip, convolution theorem, intertwining
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourierCheck:
+class FourierCheck(NamedTuple):
     """Residuals of :func:`fourier_check`; ``intertwining`` is None where the unit weight is not 1."""
 
     roundtrip: float
@@ -446,7 +453,7 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     sampled = [fs, gs, fiber_convolve(fs, gs, mu)]
     data = None
     if is_unit_weight(mu):
-        data = extract_algebroid(chart, grid.base_points_flat())
+        data = _algebroid_data(chart, grid)
         sampled.append(_bracket(f, g, data, grid, mu)[0])
     _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
     Ff, Fg, Fconv = transforms[:3]

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DecayWarning, json_number
-from .grids import GridSpec, SampledSymbol, boundary_fraction
+from .grids import GridSpec, SampledSymbol, _validated_make, boundary_fraction
 
 DECAY_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
+class _TermFields(NamedTuple):
     coeff: complex
     x_powers: tuple[int, ...]
     xi_powers: tuple[int, ...]
@@ -31,21 +30,19 @@ class SymbolTerm:
     xi_widths: tuple[float, ...]
     xi_centers: tuple[float, ...]
 
-    def __post_init__(self):
+
+class SymbolTerm(_TermFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(w <= 0 for w in self.x_widths) or any(w <= 0 for w in self.xi_widths):
             raise ValueError("Gaussian widths must be positive")
         if any(p < 0 for p in self.x_powers) or any(p < 0 for p in self.xi_powers):
             raise ValueError("monomial powers must be nonnegative")
+        return self
 
-    def _key(self):
-        return (
-            self.x_powers,
-            self.xi_powers,
-            self.x_widths,
-            self.x_centers,
-            self.xi_widths,
-            self.xi_centers,
-        )
+    _make = classmethod(_validated_make)
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,14 @@ class SymbolSpec:
 
     def scaled(self, factor: complex) -> "SymbolSpec":
         factor = complex(factor)
-        return replace(self, terms=tuple(replace(t, coeff=t.coeff * factor) for t in self.terms))
+        return replace(self, terms=tuple(t._replace(coeff=t.coeff * factor) for t in self.terms))
 
     def merged(self) -> "SymbolSpec":
         """Combine terms with identical monomial and Gaussian data."""
         acc: dict = {}
         order: list = []
         for t in self.terms:
-            key = t._key()
+            key = t[1:]  # the monomial and Gaussian data
             if key in acc:
                 acc[key] += t.coeff
             else:
@@ -132,7 +129,7 @@ class SymbolSpec:
         for t in self.terms:
             q = list(t.xi_powers)
             q[index] += 1
-            terms.append(replace(t, xi_powers=tuple(q)))
+            terms.append(t._replace(xi_powers=tuple(q)))
         return replace(self, terms=tuple(terms))
 
     def derivative(self, kind: str, index: int) -> "SymbolSpec":
@@ -151,7 +148,7 @@ class SymbolSpec:
 
             def rebuild(coeff, new_power):
                 new_powers = powers[:index] + (new_power,) + powers[index + 1 :]
-                return replace(t, coeff=coeff, **{f"{kind}_powers": new_powers})
+                return t._replace(coeff=coeff, **{f"{kind}_powers": new_powers})
 
             if p > 0:
                 out.append(rebuild(t.coeff * p, p - 1))
@@ -172,34 +169,42 @@ class SymbolSpec:
         """Pointwise values; arguments are (..., n) and (..., m) arrays.
 
         The result has :attr:`dtype`.  Each term is ``(coeff * poly) *
-        exp(exponent)``, its exponent summed in coordinate order, and the terms
-        are added in order to zeros; so a float64 result equals the real part
-        of the complex evaluation bit for bit.  The exponent and its squares
-        live in two float64 arrays of the batch shape.  A caller that
-        evaluates many batches of one shape passes its own arrays: ``out``
-        (of the batch shape and :attr:`dtype`) receives the values and is
-        returned, ``scratch`` is the pair of exponent arrays.  Neither may
-        overlap the points; the values do not depend on their contents.
+        exp(exponent)``, its exponent ``-sum w (y - c)^2`` summed in coordinate
+        order from 0, and the terms are added in order to zeros; so a float64
+        result equals the real part of the complex evaluation bit for bit.
+        Steps that change no bit are skipped: ``y - 0.0``, products with 1.0
+        and both zero fills (the first square is written negated, whose
+        zero's sign ``exp`` ignores, and the first term as ``value + 0.0``).
+        The exponent and its squares live in two float64 arrays of the batch
+        shape.  A caller that evaluates many batches of one shape passes its
+        own arrays: ``out`` (of the batch shape and :attr:`dtype`) receives
+        the values and is returned, ``scratch`` is the pair of exponent
+        arrays.  Neither may overlap the points; the values do not depend on
+        their contents.
         """
         base_points = np.asarray(base_points, dtype=float)
         fiber_points = np.asarray(fiber_points, dtype=float)
         batch = np.broadcast_shapes(base_points.shape[:-1], fiber_points.shape[:-1])
         real = self.dtype is np.float64
-        if out is None:
-            out = np.zeros(batch, dtype=self.dtype)
-        else:
+        out = np.empty(batch, dtype=self.dtype) if out is None else out
+        if not self.terms:
             out.fill(0.0)
         coords = [base_points[..., k] for k in range(self.base_dim)]
         coords += [fiber_points[..., l] for l in range(self.fiber_dim)]
         gauss, buffer = (np.empty(batch), np.empty(batch)) if scratch is None else scratch
-        for t in self.terms:
-            gauss.fill(0.0)
-            for x, w, c in zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers):
+        for term_index, t in enumerate(self.terms):
+            if not coords:
+                gauss.fill(0.0)  # a term on no coordinates is its coefficient
+            for k, (x, w, c) in enumerate(zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers)):
                 # a coordinate that broadcasts (base points over fiber points) keeps its own shape
-                square = np.subtract(x, c, out=buffer if x.shape == batch else None)
-                np.square(square, out=square)
-                square *= w
-                gauss -= square
+                target = buffer if x.shape == batch else None
+                square = np.square(x if c == 0.0 else np.subtract(x, c, out=target), out=target)
+                if k == 0:
+                    np.multiply(square, -w, out=gauss)
+                else:
+                    if w != 1.0:
+                        square *= w
+                    gauss -= square
             np.exp(gauss, out=gauss)
             # poly is the product of the powers from 1.0, kept in the freed
             # squares buffer; x ** 1 is x and 1.0 * y is y bit for bit, so
@@ -209,11 +214,17 @@ class SymbolSpec:
                 if p:
                     factor = x if p == 1 else x ** p
                     poly = factor if poly is None else np.multiply(poly, factor, out=buffer)
-            if real:
-                gauss *= t.coeff.real if poly is None else np.multiply(poly, t.coeff.real, out=buffer)
-                out += gauss
+            value = gauss
+            if not real:
+                value = t.coeff * (1.0 if poly is None else poly) * gauss
+            elif poly is not None:
+                gauss *= poly if t.coeff.real == 1.0 else np.multiply(poly, t.coeff.real, out=buffer)
+            elif t.coeff.real != 1.0:
+                gauss *= t.coeff.real
+            if term_index:
+                out += value
             else:
-                out += t.coeff * (1.0 if poly is None else poly) * gauss
+                np.add(value, 0.0, out=out)
         return out
 
 

@@ -249,16 +249,21 @@ def heisenberg_transport(v, target):
 
 
 def gaussian_polynomial_values(terms, x, xi):
-    """``sum coeff * poly * exp(exponent)`` over real-coefficient config terms, plainly.
+    """``sum coeff * poly * exp(exponent)`` over config terms, plainly, term by term.
 
-    ``terms`` are config entries (dicts with ``coeff`` and every power, width
-    and centre list); ``x`` is (..., n) and ``xi`` is (..., m).  The exponent
-    ``-sum w (y - c)^2`` runs over the base coordinates and then the fiber
-    coordinates, from 0; ``poly`` multiplies the powers in the same order from 1.
+    ``terms`` are config entries (dicts with ``coeff``, a number or a
+    ``[re, im]`` pair, and every power, width and centre list); ``x`` is
+    (..., n) and ``xi`` is (..., m).  The exponent ``-sum w (y - c)^2`` runs
+    over the base coordinates and then the fiber coordinates, from 0;
+    ``poly`` multiplies the powers in the same order from 1.  The values are
+    float64 when every coefficient is real, else complex128 with every
+    coefficient complex; no terms give zeros.
     """
     coords = [x[..., k] for k in range(x.shape[-1])] + [xi[..., l] for l in range(xi.shape[-1])]
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
-    for term in terms:
+    coeffs = [complex(*c) if isinstance(c, list) else complex(c) for c in (t["coeff"] for t in terms)]
+    real = all(c.imag == 0.0 for c in coeffs)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]), dtype=float if real else complex)
+    for term, coeff in zip(terms, coeffs):
         widths = term["x_widths"] + term["xi_widths"]
         centers = term["x_centers"] + term["xi_centers"]
         powers = term["x_powers"] + term["xi_powers"]
@@ -268,5 +273,5 @@ def gaussian_polynomial_values(terms, x, xi):
             exponent = exponent - w * (y - c) ** 2
             if p:
                 poly = poly * y ** p
-        out = out + term["coeff"] * poly * np.exp(exponent)
+        out = out + (coeff.real if real else coeff) * poly * np.exp(exponent)
     return out

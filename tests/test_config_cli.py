@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import groupoidlab as gl
 from groupoidlab.cli import main, run_command
 from groupoidlab.errors import ConfigError
-from groupoidlab import reports
-from groupoidlab.reports import _CSV_BLOCK_ROWS, config_hash, format_number, write_csv
+from groupoidlab import floattext
+from groupoidlab.floattext import _CSV_BLOCK_ROWS, _float_blocks, _formatter_tables
+from groupoidlab.reports import config_hash, format_number, write_csv
 
 from conftest import CUSTOM_AX_PLUS_B
 
@@ -400,7 +401,7 @@ def test_float_table_matches_percent_17g_on_raw_bit_patterns(bits, ncol):
     # any 64-bit pattern is a float64: normal, subnormal, zero, inf or nan of either sign
     bits += [0] * (-len(bits) % ncol)
     table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, ncol)
-    assert b"".join(reports._float_blocks(table, ())) == _percent_17g_table(table)
+    assert b"".join(_float_blocks(table, ())) == _percent_17g_table(table)
 
 
 def _with_neighbours(values, steps=1):
@@ -432,18 +433,18 @@ def test_float_table_matches_percent_17g_on_its_edge_cases():
     ])
     cases = np.concatenate([cases, -cases])
     cases = np.concatenate([cases, np.zeros(-len(cases) % 3)]).reshape(-1, 3)
-    assert b"".join(reports._float_blocks(cases, ())) == _percent_17g_table(cases)
+    assert b"".join(_float_blocks(cases, ())) == _percent_17g_table(cases)
 
 
 def test_float_table_formats_signed_zeros_without_the_fallback(monkeypatch):
     # a real symbol's bracket has an all-zero real column: its zeros of either
     # sign take the fast path, next to ordinary cells, byte for byte
-    reports._formatter_tables()
+    _formatter_tables()
 
     def fallback(x):
         raise AssertionError(f"{len(x)} cells took the '%.17g' fallback")
 
-    monkeypatch.setattr(reports, "_fallback_text", fallback)
+    monkeypatch.setattr(floattext, "_fallback_text", fallback)
     rng = np.random.default_rng(21)
     # below 1e10 a 17-digit rounding is seldom near a tie (which falls back);
     # this seed puts no cell there
@@ -451,7 +452,7 @@ def test_float_table_formats_signed_zeros_without_the_fallback(monkeypatch):
     zeros = rng.random(table.shape) < 0.6
     table[zeros] = np.where(rng.random(table.shape) < 0.5, 0.0, -0.0)[zeros]
     assert np.signbit(table[zeros]).any() and not np.signbit(table[zeros]).all()
-    assert b"".join(reports._float_blocks(table, ())) == _percent_17g_table(table)
+    assert b"".join(_float_blocks(table, ())) == _percent_17g_table(table)
 
 
 # (base node counts, fiber node counts): base dimension 0, 1 and 2 with 1-3 fiber axes
@@ -474,7 +475,7 @@ def test_grid_table_writes_the_bytes_of_format_number(base, fiber, edge, tmp_pat
         fiber=tuple(gl.Axis.centered(0.7 * (k + 1), count - 1) for k, count in enumerate(fiber)),
     )
     rows = int(np.prod(grid.shape))
-    monkeypatch.setattr(reports, "_CSV_BLOCK_ROWS", rows - edge)
+    monkeypatch.setattr(floattext, "_CSV_BLOCK_ROWS", rows - edge)
     rng = np.random.default_rng(rows)
     values = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-300, 300, (rows, 2))
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 1e-300, -1e300]

@@ -36,6 +36,64 @@ def test_fiber_axes_must_be_odd_and_symmetric():
         gl.GridSpec(base=(), fiber=(gl.Axis(start=0.0, step=0.25, count=9),))
 
 
+AXIS = gl.Axis.centered(2.0, 8)
+TERM = gl.SymbolSpec.gaussian(1, 1, x_powers=[1], xi_centers=0.5).terms[0]
+GRID = gl.GridSpec(base=(AXIS,), fiber=(AXIS,))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gl.Axis(start=0.0, step=0.0, count=3), "step must be positive"),
+    (lambda: gl.Axis(0.0, 0.5, 1), "at least two nodes"),
+    (lambda: AXIS._replace(step=-0.5), "step must be positive"),
+    (lambda: AXIS._replace(count=1), "at least two nodes"),
+    (lambda: gl.GridSpec(base=(AXIS,), fiber=()), "at least one fiber axis"),
+    (lambda: GRID._replace(fiber=()), "at least one fiber axis"),
+    (lambda: GRID._replace(fiber=[gl.Axis(0.0, 0.25, 9)]), "symmetric"),
+    (lambda: GRID._replace(fiber=(gl.Axis(-1.0, 0.25, 8),)), "odd node count"),
+    (lambda: TERM._replace(xi_widths=(0.0,)), "widths must be positive"),
+    (lambda: TERM._replace(x_widths=(-1.0,)), "widths must be positive"),
+    (lambda: TERM._replace(x_powers=(-1,)), "powers must be nonnegative"),
+    (lambda: gl.SymbolTerm(1.0, (0,), (-1,), (1.0,), (0.0,), (1.0,), (0.0,)), "powers must be nonnegative"),
+])
+def test_invalid_values_raise_when_built_and_when_replaced(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_axes_and_grids_are_hashable_values():
+    # Axis keys the lru_cache of the fiber transform kernels
+    same = gl.Axis(AXIS.start, AXIS.step, AXIS.count)
+    assert same == AXIS and hash(same) == hash(AXIS) and len({same, AXIS}) == 1
+    assert AXIS._replace(count=11) != AXIS
+    from groupoidlab.poisson import _axis_kernel
+
+    kernel = _axis_kernel(AXIS, AXIS.dual(), -1.0)
+    hits = _axis_kernel.cache_info().hits
+    assert _axis_kernel(same, same.dual(), -1.0) is kernel and _axis_kernel.cache_info().hits == hits + 1
+    assert gl.GridSpec(base=[same], fiber=[same]) == GRID and hash(GRID._replace(base=(same,))) == hash(GRID)
+    assert GRID.refine_fiber() != GRID
+
+
+def _records():
+    from groupoidlab.config import Tolerances
+    from groupoidlab.reports import Check
+
+    zeros = [
+        cls._make([0.0] * len(cls._fields))
+        for cls in (gl.AxiomReport, gl.AlgebroidData, gl.FourierCheck, gl.LimitTable, gl.NormRow, gl.NormCurve)
+    ]
+    sampled = gl.SampledSymbol(np.zeros(GRID.shape), GRID)
+    return [AXIS, GRID, TERM, sampled, Tolerances(), Check("c", True, 0.0, 1.0)] + zeros
+
+
+def test_records_are_immutable():
+    for record in _records():
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+
 def test_dual_axis_spacing_is_reciprocal_span():
     ax = gl.Axis.centered(8.0, 64)
     dax = ax.dual()
@@ -194,6 +252,43 @@ def test_real_coefficients_evaluate_in_float64_to_the_plain_formula():
     got = gl.parse_symbol(REAL_TERMS, 2, 3).evaluate(x, xi)
     assert got.dtype == np.float64 and got.shape == (4, 30)
     assert got.tobytes() == gaussian_polynomial_values(REAL_TERMS, x, xi).tobytes()
+
+
+UNIT_TERM = dict(REAL_TERMS[1], coeff=1.0, x_centers=[0.0, 0.0], xi_centers=[0.0, 0.0, 0.0],
+                 x_widths=[1.0, 1.0], xi_widths=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    REAL_TERMS[:1],  # coefficient 1, no powers, zero and nonzero centres
+    [dict(REAL_TERMS[1], coeff=1.0)],  # coefficient 1 with powers
+    [UNIT_TERM],  # every centre 0, every width 1
+    REAL_TERMS,
+    REAL_TERMS[1:2],  # -0.0 where xi_1 = 0, which the sum from zeros turns into 0.0
+    [dict(REAL_TERMS[0], coeff=[0.5, -1.25])] + REAL_TERMS[1:],
+    [dict(UNIT_TERM, coeff=[1.0, 0.0]), dict(REAL_TERMS[2], coeff=[0.0, 2.0]), REAL_TERMS[0]],
+], ids=["empty", "unit", "unit-powers", "unit-widths", "real", "signed-zero", "complex", "complex-unit"])
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_evaluate_equals_the_plain_per_term_evaluation_bitwise(terms, broadcast):
+    # the shortcuts of SymbolSpec.evaluate (no zero fills, no x - 0.0, no
+    # products with 1.0) must not change a bit; base points broadcast over
+    # fiber points, as in the deformed product, or come at the full batch shape
+    x, xi = _evaluation_points()
+    if not broadcast:
+        x = np.ascontiguousarray(np.broadcast_to(x, xi.shape[:-1] + (2,)))
+    spec = gl.parse_symbol(terms, 2, 3)
+    want = gaussian_polynomial_values(terms, x, xi)
+    got = spec.evaluate(x, xi)
+    assert got.dtype == want.dtype == spec.dtype
+    assert got.tobytes() == want.tobytes()
+    out = np.full(want.shape, np.nan, dtype=spec.dtype)
+    scratch = (np.full(want.shape, np.nan), np.full(want.shape, np.nan))
+    assert spec.evaluate(x, xi, out=out, scratch=scratch).tobytes() == want.tobytes()
+
+
+def test_a_symbol_on_no_coordinates_is_the_sum_of_its_coefficients():
+    terms = tuple(gl.SymbolSpec.gaussian(0, 0, coeff=c).terms[0] for c in (2.0, 3.0))
+    assert gl.SymbolSpec(0, 0, terms).evaluate(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [5.0] * 3
 
 
 def test_complex_coefficient_scales_the_real_values():

@@ -15,9 +15,9 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 LAYERS = ("algebroid", "deformation", "normfield", "poisson")
 
 
-def _modules_after(code: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after ``code`` ran."""
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+def _modules_after(code: str, report: str = "sorted(sys.modules)") -> set[str]:
+    """``sys.modules`` (or the names ``report`` lists) of a fresh interpreter after ``code`` ran."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps({report}))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -30,11 +30,17 @@ def _modules_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _run_command(command: str, config: str, code: int = 0) -> str:
-    return (
-        "from groupoidlab.cli import main\n"
-        f"assert main([{command!r}, '--config', {str(CONFIGS / config)!r}]) == {code}\n"
-    )
+def _run_command(command: str, config: str, code: int = 0, output=None) -> str:
+    argv = [command, "--config", str(CONFIGS / config)] + (["--output", str(output)] if output else [])
+    return f"from groupoidlab.cli import main\nassert main({argv!r}) == {code}\n"
+
+
+# the package's classes that dataclasses built, by name
+DATACLASSES = (
+    "sorted(name for module in list(sys.modules.values()) if module.__name__.startswith('groupoidlab.')"
+    " for name, obj in vars(module).items()"
+    " if isinstance(obj, type) and obj.__module__ == module.__name__ and hasattr(obj, '__dataclass_fields__'))"
+)
 
 
 def test_importing_the_package_imports_no_submodule():
@@ -52,12 +58,43 @@ def test_importing_the_cli_loads_no_command_layer():
     assert "concurrent.futures" not in loaded
 
 
-def test_the_float_formatter_builds_its_tables_on_first_use():
-    # nothing at import: a process that writes no float table never builds them
+def test_only_the_float_table_commands_load_the_formatter(tmp_path):
+    # bracket and algebroid write float arrays; the others write their tables as lists
+    runs = [
+        ("validate", "heisenberg_validate.json", False),
+        ("deform", "pair1_deform.json", False),
+        ("normfield", "pair1_normfield.json", False),
+        ("fourier-check", "pair1_fourier.json", False),
+        ("bracket", "pair1_fourier.json", True),
+        ("algebroid", "heisenberg_validate.json", True),
+    ]
+    for command, config, formats in runs:
+        loaded = _modules_after(_run_command(command, config, output=tmp_path / command))
+        assert ("groupoidlab.floattext" in loaded) == formats, command
+
+
+@pytest.mark.parametrize("command, config", [("deform", "pair1_deform.json"), ("normfield", "pair1_normfield.json")])
+def test_only_the_rebuilt_classes_are_dataclasses(command, config):
+    # the benchmark's tracer and the tests rebuild charts, configs and fields
+    # with dataclasses.replace, and SymbolSpec keeps its own + and -; every
+    # other record is a NamedTuple, which builds without generated code
+    names = _modules_after(_run_command(command, config), DATACLASSES)
+    assert set(names) == {"GroupoidChart", "RunConfig", "DeformationField", "SymbolSpec"}
+
+
+def test_the_trace_targets_resolve_and_configs_rebuild_after_importing_the_cli():
+    tracing = Path(__file__).parent.parent / "benchmarks" / "tracing.py"
     code = (
+        "import dataclasses, importlib, importlib.util\n"
         "import groupoidlab.cli\n"
-        "from groupoidlab import reports\n"
-        "assert reports._formatter_tables.cache_info().currsize == 0\n"
+        f"spec = importlib.util.spec_from_file_location('tracing', {str(tracing)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "for module, attr, _ in tracing.TARGETS:\n"
+        "    assert callable(getattr(importlib.import_module(f'groupoidlab.{module}'), attr)), (module, attr)\n"
+        f"config = groupoidlab.cli.load_config({str(CONFIGS / 'pair1_deform.json')!r})\n"
+        "chart = dataclasses.replace(config.chart, product=config.chart.product)\n"
+        "assert dataclasses.replace(config, chart=chart).chart is chart\n"
     )
     _modules_after(code)
 
@@ -72,6 +109,13 @@ def test_validate_on_a_custom_chart_without_an_inverse_loads_no_command_layer():
     # its inverse law runs the product solve, which lives in charts
     loaded = _modules_after(_run_command("validate", "corrupted_validate.json", code=1))
     assert not loaded & {f"groupoidlab.{layer}" for layer in LAYERS}
+
+
+def test_normfield_loads_no_algebroid():
+    # it samples and transforms symbols with poisson but takes no bracket
+    loaded = _modules_after(_run_command("normfield", "pair1_normfield.json"))
+    assert "groupoidlab.poisson" in loaded
+    assert "groupoidlab.algebroid" not in loaded
 
 
 def test_deform_loads_no_norm_layer():

@@ -202,8 +202,7 @@ class SymbolSpec:
                 if k == 0:
                     np.multiply(square, -w, out=gauss)
                 else:
-                    if w != 1.0:
-                        square *= w
+                    square *= w
                     gauss -= square
             np.exp(gauss, out=gauss)
             # poly is the product of the powers from 1.0, kept in the freed

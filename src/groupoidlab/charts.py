@@ -25,7 +25,7 @@ are pure functions of their arguments (and ``out``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -38,6 +38,8 @@ Array = np.ndarray
 # step of the central differences that extract the algebroid from the chart
 # maps (groupoidlab.algebroid); config keeps the base grid this far inside the box
 FD_STEP = 1e-3
+SOLVE_TOL = 1e-12  # the residual every point that solve_product returns reaches
+SOLVE_MAX_ITER = 50  # Newton's iteration cap in solve_product
 
 
 @dataclass(frozen=True)
@@ -146,15 +148,14 @@ def _product_residual(chart: GroupoidChart, u, v, w, target, out: Array) -> Arra
     return out
 
 
-def solve_product(
-    chart: GroupoidChart, u, v, target, tol: float = 1e-12, max_iter: int = 50, *, out=None, residual=None
-) -> Array:
+def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None) -> Array:
     """Solve ``product(u, v, w) = target`` for ``w`` (batched).
 
     Uses the chart's ``product_solver`` when present, otherwise Newton on its
     exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
-    checked: the closed form's residual, Newton's until it is below ``tol``;
-    a residual that is not finite fails the check.  ``out`` receives ``w``
+    checked: the closed form's residual, Newton's for at most
+    :data:`SOLVE_MAX_ITER` iterations, against :data:`SOLVE_TOL`; a residual
+    that is not finite fails the check.  ``out`` receives ``w``
     and ``residual`` the residual, both float64 arrays of the broadcast batch
     shape times ``fiber_dim``; a caller that solves many blocks of one shape
     passes its own.  Raises ConvergenceError, SingularJacobianError or
@@ -170,15 +171,15 @@ def solve_product(
         w = chart.product_solver(u, v, target, out=out)
         _product_residual(chart, u, v, w, target, residual)
         worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
-        if not worst <= tol:
+        if not worst <= SOLVE_TOL:
             raise ConvergenceError(f"closed-form product solver violates its contract: residual {worst:.3e}")
         return w
 
     w = np.subtract(target, v, out=out)
-    for _ in range(max_iter):
+    for _ in range(SOLVE_MAX_ITER):
         _product_residual(chart, u, v, w, target, residual)
         worst = float(np.max(np.abs(residual))) if residual.size else 0.0
-        if worst <= tol:
+        if worst <= SOLVE_TOL:
             return w
         jac = chart.product_w_jacobian(u, v, w)
         try:
@@ -189,7 +190,7 @@ def solve_product(
         if not np.all(_in_box(w, chart.fiber_box)):
             raise DomainError("Newton iterate for the product solve left the fiber box")
     raise ConvergenceError(
-        f"product solve did not reach {tol:.1e} in {max_iter} iterations (residual {worst:.3e})"
+        f"product solve did not reach {SOLVE_TOL:.1e} in {SOLVE_MAX_ITER} iterations (residual {worst:.3e})"
     )
 
 
@@ -205,14 +206,14 @@ def invert_element(chart: GroupoidChart, u, v) -> Array:
 
     Uses the custom chart's ``inverse`` when given, otherwise
     :func:`solve_product`.  The residual ``|product(u, v, w)|`` is
-    guaranteed <= 1e-12.
+    guaranteed <= :data:`SOLVE_TOL`.
     """
     u = check_box(u, chart.base_box, "base point u")
     v = check_box(v, chart.fiber_box, "fiber vector v")
     w = _inverse(chart, u, v)
     residual = np.max(np.abs(chart.product(u, v, w))) if w.size else 0.0
-    if not residual <= 1e-12:
-        raise ConvergenceError(f"inverse residual {residual:.3e} exceeds 1.0e-12")
+    if not residual <= SOLVE_TOL:
+        raise ConvergenceError(f"inverse residual {residual:.3e} exceeds {SOLVE_TOL:.1e}")
     return w
 
 
@@ -365,9 +366,9 @@ def _resolve_weight(mu_e, dim: int):
 def _builtin(name, kind, source_map, product, half_width, mu_e=None, **params) -> GroupoidChart:
     n, m = len(source_map), len(product)
     box = lambda dim: [[-half_width, half_width]] * dim
-    spec = dict(name=name, kind=kind, base_dim=n, fiber_dim=m, source_map=source_map, product=product)
+    spec = dict(name=name, base_dim=n, fiber_dim=m, source_map=source_map, product=product)
     spec.update(unit_weight=mu_e, base_box=box(n), fiber_box=box(m))
-    return chart_from_spec(spec, dict(params, half_width=half_width))
+    return replace(chart_from_spec(spec, dict(params, half_width=half_width)), kind=kind)
 
 
 def _additive(m: int) -> list:
@@ -420,11 +421,12 @@ def builtin_chart(name: str, **params) -> GroupoidChart:
 def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     """Build a chart from the JSON description used in config files.
 
-    Required keys: ``name``, ``base_dim``, ``fiber_dim``, ``source_map`` (list
-    of ``base_dim`` expression trees in u, v), ``product`` (list of
+    Required keys: ``base_dim``, ``fiber_dim``, ``source_map`` (list of
+    ``base_dim`` expression trees in u, v), ``product`` (list of
     ``fiber_dim`` trees in u, v, w), ``base_box``, ``fiber_box``.  Optional:
-    ``inverse`` (list of trees in u, v), ``unit_weight`` (tree in u; default
-    1) and ``kind``.  ``product_w_jacobian`` compiles the product's
+    ``name`` (default "custom"), ``inverse`` (list of trees in u, v) and
+    ``unit_weight`` (tree in u; default 1).  The chart's ``kind`` is "custom"; only the built-ins set
+    another.  ``product_w_jacobian`` compiles the product's
     derivative trees, and ``product_solver`` is the forward substitution of
     :func:`groupoidlab.expressions.compile_solver` where the product is
     affine and lower triangular in w, else None (Newton).
@@ -472,7 +474,6 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         unit_weight=_resolve_weight(spec.get("unit_weight"), n),
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),
         fiber_box=np.asarray(spec["fiber_box"], dtype=float).reshape(m, 2),
-        kind=str(spec.get("kind", "custom")),
         inverse=inverse_fn,
         product_solver=compile_solver(product_exprs, jacobian, n, m),
         params={"spec": "custom"} if params is None else params,

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_config, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, DecayWarning, GroupoidLabError
 from .grids import boundary_fraction, scale_of
 from .reports import Check, ReportBundle, write_csv, write_json
@@ -63,7 +63,7 @@ def _cmd_validate(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_algebroid(config: RunConfig) -> ReportBundle:
-    from .algebroid import extract_algebroid
+    from .algebroid import FD_STEP, extract_algebroid
 
     chart, grid, tol = config.chart, config.grid, config.tolerances
     data = extract_algebroid(chart, grid.base_points_flat())
@@ -82,7 +82,7 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
         command="algebroid",
         summary={
             "base_points": int(data.base_points.shape[0]),
-            "fd_step": data.fd_step,
+            "fd_step": FD_STEP,
             "jacobi_residual": jacobi,
         },
     )
@@ -333,10 +333,7 @@ def main(argv=None) -> int:
         parser.error(f"--output {args.output} exists and is not a directory")
 
     try:
-        config = load_config(args.config)
-        if args.strict and not config.strict:
-            # validate as if the file said "strict": true; the summary still hashes the file
-            config = replace(build_config(dict(config.raw, strict=True)), raw=config.raw)
+        config = load_config(args.config, strict=args.strict)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(["seed must be a nonnegative integer"])

@@ -326,10 +326,11 @@ def norm_curve(
     Every row carries the chart's unit weight: the pair kernels and the t = 0
     row read it on the base grid, the regular action through the Haar density.
     Each row assembles and solves its matrix once; on pair charts the first
-    row's also gives ``cstar_identity``.
+    row's also gives ``cstar_identity``.  An empty sweep, or one that breaks
+    the sweep rule, raises GroupoidLabError.
     """
     ts = [float(t) for t in t_values]
-    problems = sweep_problems(ts)
+    problems = sweep_problems(ts) if ts else ["a norm curve needs at least one t"]
     if problems:
         raise GroupoidLabError("; ".join(problems))
     mu = unit_weight_on_grid(chart, grid)

@@ -180,11 +180,9 @@ def fourier_transform(f: SampledSymbol, mu_on_base=None, dual: GridSpec | None =
     return SampledSymbol.wrap(vals, dual)
 
 
-def inverse_fourier(F: SampledSymbol, mu_on_base=None, primal: GridSpec | None = None) -> SampledSymbol:
-    """Inverse of :func:`fourier_transform` under the same convention."""
+def inverse_fourier(F: SampledSymbol, mu_on_base, primal: GridSpec) -> SampledSymbol:
+    """Inverse of :func:`fourier_transform` under the same convention, back onto ``primal``."""
     dual = F.grid
-    if primal is None:
-        raise ValueError("inverse_fourier needs the primal grid")
     _check_base_axes(dual, primal)
     mu = _mu_base(mu_on_base, primal)
     vals = _fiber_transform(F.values, dual, primal, 1.0) / _with_fiber_axes(mu, primal)
@@ -354,10 +352,8 @@ def _bracket(
 # bracket on the dual side
 # ---------------------------------------------------------------------------
 
-def _dual_bracket_parts(
-    F: SampledSymbol, G: SampledSymbol, data: AlgebroidData
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor part and structure-constant part of the dual bracket, without signs.
+def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np.ndarray:
+    """Minus the anchor part minus the structure-constant part (module docstring).
 
     Each central-difference derivative of ``F`` and ``G`` is taken once.
     """
@@ -397,12 +393,6 @@ def _dual_bracket_parts(
                     * zeta_k
                     * (F_zeta[i] * G_zeta[j] - F_zeta[j] * G_zeta[i])
                 )
-    return anchor_part, structure_part
-
-
-def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np.ndarray:
-    """Minus the anchor part minus the structure-constant part (module docstring)."""
-    anchor_part, structure_part = _dual_bracket_parts(F, G, data)
     return -anchor_part - structure_part
 
 

@@ -3,7 +3,7 @@
 Every number in a CSV is printed with 17 significant digits so values
 round-trip exactly.  Nothing volatile (timestamps, wall times, hostnames)
 goes into output files; identical config and package version give
-byte-identical files at any worker count.  Wall times go to stderr
+byte-identical files on every rerun.  Wall times go to stderr
 instead.  SVG plots are in :mod:`groupoidlab.plots`, loaded only under
 ``--plot``.
 """

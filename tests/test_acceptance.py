@@ -37,12 +37,12 @@ def _report(name, passed, detail, elapsed=None, budget=None):
 def test_c1_structure_extraction():
     start = time.perf_counter()
     heis = gl.builtin_chart("heisenberg")
-    c_heis = gl.structure_constants(heis, np.zeros(0), step=1e-3)
+    c_heis = gl.structure_constants(heis, np.zeros(0))
     axb = gl.builtin_chart("ax_plus_b")
-    c_axb = gl.structure_constants(axb, np.zeros(0), step=1e-3)
+    c_axb = gl.structure_constants(axb, np.zeros(0))
     pair2 = gl.builtin_chart("pair", n=2)
-    anchor = gl.anchor_matrix(pair2, np.array([0.2, -0.3]), step=1e-3)
-    c_pair = gl.structure_constants(pair2, np.array([0.2, -0.3]), step=1e-3)
+    anchor = gl.anchor_matrix(pair2, np.array([0.2, -0.3]))
+    c_pair = gl.structure_constants(pair2, np.array([0.2, -0.3]))
     elapsed = time.perf_counter() - start
 
     checks = [

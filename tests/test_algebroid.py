@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import groupoidlab as gl
+from groupoidlab import algebroid
 from groupoidlab.errors import DomainError, GroupoidLabError
 
 from oracles import structure_constants_exact
@@ -37,7 +38,7 @@ def test_bilinear_examples(pair1, heisenberg):
 @pytest.mark.parametrize("name", ["heisenberg", "ax_plus_b"])
 def test_structure_constants_vs_analytic_oracle(name):
     chart = gl.builtin_chart(name)
-    c = gl.structure_constants(chart, np.zeros(0), step=1e-3)
+    c = gl.structure_constants(chart, np.zeros(0))
     np.testing.assert_allclose(c, structure_constants_exact(name), atol=1e-5)
 
 
@@ -64,7 +65,7 @@ def test_log_weight_gradient_examples():
 def test_log_weight_gradient_requires_margin():
     chart = gl.builtin_chart("pair", n=1)
     with pytest.raises(DomainError):
-        gl.log_weight_gradient(chart, np.array([10.0]), step=1e-3)
+        gl.log_weight_gradient(chart, np.array([10.0]))
 
 
 def test_nonpositive_weight_raises():
@@ -91,24 +92,26 @@ def _curved_chart():
     )
 
 
-def test_anchor_convergence_is_second_order():
+def test_anchor_convergence_is_second_order(monkeypatch):
     chart = _curved_chart()
     u = np.array([0.5])
     exact = 1.0  # d(source)/dv at v=0
     errors = []
-    for step in (2e-3, 1e-3):
-        errors.append(abs(float(gl.anchor_matrix(chart, u, step)[0, 0]) - exact))
+    for step in (2e-3, 1e-3):  # the step is a module constant, set here for the test only
+        monkeypatch.setattr(algebroid, "FD_STEP", step)
+        errors.append(abs(float(gl.anchor_matrix(chart, u)[0, 0]) - exact))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 
 
-def test_bilinear_convergence_is_second_order():
+def test_bilinear_convergence_is_second_order(monkeypatch):
     chart = _curved_chart()
     u = np.array([0.0])
     exact = 0.5
     errors = []
     for step in (4e-3, 2e-3):
-        errors.append(abs(float(gl.product_bilinear(chart, u, step)[0, 0, 0]) - exact))
+        monkeypatch.setattr(algebroid, "FD_STEP", step)
+        errors.append(abs(float(gl.product_bilinear(chart, u)[0, 0, 0]) - exact))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -116,7 +119,7 @@ def test_bilinear_convergence_is_second_order():
 @pytest.mark.parametrize("name", ["heisenberg", "ax_plus_b"])
 def test_jacobi_identity_small(name):
     chart = gl.builtin_chart(name)
-    data = gl.extract_algebroid(chart, np.zeros((1, 0)), step=1e-3)
+    data = gl.extract_algebroid(chart, np.zeros((1, 0)))
     assert data.jacobi_residual() <= 1e-8
 
 

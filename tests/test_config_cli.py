@@ -48,11 +48,9 @@ def test_t_zero_rejected():
 
 
 def test_strict_decay_violation_names_symbol():
-    raw = minimal_config(
-        symbols={"f": [{"x_widths": [1.0], "xi_widths": [0.05]}]}, strict=True
-    )
+    raw = minimal_config(symbols={"f": [{"x_widths": [1.0], "xi_widths": [0.05]}]})
     with pytest.raises(ConfigError, match="symbol 'f' term 0 only decays to"):
-        gl.build_config(raw)
+        gl.build_config(raw, strict=True)
 
 
 def test_all_violations_reported_not_just_first():
@@ -64,6 +62,26 @@ def test_all_violations_reported_not_just_first():
     assert "unknown config key(s) ['fd_step']" in text
     assert "seed must be a nonnegative integer" in text
     assert len(excinfo.value.violations) >= 3
+
+
+@pytest.mark.parametrize("overrides", [{"t_value": [0.1]}, {"seed": -1}])
+def test_an_earlier_violation_hides_no_grid_violation(overrides):
+    raw = minimal_config(chart={"builtin": "pair", "params": {"n": 1, "half_width": 4.0}}, **overrides)
+    raw["grid"]["base"][0]["half_width"] = 5.0
+    with pytest.raises(ConfigError) as excinfo:
+        gl.build_config(raw)
+    assert len(excinfo.value.violations) == 2
+    assert excinfo.value.violations[-1] == "base axis 0 leaves the chart base box"
+
+
+def test_a_chart_violation_hides_no_symbol_violation():
+    raw = minimal_config(chart={"builtin": "no_such"}, symbols={"f": [{"xi_width": [0.5]}], "g": {}})
+    with pytest.raises(ConfigError) as excinfo:
+        gl.build_config(raw)
+    text = "; ".join(excinfo.value.violations)
+    assert "unknown built-in chart 'no_such'" in text
+    assert "unknown symbol 'f' term 0 key(s) ['xi_width']" in text
+    assert "symbol 'g': terms must be a list of objects" in text
 
 
 def test_algebroid_summary_records_the_constant_step(tmp_path):
@@ -270,17 +288,15 @@ def _config_errors(capsys) -> list[str]:
     return [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
 
 
-def test_strict_flag_and_strict_key_reject_the_same_symbol(tmp_path, capsys):
+def test_strict_flag_rejects_a_symbol_that_does_not_decay(tmp_path, capsys):
     raw = json.loads((CONFIGS / "heisenberg_fourier.json").read_text())
     raw["symbols"]["f"][0]["xi_widths"] = [0.1, 0.1, 0.1]
-    flag_cfg, key_cfg = tmp_path / "flag.json", tmp_path / "key.json"
-    flag_cfg.write_text(json.dumps(raw))
-    key_cfg.write_text(json.dumps(dict(raw, strict=True)))
-    assert main(["bracket", "--config", str(flag_cfg), "--strict"]) == 2
-    flag_errors = _config_errors(capsys)
-    assert main(["bracket", "--config", str(key_cfg)]) == 2
-    assert _config_errors(capsys) == flag_errors
-    assert len(flag_errors) == 1 and "symbol 'f' term 0 only decays to" in flag_errors[0]
+    path = tmp_path / "slow_decay.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bracket", "--config", str(path), "--strict"]) == 2
+    errors = _config_errors(capsys)
+    assert len(errors) == 1 and "symbol 'f' term 0 only decays to" in errors[0]
+    assert main(["bracket", "--config", str(path)]) == 0
 
 
 def test_strict_flag_keeps_the_file_hash(tmp_path):
@@ -544,7 +560,7 @@ def _pair1_deform(**overrides) -> dict:
     return dict(json.loads((CONFIGS / "pair1_deform.json").read_text()), **overrides)
 
 
-def _custom_pair_chart(unit_weight) -> dict:
+def _custom_pair_chart(unit_weight, **spec) -> dict:
     """``minimal_config`` with the pair chart written as a custom chart of the given unit weight."""
     return minimal_config(
         chart={
@@ -557,14 +573,29 @@ def _custom_pair_chart(unit_weight) -> dict:
                 "unit_weight": unit_weight,
                 "base_box": [[-10.0, 10.0]],
                 "fiber_box": [[-10.0, 10.0]],
+                **spec,
             }
         }
     )
 
 
+def test_a_base_axis_is_centred_on_the_chart_base_box(tmp_path):
+    raw = _custom_pair_chart(1.0, base_box=[[0.0, 8.0]])
+    raw["grid"]["base"][0]["half_width"] = 3.0
+    config = gl.build_config(raw)
+    assert config.grid.base[0].center == 4.0
+    assert config.grid.base[0].nodes[[0, -1]].tolist() == [1.0, 7.0]
+    assert config.grid.fiber[0].center == 0.0
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps(raw))
+    assert main(["algebroid", "--config", str(path), "--output", str(tmp_path)]) == 0
+    rows = (tmp_path / "algebroid.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == 1.0 and float(rows[-1].split(",")[0]) == 7.0
+
+
 MALFORMED = [
     ("custom_expression_count", _custom_chart_with_one_product_expression(), "product needs 2"),
-    ("string_tolerance", minimal_config(tolerances={"axiom": "tight"}), "tolerance"),
+    ("string_tolerance", minimal_config(tolerances={"intertwining": "tight"}), "tolerance(s) ['intertwining']"),
     ("string_t_value", minimal_config(t_values=[0.2, "0.1"]), "t_values"),
     ("symbol_terms_object", minimal_config(symbols={"f": {"xi_widths": [1.0]}}), "symbol 'f'"),
     ("nan_t_value", minimal_config(t_values=[0.2, float("nan")]), "t_values"),
@@ -573,11 +604,11 @@ MALFORMED = [
     ("nan_fd_step", minimal_config(fd_step=float("nan")), "unknown config key(s) ['fd_step']"),
     ("integer_fd_step_beyond_float", minimal_config(fd_step=10**400), "unknown config key(s) ['fd_step']"),
     ("misspelt_key", minimal_config(t_value=[0.2, 0.1, 0.05]), "unknown config key(s) ['t_value']"),
-    ("infinite_tolerance", minimal_config(tolerances={"axiom": float("inf")}), "tolerance"),
+    ("infinite_tolerance", minimal_config(tolerances={"intertwining": float("inf")}), "tolerance(s) ['intertwining']"),
     ("chart_params_not_object", minimal_config(chart={"builtin": "pair", "params": 5}), "chart 'pair'"),
     ("nan_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [float("nan")]}]}), "xi_widths"),
     ("infinite_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [float("inf")]}]}), "symbol 'f'"),
-    ("string_strict", minimal_config(strict="no"), "strict"),
+    ("string_strict", minimal_config(strict="no"), "unknown config key(s) ['strict']"),
     ("power_iteration_tolerance", minimal_config(tolerances={"power_iteration": 1e-8}), "unknown tolerance"),
     ("constant_zero_division", _custom_pair_chart(["/", 1.0, 0.0]), "division by a constant zero"),
     ("non_geometric_sweep", _pair1_deform(t_values=[0.2, 0.1, 0.02]), "geometric progression"),
@@ -596,10 +627,10 @@ MALFORMED = [
     ("boolean_seed", minimal_config(seed=True), "seed must be a nonnegative integer"),
     ("workers_key", minimal_config(workers=1), "unknown config key(s) ['workers']"),
     ("boolean_sample_count", minimal_config(sample_count=True), "sample_count must be a positive integer"),
-    ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unsupported quadrature 'simpson'"),
+    ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unknown grid key(s) ['quadrature']"),
     # a JSON boolean is not a number wherever a number is read
     ("boolean_half_width", _grid_override(base=[{"half_width": True, "intervals": 16}]), "half_width must be a number"),
-    ("boolean_center", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "center": False}]), "center must be a number"),
+    ("boolean_center", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "center": False}]), "unknown grid.base[0] key(s) ['center']"),
     ("boolean_chart_param", minimal_config(chart={"builtin": "pair", "params": {"n": True}}), "parameter n must be a number"),
     ("boolean_symbol_power", minimal_config(symbols={"f": [{"x_powers": [True]}]}), "x_powers must hold numbers"),
     ("boolean_symbol_width", minimal_config(symbols={"f": [{"xi_widths": [True]}]}), "xi_widths must hold numbers"),
@@ -612,6 +643,15 @@ MALFORMED = [
     ("string_symbol_coeff", minimal_config(symbols={"f": [{"coeff": "1"}]}), 'coeff must hold numbers, not "1"'),
     ("fractional_symbol_power", minimal_config(symbols={"f": [{"xi_powers": [1.5]}]}), "xi_powers must hold numbers: 1.5 is not an integer"),
     ("fractional_custom_base_dim", _custom_pair_dims(1.5), "base_dim must be an integer: 1.5 is not an integer"),
+    # a value with one setting in use is a constant or derived: its key is rejected whatever its value
+    ("tolerance_axiom", minimal_config(tolerances={"axiom": 1e-10}), "unknown tolerance name(s) ['axiom']"),
+    ("grid_quadrature", _grid_override(quadrature="trapezoidal"), "unknown grid key(s) ['quadrature']"),
+    ("axis_center", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "center": 0.0}]), "unknown grid.base[0] key(s) ['center']"),
+    ("strict_key", minimal_config(strict=True), "unknown config key(s) ['strict']"),
+    ("custom_kind", _custom_pair_chart(1.0, kind="pair"), "unknown custom chart key(s) ['kind']"),
+    # and a typo is no silent default
+    ("axis_centre", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "centre": 3.0}]), "unknown grid.base[0] key(s) ['centre']"),
+    ("symbol_xi_width", minimal_config(symbols={"f": [{"xi_width": [0.5]}]}), "unknown symbol 'f' term 0 key(s) ['xi_width']"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import groupoidlab as gl
-from groupoidlab import deformation
+from groupoidlab import charts, deformation
 from groupoidlab.errors import ConvergenceError, GroupoidLabError, SingularJacobianError
 
 from conftest import CUSTOM_AX_PLUS_B
@@ -54,7 +54,7 @@ def test_newton_matches_closed_form(heisenberg):
     )
 
 
-def test_newton_nonconvergence_raises():
+def test_newton_nonconvergence_raises(monkeypatch):
     chart = gl.chart_from_spec(
         {
             "name": "nasty",
@@ -68,8 +68,9 @@ def test_newton_nonconvergence_raises():
             "fiber_box": [[-3.0, 3.0]],
         }
     )
+    monkeypatch.setattr(charts, "SOLVE_MAX_ITER", 1)  # the cap is a module constant, lowered for the test only
     with pytest.raises(ConvergenceError):
-        gl.solve_product(chart, np.zeros((1, 0)), np.array([[0.1]]), np.array([[2.0]]), max_iter=1)
+        gl.solve_product(chart, np.zeros((1, 0)), np.array([[0.1]]), np.array([[2.0]]))
 
 
 # the Heisenberg group in exponential coordinates, written as a custom chart
@@ -90,7 +91,7 @@ CUSTOM_HEISENBERG = {
 
 
 @pytest.mark.parametrize("spec, builtin", [(CUSTOM_AX_PLUS_B, "ax_plus_b"), (CUSTOM_HEISENBERG, "heisenberg")])
-def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin):
+def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin, monkeypatch):
     # the derivative trees give the built-in chart's closed-form Jacobian, entry
     # [..., i, l] = d product_i / d w_l, so one Newton step lands and the second
     # iteration only confirms the residual
@@ -101,7 +102,8 @@ def test_newton_solves_a_product_affine_in_w_in_one_step(spec, builtin):
     v, w = rng.uniform(-1.0, 1.0, (2, 200, custom.fiber_dim))
     np.testing.assert_array_equal(custom.product_w_jacobian(u, v, w), reference.product_w_jacobian(u, v, w))
     target = custom.product(u, v, w)
-    got = gl.solve_product(custom, u, v, target, max_iter=2)
+    monkeypatch.setattr(charts, "SOLVE_MAX_ITER", 2)
+    got = gl.solve_product(custom, u, v, target)
     np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
 
 

@@ -320,6 +320,32 @@ def test_norm_curve_rejects_unsupported_chart():
         gl.norm_curve(f, chart, (0.2, 0.1), grid)
 
 
+def test_a_custom_chart_never_takes_the_pair_kernel():
+    # a custom chart's kind is "custom" whatever its spec says, so a custom
+    # bundle over a line is no pair chart and has no norm curve
+    spec = {
+        "name": "custom_bundle",
+        "base_dim": 1,
+        "fiber_dim": 1,
+        "source_map": ["u1"],
+        "product": [["+", "v1", "w1"]],
+        "base_box": [[-10.0, 10.0]],
+        "fiber_box": [[-10.0, 10.0]],
+        "kind": "pair",
+    }
+    chart = gl.chart_from_spec(spec)
+    assert chart.kind == "custom"
+    grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 32),))
+    with pytest.raises(GroupoidLabError, match="norm curves support"):
+        gl.norm_curve(gl.SymbolSpec.gaussian(1, 1), chart, (0.2, 0.1), grid)
+
+
+def test_norm_curve_rejects_an_empty_sweep(pair1):
+    grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 32),))
+    with pytest.raises(GroupoidLabError, match="at least one t"):
+        gl.norm_curve(gl.SymbolSpec.gaussian(1, 1), pair1, [], grid)
+
+
 def test_heisenberg_regular_norm_smoke(heisenberg):
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.0, 8) for _ in range(3)))
     f = gl.SymbolSpec.gaussian(0, 3, xi_widths=1.3)

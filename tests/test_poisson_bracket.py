@@ -204,10 +204,7 @@ def test_intertwining_requires_unit_weight():
 def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
     chart, grid, _ = pair_setup
 
-    def nan_parts(F, G, data):
-        return np.full(F.values.shape, np.nan + 0j), np.zeros(F.values.shape, dtype=complex)
-
-    monkeypatch.setattr(poisson, "_dual_bracket_parts", nan_parts)
+    monkeypatch.setattr(poisson, "_dual_bracket", lambda F, G, data: np.full(F.values.shape, np.nan + 0j))
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="intertwining residual is not finite"):
         gl.fourier_check(f, f, chart, grid)
@@ -238,21 +235,22 @@ def test_fourier_residuals_reuse_the_selected_transforms_bitwise(case, request, 
 
 @pytest.mark.parametrize("case", ["heisenberg_structure", "pair1_anchor"])
 def test_a_sign_error_in_the_dual_bracket_fails_the_check(case, request, pair_setup, monkeypatch):
-    # heisenberg has only the structure part and pair1 only the anchor part: flipping
-    # that part reads a mismatch near 2, where the fixed orientation passes
+    # heisenberg has only the structure part and pair1 only the anchor part, so
+    # negating the dual bracket flips that part: a mismatch near 2, where the
+    # fixed orientation passes
     if case == "pair1_anchor":
         chart, grid, _ = pair_setup
-        (f, g), flip = PAIR_SYMBOLS[0], lambda anchor, structure: (-anchor, structure)
+        f, g = PAIR_SYMBOLS[0]
         config, bound = "pair1_fourier.json", 1e-3
     else:
         chart, grid = map(request.getfixturevalue, ("heisenberg", "heis_grid16"))
-        (f, g), flip = HEIS_PAIR, lambda anchor, structure: (anchor, -structure)
+        f, g = HEIS_PAIR
         config, bound = "heisenberg_fourier.json", 1e-2
     assert gl.fourier_check(f, g, chart, grid).intertwining <= bound
     assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 0
 
-    parts = poisson._dual_bracket_parts
-    monkeypatch.setattr(poisson, "_dual_bracket_parts", lambda F, G, data: flip(*parts(F, G, data)))
+    dual_bracket = poisson._dual_bracket
+    monkeypatch.setattr(poisson, "_dual_bracket", lambda F, G, data: -dual_bracket(F, G, data))
     assert abs(gl.fourier_check(f, g, chart, grid).intertwining - 2.0) <= 1e-2
     assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 1
 

@@ -11,15 +11,17 @@ from expression trees by :func:`chart_from_spec`; the built-ins are short
 spec builders.
 
 All maps are vectorized: they accept arrays whose last axis is the coordinate
-axis and broadcast over leading batch axes.  That axis may be strided: the
-deformed product passes views of coordinate-major memory, whose coordinate
-axis is outermost (``v[..., l]`` is one contiguous plane), and the compiled
-trees address components as ``v[..., l]``, so every inner loop runs over a
-contiguous plane.  ``product`` and ``product_solver`` also take a
-keyword-only ``out``, a float64 array of the result's shape that overlaps no
-input; a map given one writes its result there and returns it, so a caller
-that solves many blocks of one shape reuses its arrays.  All operations here
-are pure functions of their arguments (and ``out``).
+axis and broadcast over leading batch axes, and return such arrays.  They
+also accept :class:`groupoidlab.expressions.Planes`, one array per component,
+and then return Planes whose component ``k`` has the broadcast shape of the
+components its tree reads: the deformed product passes each coordinate at the
+shape of the grid axes it depends on, so a coordinate that reads few axes is
+computed at their size.  ``product`` and ``product_solver`` also take a
+keyword-only ``out`` that overlaps no input: a float64 array of the result's
+shape, or with Planes a list of per-component arrays that are reused where
+their shapes agree (see :func:`groupoidlab.expressions.compile_vector`); so a
+caller that solves many blocks of one shape reuses its arrays.  All
+operations here are pure functions of their arguments (and ``out``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError, json_number
-from .expressions import _tree_uses, compile_expression, compile_solver, compile_vector, derivative
+from .expressions import (
+    Planes, _broadcast, _tree_uses, compile_expression, compile_solver, compile_vector, derivative, split
+)
 
 Array = np.ndarray
 
@@ -61,6 +65,8 @@ class GroupoidChart:
     custom chart's ``inverse`` is used where given, else the product solve.
     ``product(u, v, w, *, out=None)`` and ``product_solver(u, v, target, *,
     out=None)`` write into ``out`` when given (see the module docs).
+    ``is_pair`` marks the pair groupoids of :func:`pair_chart`, whose norm
+    curve takes the kernel on the base grid.
 
     The chart is assumed to intersect the unit space exactly in the zero
     fiber section; that is a property of the data supplied and is documented
@@ -76,7 +82,7 @@ class GroupoidChart:
     unit_weight: Callable[[Array], Array]
     base_box: Array
     fiber_box: Array
-    kind: str = "custom"
+    is_pair: bool = False
     inverse: Optional[Callable[[Array, Array], Array]] = None
     product_solver: Optional[Callable[[Array, Array, Array], Array]] = None
     params: dict = field(default_factory=dict)
@@ -148,6 +154,28 @@ def _product_residual(chart: GroupoidChart, u, v, w, target, out: Array) -> Arra
     return out
 
 
+def _worst_residual(chart: GroupoidChart, u, v, w, target, out) -> float:
+    """``max |product(u, v, w) - target|`` over every point, NaN where any residual is.
+
+    Each component's residual is taken at its own broadcast shape, which
+    holds every value the component takes at any point, in ``out``.
+    """
+    worst = [0.0]
+    for p, t in zip(split(chart.product(u, v, w, out=out)), split(target)):
+        r = np.subtract(p, t, out=p if p.shape == _broadcast((p.shape, t.shape)) else None)
+        worst.append(np.abs(r, out=r).max() if r.size else 0.0)
+    return float(np.max(worst))
+
+
+def _broadcast_points(points, batch: tuple) -> Array:
+    """``points``, an array or Planes, broadcast to ``batch`` in a new ``batch + (dim,)`` array."""
+    planes = split(points)
+    full = np.empty(batch + (len(planes),))
+    for k, plane in enumerate(planes):
+        full[..., k] = plane
+    return full
+
+
 def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None) -> Array:
     """Solve ``product(u, v, w) = target`` for ``w`` (batched).
 
@@ -155,26 +183,31 @@ def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None
     exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
     checked: the closed form's residual, Newton's for at most
     :data:`SOLVE_MAX_ITER` iterations, against :data:`SOLVE_TOL`; a residual
-    that is not finite fails the check.  ``out`` receives ``w``
-    and ``residual`` the residual, both float64 arrays of the broadcast batch
-    shape times ``fiber_dim``; a caller that solves many blocks of one shape
-    passes its own.  Raises ConvergenceError, SingularJacobianError or
-    DomainError (iterate left the fiber box).
+    that is not finite fails the check.  ``out`` receives ``w`` and
+    ``residual`` the residual: float64 arrays of the broadcast batch shape
+    times ``fiber_dim``, or, where an argument is
+    :class:`~groupoidlab.expressions.Planes`, lists of per-component arrays
+    reused where their shapes agree; a caller that solves many blocks of one
+    shape passes its own.  Given Planes the result is Planes; Newton
+    broadcasts them to the whole batch.  Raises ConvergenceError,
+    SingularJacobianError or DomainError (iterate left the fiber box).
     """
+    if chart.product_solver is not None:
+        w = chart.product_solver(u, v, target, out=out)
+        worst = _worst_residual(chart, u, v, w, target, residual)
+        if not worst <= SOLVE_TOL:
+            raise ConvergenceError(f"closed-form product solver violates its contract: residual {worst:.3e}")
+        return w
+    if any(isinstance(a, Planes) for a in (u, v, target)):
+        batch = np.broadcast_shapes(*(np.shape(a)[:-1] for a in (u, v, target)))
+        return split(solve_product(chart, *(_broadcast_points(a, batch) for a in (u, v, target))))
+
     u, v, target = (np.asarray(a, dtype=float) for a in (u, v, target))
     shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]) + (chart.fiber_dim,)
     if out is None:
         out = np.empty(shape)
     if residual is None:
         residual = np.empty(shape)
-    if chart.product_solver is not None:
-        w = chart.product_solver(u, v, target, out=out)
-        _product_residual(chart, u, v, w, target, residual)
-        worst = float(np.max(np.abs(residual, out=residual))) if residual.size else 0.0
-        if not worst <= SOLVE_TOL:
-            raise ConvergenceError(f"closed-form product solver violates its contract: residual {worst:.3e}")
-        return w
-
     w = np.subtract(target, v, out=out)
     for _ in range(SOLVE_MAX_ITER):
         _product_residual(chart, u, v, w, target, residual)
@@ -363,12 +396,12 @@ def _resolve_weight(mu_e, dim: int):
     return lambda u: expr(u=np.asarray(u, dtype=float))
 
 
-def _builtin(name, kind, source_map, product, half_width, mu_e=None, **params) -> GroupoidChart:
+def _builtin(name, source_map, product, half_width, mu_e=None, **params) -> GroupoidChart:
     n, m = len(source_map), len(product)
     box = lambda dim: [[-half_width, half_width]] * dim
     spec = dict(name=name, base_dim=n, fiber_dim=m, source_map=source_map, product=product)
     spec.update(unit_weight=mu_e, base_box=box(n), fiber_box=box(m))
-    return replace(chart_from_spec(spec, dict(params, half_width=half_width)), kind=kind)
+    return chart_from_spec(spec, dict(params, half_width=half_width))
 
 
 def _additive(m: int) -> list:
@@ -380,13 +413,13 @@ def pair_chart(n: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     if n < 1:
         raise ValueError("pair chart needs n >= 1")
     source_map = [["+", f"u{j}", f"v{j}"] for j in range(1, n + 1)]
-    return _builtin(f"pair({n})", "pair", source_map, _additive(n), half_width, mu_e, n=n)
+    return replace(_builtin(f"pair({n})", source_map, _additive(n), half_width, mu_e, n=n), is_pair=True)
 
 
 def abelian_bundle_chart(n: int, m: int, half_width: float = 10.0, mu_e=None) -> GroupoidChart:
     """Bundle of abelian groups R^m over R^n (n = 0 gives the group R^m)."""
     source_map = [f"u{j}" for j in range(1, n + 1)]
-    return _builtin(f"abelian_bundle({n},{m})", "bundle", source_map, _additive(m), half_width, mu_e, n=n, m=m)
+    return _builtin(f"abelian_bundle({n},{m})", source_map, _additive(m), half_width, mu_e, n=n, m=m)
 
 
 def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
@@ -394,13 +427,13 @@ def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
     twist = ["*", 0.5, ["-", ["*", "v1", "w2"], ["*", "v2", "w1"]]]
     # summed as twist + (v3 + w3), in one scratch plane; validate and algebroid bytes depend on the order
     product = _additive(2) + [["+", ["+", "v3", "w3"], twist]]
-    return _builtin("heisenberg", "group", [], product, half_width)
+    return _builtin("heisenberg", [], product, half_width)
 
 
 def ax_plus_b_chart(half_width: float = 2.0) -> GroupoidChart:
     """Affine group of the line in global coordinates; non-unimodular."""
     product = [["+", "v1", "w1"], ["+", "v2", ["*", ["exp", "v1"], "w2"]]]
-    return _builtin("ax_plus_b", "group", [], product, half_width)
+    return _builtin("ax_plus_b", [], product, half_width)
 
 
 BUILTIN_CHARTS = {
@@ -425,11 +458,11 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     ``base_dim`` expression trees in u, v), ``product`` (list of
     ``fiber_dim`` trees in u, v, w), ``base_box``, ``fiber_box``.  Optional:
     ``name`` (default "custom"), ``inverse`` (list of trees in u, v) and
-    ``unit_weight`` (tree in u; default 1).  The chart's ``kind`` is "custom"; only the built-ins set
-    another.  ``product_w_jacobian`` compiles the product's
-    derivative trees, and ``product_solver`` is the forward substitution of
-    :func:`groupoidlab.expressions.compile_solver` where the product is
-    affine and lower triangular in w, else None (Newton).
+    ``unit_weight`` (tree in u; default 1).  The chart is no pair chart
+    (``is_pair`` False); only :func:`pair_chart` sets it.  ``product_w_jacobian``
+    compiles the product's derivative trees, and ``product_solver`` is the
+    forward substitution of :func:`groupoidlab.expressions.compile_solver`
+    where the product is affine and lower triangular in w, else None (Newton).
     ``params`` default to ``{"spec": "custom"}``; the built-ins pass theirs.
     """
     n = json_number(spec["base_dim"], "base_dim must be an integer", integer=True)
@@ -460,16 +493,14 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         if len(inv_exprs) != m:
             raise ConfigError([f"inverse needs {m} expression(s), got {len(inv_exprs)}"])
         inv_vec = compile_vector(inv_exprs, n, m, slots="uv")
-        inverse_fn = lambda u, v: inv_vec(u=np.asarray(u, float), v=np.asarray(v, float))
+        inverse_fn = lambda u, v: inv_vec(u=u, v=v)
 
     return GroupoidChart(
         name=str(spec.get("name", "custom")),
         base_dim=n,
         fiber_dim=m,
-        source_map=lambda u, v: source_fn(u=np.asarray(u, float), v=np.asarray(v, float)),
-        product=lambda u, v, w, *, out=None: product_fn(
-            u=np.asarray(u, float), v=np.asarray(v, float), w=np.asarray(w, float), out=out
-        ),
+        source_map=lambda u, v: source_fn(u=u, v=v),
+        product=lambda u, v, w, *, out=None: product_fn(u=u, v=v, w=w, out=out),
         product_w_jacobian=w_jacobian,
         unit_weight=_resolve_weight(spec.get("unit_weight"), n),
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),

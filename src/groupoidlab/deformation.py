@@ -32,21 +32,24 @@ no ``1/t`` powers ever appear numerically) yields
 where ``w(u, v', v)`` solves ``product(u, v', w) = v``.  The transport, that
 is ``w``, ``source_map(u, t eta)`` and ``rho(u, t eta)``, depends on ``t`` and
 the grid only; ``_Transport`` solves it per ``t`` and block of output nodes.
-A block holds about ``_BLOCK_POINTS`` transported points (``K * H`` per
-output node), so memory does not grow with the grid and each block's points
-and symbol values stay in cache.  The points are coordinate-major and
-output-major: a block's ``(K, A, H, m)`` points are a view of ``(m, K, A,
-H)`` memory, so each coordinate is one plane whose contiguous inner axis
-runs over the ``H`` integration nodes, and the chart maps, the solver's
-contract check and the symbol evaluation all loop over long contiguous
-rows.  A block's arrays (points, residual, symbol values and their
-exponent scratch) are allocated once per ``t`` and reused for every later
-block.  On a block :func:`scaled_commutator` evaluates both
-orderings, :func:`deformed_product` one, and
-:func:`groupoidlab.normfield.group_regular_norm` assembles the matrix of
-``g -> f *_t g``.  The product sums each output value over the contiguous
-integration nodes with einsum's vector partial sums, not in node order; the
-sum is the same for any block size, so the values are too.
+Its points live on a tensor layout of (base node, output axes, integration
+axes): ``t eta`` and ``t xi`` are one array per grid axis, and every other
+coordinate is an array of the shape of the axes it depends on, so it is
+computed at their size.  On heisenberg ``w1 = t xi1 - t eta1`` spans the first
+output and the first integration axis only; on pair and bundle charts ``w``
+spans no base axis.  Only what depends on every axis is full size (there
+``w3``, the symbol values and their exponent).  A block of output nodes is a
+product set, the leading output axes sliced and the trailing ones whole,
+with about ``_BLOCK_POINTS`` transported points (``K * H`` per output node),
+so memory does not grow with the grid and each block's arrays stay in
+cache; a full-size array of a block is one contiguous ``(K, A, H)`` array
+whose inner axis runs over the ``H`` integration nodes.  A block's arrays
+are allocated once per ``t`` and reused by every later block of the same
+shape.  On a block :func:`scaled_commutator` evaluates both orderings,
+:func:`deformed_product` one, and :func:`groupoidlab.normfield.group_regular_norm`
+assembles the matrix of ``g -> f *_t g``.  The product sums each output value
+over the contiguous integration nodes with einsum's vector partial sums, not
+in node order; the sum is the same for any block size, so the values are too.
 As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
 ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
@@ -63,6 +66,7 @@ import numpy as np
 from .charts import GroupoidChart, _in_box, _sample_box, solve_product
 from .config import deformation_domain_problems
 from .errors import DomainError, GroupoidLabError, SingularJacobianError
+from .expressions import Planes
 from .grids import GridSpec, SampledSymbol, scale_of
 from .poisson import TWO_PI_I, poisson_bracket
 from .symbols import SymbolSpec
@@ -70,11 +74,11 @@ from .symbols import SymbolSpec
 Operand = Union[SymbolSpec, SampledSymbol]
 
 # transported points (K * H per output node) in one block of output nodes:
-# a block's (m, K, A, H) points take 0.5-1.5 MB and each (K, A, H) float64
-# array 0.5 MB, so the ~20 passes of one symbol evaluation run in cache.
-# `deform` on heisenberg 13^3 + pair 129^2, fresh processes, medians of 22
-# interleaved runs on a 2-core host: 1 << 15 0.98 + 0.48 s, 1 << 16
-# 1.00 + 0.46 s, 1 << 17 1.08 + 0.47 s
+# each full-size (K, A, H) float64 array of a block takes 0.5 MB, so the
+# passes of one symbol evaluation run in cache.  The t sweeps of heisenberg
+# 13^3 + pair 129^2 in one process, best of 7 on a 2-core host: 1 << 15
+# 0.28 + 0.08 s, 1 << 16 0.26 + 0.07 s, 1 << 17 0.24 + 0.06 s, where each
+# doubling doubles the arrays a block holds
 _BLOCK_POINTS = 1 << 16
 
 
@@ -149,9 +153,36 @@ class DeformationField:
             raise GroupoidLabError("; ".join(problems))
 
 
-def _coordinate_major(points: np.ndarray) -> np.ndarray:
-    """A copy of ``(..., m)`` points with the coordinate axis outermost in memory, viewed as ``(..., m)``."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(points, -1, 0)), 0, -1)
+def _node_blocks(shape: tuple, rows: int):
+    """Blocks of about ``rows`` nodes of the C-order node grid ``shape``: ``(start, slices, sizes)``.
+
+    Each block is a product set, one slice per axis, of ``sizes`` nodes: the
+    trailing axes that fit in ``rows`` whole, the axis before them in runs of
+    ``rows`` // (their size) nodes and every leading axis one node at a time.
+    So a block is the run of flat node indices from ``start``, and the blocks
+    cover the grid in order.
+    """
+    j, inner = len(shape), 1
+    while j and inner * shape[j - 1] <= rows:
+        j -= 1
+        inner *= shape[j]
+    if j == 0:
+        yield 0, (slice(None),) * len(shape), shape
+        return
+    step, start, whole = max(1, rows // inner), 0, (slice(None),) * (len(shape) - j)
+    for prefix in np.ndindex(*shape[: j - 1]):
+        for lo in range(0, shape[j - 1], step):
+            hi = min(lo + step, shape[j - 1])
+            slices = tuple(slice(i, i + 1) for i in prefix) + (slice(lo, hi),) + whole
+            yield start, slices, (1,) * len(prefix) + (hi - lo,) + shape[j:]
+            start += (hi - lo) * inner
+
+
+def _axis_plane(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` along ``axis`` of an ``ndim``-axis layout, size 1 on every other axis."""
+    shape = [1] * ndim
+    shape[axis] = values.size
+    return values.reshape(shape)
 
 
 class _Transport:
@@ -159,13 +190,14 @@ class _Transport:
 
     Setup checks ``t`` and the domain and takes the Haar density at the
     integration nodes; :meth:`solve` transports a block of output nodes and
-    :meth:`evaluate` reads a symbol at the transported points.  Points keep
-    their ``(..., m)`` shape but are views of coordinate-major memory: ``v =
-    t eta`` is ``(1, 1, H, m)`` over ``(m, H)``, a block's points are ``(K, A,
-    H, m)`` over ``(m, K, A, H)``, so every map, check and symbol evaluation
-    runs inner loops over the ``H`` integration nodes.  The block's points,
+    :meth:`evaluate` reads a symbol at the transported points.  Points are
+    :class:`~groupoidlab.expressions.Planes` on the layout ``(K, output axes,
+    integration axes)`` (see the module docs): the base nodes ``u`` span the
+    first axis, ``v_eta = t eta`` one integration axis a coordinate, and the
+    solved ``w / t`` the axes its coordinate depends on.  The block's points,
     its contract-check residual, its symbol values and their two exponent
-    arrays are allocated once and reused by every later block.
+    arrays are allocated once and reused by every later block of the same
+    shape.
     """
 
     def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
@@ -176,16 +208,21 @@ class _Transport:
             raise DomainError("; ".join(problems))
         self.chart, self.t = chart, t
         self.fiber_pts = grid.fiber_points_flat()  # (H, m)
-        self.base = grid.base_points_flat()[:, None, None, :]  # (K, 1, 1, n)
-        self.v_eta = _coordinate_major(t * self.fiber_pts)[None, None]  # (1, 1, H, m)
-        self.rho = haar_density(chart, self.base[:, 0], self.v_eta[:, 0])  # (K, H)
+        self.base = grid.base_points_flat()[:, None]  # (K, 1, n)
+        m, ndim = grid.fiber_dim, 1 + 2 * grid.fiber_dim
+        self.u = Planes(_axis_plane(x, 0, ndim) for x in self.base[:, 0].T)
+        nodes = [t * ax.nodes for ax in grid.fiber]
+        self.v_eta = Planes(_axis_plane(x, 1 + m + l, ndim) for l, x in enumerate(nodes))
+        self._xi = [_axis_plane(x, 1 + l, ndim) for l, x in enumerate(nodes)]  # t xi
+        self.rho = haar_density(chart, self.base, t * self.fiber_pts[None])  # (K, H)
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
         self._buffers: dict = {}
+        self._points, self._residual = [None] * m, [None] * m
 
     def coefficient(self, f0: Operand) -> np.ndarray:
         """``(K, H)`` coefficients ``f0 * rho * weight``, in ``f0``'s dtype; ``f0`` is read at nodes only."""
         if isinstance(f0, SymbolSpec):
-            values = f0.evaluate(self.base[:, 0], self.fiber_pts[None])
+            values = f0.evaluate(self.base, self.fiber_pts[None])
         else:
             values = f0.values.reshape(self.rho.shape)
         return values * self.rho * self.weights
@@ -197,28 +234,26 @@ class _Transport:
             buffers[key] = np.empty(size, dtype)
         return buffers[key][:size].reshape(shape)
 
-    def solve(self, start: int, stop: int) -> np.ndarray:
-        """``(K, A, H, m)`` points ``w / t``, ``product(u, t eta, w) = t xi`` for xi in ``start:stop``.
+    def solve(self, block: tuple) -> Planes:
+        """Planes of ``w / t``, ``product(u, t eta, w) = t xi`` for xi in the product set ``block``.
 
-        A view of the ``(m, K, A, H)`` buffer, overwritten by the next call.
+        The arrays are overwritten by the next call of the same shape.
         """
-        K, H = self.rho.shape
-        shape = (self.chart.fiber_dim, K, stop - start, H)
-        points = np.moveaxis(self._buffer("points", shape), 0, -1)
-        residual = np.moveaxis(self._buffer("residual", shape), 0, -1)
-        target = self.v_eta[:, :, start:stop].transpose(0, 2, 1, 3)  # t xi, (1, A, 1, m)
-        w = solve_product(self.chart, self.base, self.v_eta, target, out=points, residual=residual)
-        w /= self.t
+        index = lambda l, s: (slice(None),) * (1 + l) + (s,)
+        target = Planes(x[index(l, s)] for l, (x, s) in enumerate(zip(self._xi, block)))
+        w = solve_product(self.chart, self.u, self.v_eta, target, out=self._points, residual=self._residual)
+        for plane in w:
+            plane /= self.t
         return w
 
-    def evaluate(self, g0: Operand, sigma: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """``(K, A, H)`` values of ``g0`` at the block's points, over ``sigma`` (``(K, 1, H, n)``).
+    def evaluate(self, g0: Operand, sigma: Planes, points: Planes) -> np.ndarray:
+        """Values of ``g0`` at the block's points over ``sigma``, at the points' broadcast shape.
 
         An analytic ``g0`` writes into the transport's buffers, overwritten by the next call.
         """
         if not isinstance(g0, SymbolSpec):
             return g0.evaluate(sigma, points)
-        batch = points.shape[:-1]
+        batch = np.broadcast_shapes(sigma.shape[:-1], points.shape[:-1])
         scratch = (self._buffer("exponent", batch), self._buffer("square", batch))
         return g0.evaluate(sigma, points, out=self._buffer("values", batch, g0.dtype), scratch=scratch)
 
@@ -231,19 +266,19 @@ def _deformed_products(
 ) -> list[np.ndarray]:
     """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
-    The output nodes go in blocks of about ``_BLOCK_POINTS`` transported
-    points, ``K * H`` per node, so a block's points and symbol values stay in
-    cache; each block is transported once and every pair reads it.  A real
-    ``g0`` is contracted with the real and, for a complex ``f0``, the
-    imaginary part of the coefficient in float64 einsums.  Each output value
-    is one einsum sum over the contiguous integration-node axis of one block
-    row, which sums with vector partial sums, not in node order; the row and
-    so the sum are the same whatever the blocks, so the values do not depend
-    on the block size.
+    The output nodes go in product-set blocks of about ``_BLOCK_POINTS``
+    transported points, ``K * H`` per node, so a block's points and symbol
+    values stay in cache; each block is transported once and every pair reads
+    it.  A real ``g0`` is contracted with the real and, for a complex ``f0``,
+    the imaginary part of the coefficient in float64 einsums.  Each output
+    value is one einsum sum over the contiguous integration-node axis of one
+    block row, which sums with vector partial sums, not in node order; the
+    row and so the sum are the same whatever the blocks, so the values do not
+    depend on the block size.
     """
     transport = _Transport(chart, grid, t)
     K, H = transport.rho.shape
-    sigma = _coordinate_major(chart.source_map(transport.base, transport.v_eta))  # (K, 1, H, n)
+    sigma = chart.source_map(transport.u, transport.v_eta)
     coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) in each f0's dtype
     parts = [
         (c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag) if np.iscomplexobj(c) else None)
@@ -251,12 +286,14 @@ def _deformed_products(
     ]
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
-    bounds = list(range(0, H, max(1, _BLOCK_POINTS // (K * H)))) + [H]
-
-    for start, stop in zip(bounds, bounds[1:]):
-        points = transport.solve(start, stop)
+    for start, block, sizes in _node_blocks(grid.fiber_shape, max(1, _BLOCK_POINTS // (K * H))):
+        points, count = transport.solve(block), math.prod(sizes)
+        stop = start + count
         for (_, g0), (coeff, real, imag), out in zip(pairs, parts, outs):
+            # the values span every axis of the block unless no coordinate reads
+            # one (a chart that breaks the unit laws); broadcast_to spreads them
             values = transport.evaluate(g0, sigma, points)
+            values = np.broadcast_to(values, (K,) + sizes + grid.fiber_shape).reshape(K, count, H)
             if np.iscomplexobj(values):
                 out[:, start:stop] = np.einsum("kh,kah->ka", coeff, values, optimize=False)
             else:

@@ -9,11 +9,14 @@ A tree is one of
 
 ``+`` and ``*`` accept two or more arguments, ``-`` is binary (or unary as
 negation), ``/`` is binary, ``neg exp sin cos`` are unary.  Trees are compiled
-to closures that evaluate vectorized over numpy arrays whose last axis holds
-the coordinate components; an operation writes into its caller's array or
-into scratch that each thread reuses as a stack.  :func:`derivative`
-differentiates a tree exactly into another tree, and :func:`compile_solver`
-solves a product that is affine and triangular in w.
+to closures that evaluate vectorized over the coordinate groups: each group is
+a numpy array whose last axis holds the components, or :class:`Planes`, one
+array per component, which broadcast against each other.  Every node is
+evaluated at the broadcast shape of the components it reads, so a subtree
+that reads few grid axes costs only their size.  An operation writes into its
+caller's array or into scratch that each thread reuses as a stack.
+:func:`derivative` differentiates a tree exactly into another tree, and
+:func:`compile_solver` solves a product that is affine and triangular in w.
 """
 
 from __future__ import annotations
@@ -44,6 +47,29 @@ def _parse_variable(name: str, dims: dict[str, int]):
     return prefix, component
 
 
+class Planes(tuple):
+    """Coordinate components as separate float64 arrays that broadcast against each other.
+
+    ``shape`` is their broadcast shape followed by the number of components,
+    the shape of the ``(..., m)`` array they stand for, so ``np.shape`` reads
+    a Planes as it reads that array.
+    """
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple:
+        return _broadcast(tuple(p.shape for p in self)) + (len(self),)
+
+
+def split(points) -> Planes:
+    """``points`` as :class:`Planes`: as given, or the components ``[..., k]`` of a ``(..., m)`` array."""
+    if isinstance(points, Planes):
+        return points
+    points = np.asarray(points, dtype=float)
+    return Planes(points[..., k] for k in range(points.shape[-1]))
+
+
 def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
     """Compile a tree to ``f(u, v, w)`` acting on (..., dim) arrays.
 
@@ -64,9 +90,10 @@ def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
 
 class _Node(NamedTuple):
     """A compiled tree: ``run(env)`` of a leaf gives its value, ``run(env, dest, top)`` of an
-    operation writes ``dest``, an array of the batch shape of the coordinate groups ``uses``."""
+    operation writes ``dest``, an array of the broadcast shape of the components ``uses``
+    (sorted ``(group, index)`` pairs)."""
 
-    uses: str
+    uses: tuple
     leaf: bool
     run: Callable
 
@@ -88,16 +115,22 @@ def _broadcast(shapes: tuple) -> tuple:
     return np.broadcast_shapes(*shapes)
 
 
+def _shape(node: _Node, env: dict) -> tuple:
+    """The broadcast shape of the components ``node`` reads, kept in ``env``."""
+    shape = env.get(node.uses)
+    if shape is None:
+        shape = env[node.uses] = _broadcast(tuple(env[s][k].shape for s, k in node.uses))
+    return shape
+
+
 def _run(node: _Node, env: dict, dest=None, top: int = 0):
     """Value of ``node``: a leaf's own (a float or a coordinate plane), else written into
-    ``dest`` when that has the node's batch shape, else into scratch from ``top``."""
+    ``dest`` when that has the node's shape, else into scratch from ``top``."""
     if node.leaf:
         return node.run(env)
-    key = ("batch", node.uses)
-    if key not in env:
-        env[key] = _broadcast(tuple(np.shape(env[s])[:-1] for s in node.uses))
-    if dest is None or dest.shape != env[key]:
-        dest = _scratch(top, env[key])
+    shape = _shape(node, env)
+    if dest is None or dest.shape != shape:
+        dest = _scratch(top, shape)
         top += dest.size
     return node.run(env, dest, top)
 
@@ -127,14 +160,15 @@ def _compile_body(tree, base_dim: int, fiber_dim: int, slots: str) -> _Node:
             raise ConfigError(["booleans are not valid expression constants"])
         if isinstance(node, (int, float)):
             value = float(node)
-            return _Node("", True, lambda env: value)
+            return _Node((), True, lambda env: value)
         if isinstance(node, str):
-            prefix, component = _parse_variable(node, dims)
-            return _Node(prefix, True, lambda env: env[prefix][..., component])
+            variable = _parse_variable(node, dims)
+            prefix, component = variable
+            return _Node((variable,), True, lambda env: env[prefix][component])
         if not isinstance(node, (list, tuple)) or not node or not isinstance(node[0], str):
             raise ConfigError([f"malformed expression node {node!r}"])
         op, args = node[0], [build(a) for a in node[1:]]
-        uses = "".join(s for s in "uvw" if any(s in a.uses for a in args))
+        uses = tuple(sorted({v for a in args for v in a.uses}))
         if op in _UNARY or (op == "-" and len(args) == 1):
             if len(args) != 1:
                 raise ConfigError([f"operator {op!r} takes one argument"])
@@ -156,12 +190,12 @@ def _compile_body(tree, base_dim: int, fiber_dim: int, slots: str) -> _Node:
 
 
 def _environment(trees, slots: str, u, v, w) -> dict:
-    """The coordinate groups by slot, raising ConfigError when a tree reads one that is absent."""
+    """The coordinate groups by slot, as :class:`Planes`; ConfigError where a tree reads an absent one."""
     env = {"u": u, "v": v, "w": w}
     missing = [s for s in slots if env[s] is None and any(_tree_uses(t, s) for t in trees)]
     if missing:
         raise ConfigError([f"expression needs coordinate group(s) {missing}"])
-    return env
+    return {s: None if a is None else split(a) for s, a in env.items()}
 
 
 def _batch_shape(*arrays):
@@ -231,31 +265,49 @@ def _planes(count: int, batch: tuple) -> np.ndarray:
     return np.moveaxis(np.empty((count,) + batch), 0, -1)
 
 
-def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):
-    """Compile a list of trees into ``f(u, v, w, *, out=None) -> (..., len(trees))``.
+def _reused(out, k: int, shape: tuple) -> np.ndarray:
+    """``out[k]`` where it has ``shape``, else a new array that replaces it in the list ``out`` (or None)."""
+    if out is None:
+        return np.empty(shape)
+    if out[k] is None or out[k].shape != shape:
+        out[k] = np.empty(shape)
+    return out[k]
 
-    Component ``k`` is written into plane ``k`` of one ``(len(trees),) +
+
+def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):
+    """Compile a list of trees into ``f(u, v, w, *, out=None)``.
+
+    Where every group given is an array, the result is ``(..., len(trees))``:
+    component ``k`` is written into plane ``k`` of one ``(len(trees),) +
     batch`` float64 array, so the result is a view whose coordinate axis is
     outermost in memory; a caller that evaluates many batches of one shape
     passes such a view (or any float64 array of the result's shape) as
-    ``out``, which must not overlap ``u``, ``v`` or ``w``, and gets it back.
-    Each tree is evaluated into its plane; its temporaries come from scratch
-    that this thread keeps and reuses, so a call allocates no array of the
-    batch shape.
+    ``out`` and gets it back.  Where a group is :class:`Planes`, the result is
+    Planes, component ``k`` an array of the broadcast shape of the components
+    its tree reads; ``out`` is then a list of arrays (or Nones), one per
+    component: component ``k`` is written into ``out[k]`` where that has its
+    shape, else into a new array that replaces ``out[k]``, so a caller that
+    passes one list for many batches of one shape allocates once.  ``out``
+    must not overlap ``u``, ``v`` or ``w``.  Each tree is evaluated into its
+    component; its temporaries come from scratch that this thread keeps and
+    reuses, so a call with ``out`` allocates no array of the batch shape.
     """
     bodies = [_compile_body(t, base_dim, fiber_dim, slots) for t in trees]
 
     def evaluate(u=None, v=None, w=None, *, out=None):
         env = _environment(trees, slots, u, v, w)
-        if out is None:
+        planes = any(isinstance(a, Planes) for a in (u, v, w))
+        if not planes and out is None:
             batch = _batch_shape(u, v, w)
             out = _planes(len(trees), () if batch is None else batch)
+        values = []
         for k, body in enumerate(bodies):
-            plane = out[..., k]
-            value = _run(body, env, plane)
-            if value is not plane:
-                plane[...] = value
-        return out
+            dest = _reused(out, k, _shape(body, env)) if planes else out[..., k]
+            value = _run(body, env, dest)
+            if value is not dest:
+                dest[...] = value
+            values.append(dest)
+        return Planes(values) if planes else out
 
     return evaluate
 
@@ -270,9 +322,11 @@ def compile_solver(trees, jacobian, base_dim: int, fiber_dim: int):
     diagonal are the constant 0.0 and none on it is.  Then, in order of i,
     ``w_i = (target_i - p_i|_{w_j = 0, j >= i}) / J_ii``, without the division
     where ``J_ii`` is the constant 1.  The division multiplies by ``1 / J_ii``,
-    evaluated at its own batch shape (``J`` reads no w) with ``1 / exp(x)`` as
+    evaluated at its own shape (``J`` reads no w) with ``1 / exp(x)`` as
     ``exp(-x)``; where that is not finite, ``J_ii`` vanishes and the solve
-    raises SingularJacobianError.  ``out`` is as in :func:`compile_vector`.
+    raises SingularJacobianError.  Given :class:`Planes`, ``w_i`` has the
+    broadcast shape of ``target_i`` and of the components the two trees
+    read.  The result and ``out`` are as in :func:`compile_vector`.
     """
     m = fiber_dim
     if any(_tree_uses(d, "w") for row in jacobian for d in row) or any(
@@ -284,20 +338,26 @@ def compile_solver(trees, jacobian, base_dim: int, fiber_dim: int):
     recips = [None if d == 1.0 else _compile_body(_reciprocal(d), base_dim, m, "uvw") for d in diagonal]
 
     def solve(u, v, target, *, out=None):
-        u, v, target = (np.asarray(a, dtype=float) for a in (u, v, target))
-        if out is None:
-            out = _planes(m, np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]))
-        env = {"u": u, "v": v, "w": out}  # w_j, j < i, are solved when row i reads them
+        planes = any(isinstance(a, Planes) for a in (u, v, target))
+        if not planes and out is None:
+            out = _planes(m, np.broadcast_shapes(*(np.shape(a)[:-1] for a in (u, v, target))))
+        target, ws = split(target), []
+        env = {"u": split(u), "v": split(v), "w": ws}  # w_j, j < i, are solved when row i reads them
         for i, (rest, recip) in enumerate(zip(rests, recips)):
-            w = out[..., i]
-            np.subtract(target[..., i], _run(rest, env, w), out=w)
+            if planes:
+                shapes = [target[i].shape, _shape(rest, env)] + ([] if recip is None else [_shape(recip, env)])
+                w = _reused(out, i, _broadcast(tuple(shapes)))
+            else:
+                w = out[..., i]
+            np.subtract(target[i], _run(rest, env, w), out=w)
             if recip is not None:
                 with np.errstate(divide="ignore"):  # 1 / 0 is inf: a vanishing J_ii, raised below
                     r = _run(recip, env)
                 if not np.all(np.isfinite(r)):
                     raise SingularJacobianError(f"product solve: d p{i + 1} / d w{i + 1} vanishes")
                 np.multiply(w, r, out=w)
-        return out
+            ws.append(w)
+        return Planes(ws) if planes else out
 
     return solve
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError
+from .expressions import split
 
 _STENCIL_6 = (
     (-3, -1.0 / 60.0),
@@ -337,15 +338,13 @@ def interpolation_corners(axes, coords, out=None) -> tuple[np.ndarray, np.ndarra
 def interpolate(sym: SampledSymbol, base_points: np.ndarray, fiber_points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of the samples, zero outside the grid.
 
-    ``base_points`` is (..., n) and ``fiber_points`` (..., m) with batch
-    shapes that broadcast; returns values of the broadcast shape, in the
-    samples' dtype.
+    ``base_points`` is (..., n) and ``fiber_points`` (..., m), arrays or
+    :class:`~groupoidlab.expressions.Planes`, with batch shapes that
+    broadcast; returns values of the broadcast shape of the coordinates, in
+    the samples' dtype.
     """
     grid = sym.grid
-    coords = []
-    if grid.base_dim:
-        coords.extend(np.moveaxis(np.asarray(base_points, dtype=float), -1, 0))
-    coords.extend(np.moveaxis(np.asarray(fiber_points, dtype=float), -1, 0))
+    coords = [*split(base_points)[: grid.base_dim], *split(fiber_points)]
     flat = sym.values.reshape(-1)
     out = 0.0
     for index, weight in zip(*interpolation_corners(grid.base + grid.fiber, coords)):

@@ -20,10 +20,13 @@ converges more slowly than ``sigma``: 5e-16 to 5e-9 on pair kernels, 4e-10 to
 next.  The regular-action matrix is assembled in blocks of output rows from the
 deformed product's transport (:class:`groupoidlab.deformation._Transport`),
 one product solve per block, so it maps samples g to ``f *_t g``.  A block
-holds ``_BLOCK_POINTS`` transported points, the deformed product's budget;
-each point scatters to its ``2^m`` interpolation corners a value, a flat
-index and a weight, so the ordered scatter (one ``np.bincount`` per part of
-the value) takes a block's rows in chunks of about ``_BLOCK_POINTS`` corners.
+is a product set of output rows with about ``_BLOCK_POINTS`` transported
+points, the deformed product's budget, each coordinate at the shape of the
+grid axes it depends on; each point scatters to its ``2^m`` interpolation
+corners a value, a flat index and a weight, so the ordered scatter (one
+``np.bincount`` per part of the value) takes a block's rows in product-set
+chunks of about ``_BLOCK_POINTS`` corners, interpolated from the chunk's
+slices of the coordinates.
 Every matrix has the symbol's dtype (:attr:`SymbolSpec.dtype`): a real
 symbol's is float64, assembled and solved in real arithmetic; a complex
 symbol's runs the same code in complex128.
@@ -31,6 +34,7 @@ symbol's runs the same code in complex128.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple, Sequence
 
@@ -38,8 +42,9 @@ import numpy as np
 
 from .charts import GroupoidChart
 from .config import sweep_problems
-from .deformation import _BLOCK_POINTS, _Transport
+from .deformation import _BLOCK_POINTS, _node_blocks, _Transport
 from .errors import ConvergenceError, DomainError, GroupoidLabError
+from .expressions import Planes, split
 from .grids import GridSpec, interpolation_corners
 from .poisson import _mu_base, fourier_transform, select_dual_grid, unit_weight_on_grid
 from .symbols import SymbolSpec, eval_symbol
@@ -238,16 +243,26 @@ def pair_cstar_identity_residual(f0: SymbolSpec, t: float, grid: GridSpec, mu_on
 # base-dimension-0 group charts: regular action on the fiber grid
 # ---------------------------------------------------------------------------
 
-def _interp_scatter(points: np.ndarray, grid: GridSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _interp_scatter(points, grid: GridSpec, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Multilinear weights of arbitrary fiber points onto the fiber nodes.
 
+    ``points`` is an array of shape (..., m) or Planes of m components.
     Returns ``(flat_indices, weights)`` of shape (..., 2^m), views of
     corner-major memory (``out`` if given, see :func:`interpolation_corners`);
     contributions outside the grid get weight 0 (their index is clamped into
     the grid).
     """
-    index, weight = interpolation_corners(grid.fiber, list(np.moveaxis(points, -1, 0)), out)
+    index, weight = interpolation_corners(grid.fiber, list(split(points)), out)
     return np.moveaxis(index, 0, -1), np.moveaxis(weight, 0, -1)
+
+
+def _sub_block(points: Planes, block: tuple) -> Planes:
+    """``points`` on the layout ``(K, output axes, ...)`` at the product set ``block`` of output slices.
+
+    A component that does not span an output axis keeps its one node there.
+    """
+    index = lambda p: tuple(s if n > 1 else slice(None) for s, n in zip(block, p.shape[1:]))
+    return Planes(p[(slice(None),) + index(p)] for p in points)
 
 
 def group_regular_norm(
@@ -276,32 +291,34 @@ def group_regular_norm(
     # entry sums its terms in node order; with a closed-form solver the sums
     # do not depend on the block size (Newton stops on the worst point of a block).
     # The scatter arrays hold 2^m corners per point, so they take a block's
-    # rows in chunks of about _BLOCK_POINTS corners; entries of other rows are
-    # other entries, so the chunks do not change a sum.  A chunk's corners are
-    # computed corner-major into buffers that every chunk reuses (new arrays
-    # would fault in fresh pages chunk after chunk), then copied out in (row,
-    # node, corner) order for np.bincount, which adds in input order; a
-    # complex matrix takes one bincount per part.
+    # rows in product-set chunks of about _BLOCK_POINTS corners; entries of
+    # other rows are other entries, so the chunks do not change a sum.  A
+    # chunk's corners are computed corner-major into buffers that every chunk
+    # reuses (new arrays would fault in fresh pages chunk after chunk), then
+    # copied out in (row, node, corner) order for np.bincount, which adds in
+    # input order; a complex matrix takes one bincount per part.
     matrix = np.zeros(H * H, dtype=coeff.dtype)
     parts = [(matrix, coeff)]
     if np.iscomplexobj(coeff):
         parts = [(matrix.real, coeff.real), (matrix.imag, coeff.imag)]
-    block = max(1, _BLOCK_POINTS // H)
-    chunk = max(1, block >> m)
-    corners = (np.empty((1 << m, chunk, H), dtype=np.int64), np.empty((1 << m, chunk, H)))
+    rows = max(1, _BLOCK_POINTS // H)
+    chunk = max(1, rows >> m)
+    buffers = (np.empty((chunk << m) * H, dtype=np.int64), np.empty((chunk << m) * H))
     flat_index, values = np.empty((chunk, H, 1 << m), dtype=np.int64), np.empty((chunk, H, 1 << m))
-    for start in range(0, H, block):
-        stop = min(start + block, H)
-        (points,) = transport.solve(start, stop)  # (A, H, m)
-        for lo in range(start, stop, chunk):
-            rows = min(chunk, stop - lo)
-            out = tuple(c[:, :rows] for c in corners)
-            indices, weights = _interp_scatter(points[lo - start :][:rows], grid, out)  # (rows, H, 2^m)
-            offsets = (np.arange(rows, dtype=np.int64) * H)[:, None, None]
-            index = np.add(indices, offsets, out=flat_index[:rows])
+    for start, block, sizes in _node_blocks(grid.fiber_shape, rows):
+        points = transport.solve(block)
+        for offset, sub, sub_sizes in _node_blocks(sizes, chunk):
+            lo, count = start + offset, math.prod(sub_sizes)
+            layout = (1 << m, 1) + sub_sizes + grid.fiber_shape
+            out = tuple(b[: (count << m) * H].reshape(layout) for b in buffers)
+            indices, weights = (
+                a.reshape(count, H, 1 << m) for a in _interp_scatter(_sub_block(points, sub), grid, out)
+            )
+            offsets = (np.arange(count, dtype=np.int64) * H)[:, None, None]
+            index = np.add(indices, offsets, out=flat_index[:count])
             for plane, part in parts:
-                value = np.multiply(part[None, :, None], weights, out=values[:rows])
-                plane[lo * H : (lo + rows) * H] = np.bincount(index.reshape(-1), value.reshape(-1), rows * H)
+                value = np.multiply(part[None, :, None], weights, out=values[:count])
+                plane[lo * H : (lo + count) * H] = np.bincount(index.reshape(-1), value.reshape(-1), count * H)
     matrix = matrix.reshape(H, H)
     sqw = np.sqrt(grid.fiber_weights().reshape(-1))
     matrix *= sqw[:, None]
@@ -336,7 +353,7 @@ def norm_curve(
     mu = unit_weight_on_grid(chart, grid)
     rows, cstar = [], None
     for t in ts:
-        if chart.kind == "pair":
+        if chart.is_pair:
             row, residual = _pair_row(f0, t, grid, mu, cstar=not rows)
             cstar = cstar if rows else residual
             rows.append(row)

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DecayWarning, json_number
+from .expressions import _broadcast, split
 from .grids import GridSpec, SampledSymbol, _validated_make, boundary_fraction
 
 DECAY_THRESHOLD = 1e-12
@@ -166,7 +167,8 @@ class SymbolSpec:
     def evaluate(
         self, base_points: np.ndarray, fiber_points: np.ndarray, *, out=None, scratch=None
     ) -> np.ndarray:
-        """Pointwise values; arguments are (..., n) and (..., m) arrays.
+        """Pointwise values; arguments are (..., n) and (..., m) arrays or
+        :class:`~groupoidlab.expressions.Planes` of n and m components.
 
         The result has :attr:`dtype`.  Each term is ``(coeff * poly) *
         exp(exponent)``, its exponent ``-sum w (y - c)^2`` summed in coordinate
@@ -180,30 +182,32 @@ class SymbolSpec:
         own arrays: ``out`` (of the batch shape and :attr:`dtype`) receives
         the values and is returned, ``scratch`` is the pair of exponent
         arrays.  Neither may overlap the points; the values do not depend on
-        their contents.
+        their contents.  Each coordinate's square and powers are taken at the
+        coordinate's own shape.
         """
-        base_points = np.asarray(base_points, dtype=float)
-        fiber_points = np.asarray(fiber_points, dtype=float)
-        batch = np.broadcast_shapes(base_points.shape[:-1], fiber_points.shape[:-1])
+        batch = np.broadcast_shapes(np.shape(base_points)[:-1], np.shape(fiber_points)[:-1])
         real = self.dtype is np.float64
         out = np.empty(batch, dtype=self.dtype) if out is None else out
         if not self.terms:
             out.fill(0.0)
-        coords = [base_points[..., k] for k in range(self.base_dim)]
-        coords += [fiber_points[..., l] for l in range(self.fiber_dim)]
+        coords = [*split(base_points)[: self.base_dim], *split(fiber_points)[: self.fiber_dim]]
         gauss, buffer = (np.empty(batch), np.empty(batch)) if scratch is None else scratch
+        # a partial sum or product spans the coordinates it has read: it goes
+        # to a scratch array once it spans the batch, to a new small one before
+        into = lambda array, *shapes: array if _broadcast(shapes) == batch else None
         for term_index, t in enumerate(self.terms):
-            if not coords:
-                gauss.fill(0.0)  # a term on no coordinates is its coefficient
-            for k, (x, w, c) in enumerate(zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers)):
-                # a coordinate that broadcasts (base points over fiber points) keeps its own shape
-                target = buffer if x.shape == batch else None
+            exponent = None
+            for x, w, c in zip(coords, t.x_widths + t.xi_widths, t.x_centers + t.xi_centers):
+                target = into(buffer, x.shape)
                 square = np.square(x if c == 0.0 else np.subtract(x, c, out=target), out=target)
-                if k == 0:
-                    np.multiply(square, -w, out=gauss)
+                if exponent is None:
+                    exponent = np.multiply(square, -w, out=into(gauss, square.shape))
                 else:
                     square *= w
-                    gauss -= square
+                    exponent = np.subtract(exponent, square, out=into(gauss, exponent.shape, square.shape))
+            if exponent is not gauss:
+                # a term on no coordinates is its coefficient
+                gauss[...] = 0.0 if exponent is None else exponent
             np.exp(gauss, out=gauss)
             # poly is the product of the powers from 1.0, kept in the freed
             # squares buffer; x ** 1 is x and 1.0 * y is y bit for bit, so
@@ -212,12 +216,16 @@ class SymbolSpec:
             for x, p in zip(coords, t.x_powers + t.xi_powers):
                 if p:
                     factor = x if p == 1 else x ** p
-                    poly = factor if poly is None else np.multiply(poly, factor, out=buffer)
+                    if poly is not None:
+                        factor = np.multiply(poly, factor, out=into(buffer, poly.shape, factor.shape))
+                    poly = factor
             value = gauss
             if not real:
                 value = t.coeff * (1.0 if poly is None else poly) * gauss
             elif poly is not None:
-                gauss *= poly if t.coeff.real == 1.0 else np.multiply(poly, t.coeff.real, out=buffer)
+                if t.coeff.real != 1.0:
+                    poly = np.multiply(poly, t.coeff.real, out=into(buffer, poly.shape))
+                gauss *= poly
             elif t.coeff.real != 1.0:
                 gauss *= t.coeff.real
             if term_index:

@@ -9,6 +9,7 @@ import pytest
 import groupoidlab as gl
 from groupoidlab import charts, deformation
 from groupoidlab.errors import ConvergenceError, GroupoidLabError, SingularJacobianError
+from groupoidlab.expressions import Planes
 
 from conftest import CUSTOM_AX_PLUS_B
 from oracles import (
@@ -135,6 +136,30 @@ def test_a_closed_form_solver_returning_nan_fails_its_contract(pair1):
     chart = replace(pair1, product_solver=nan_solver)
     with pytest.raises(ConvergenceError, match="residual nan"):
         gl.solve_product(chart, np.zeros((3, 1)), np.zeros((3, 1)), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("coordinate", [0, 2])
+def test_the_contract_check_covers_every_point(coordinate, heisenberg, request):
+    # a heisenberg solver that moves one entry of one plane by 1e-9: w1 spans
+    # one output and one integration axis, w3 every axis of the block
+    shift = [0.0]
+
+    def moved(u, v, target, *, out=None):
+        w = heisenberg.product_solver(u, v, target, out=out)
+        w[coordinate].flat[-1] += shift[0]
+        return w
+
+    chart = replace(heisenberg, product_solver=moved)
+    field = replace(_commutator_case("heisenberg", request), chart=chart)
+    grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(1.5, 8) for _ in range(3)))
+    f = gl.SymbolSpec.gaussian(0, 3, xi_widths=1.3)
+    gl.scaled_commutator(field, 0.1)
+    gl.group_regular_norm(f, chart, 0.3, grid)
+    shift[0] = 1e-9
+    with pytest.raises(ConvergenceError, match="violates its contract"):
+        gl.scaled_commutator(field, 0.1)
+    with pytest.raises(ConvergenceError, match="violates its contract"):
+        gl.group_regular_norm(f, chart, 0.3, grid)
 
 
 def test_haar_density_rejects_a_nan_jacobian():
@@ -313,6 +338,9 @@ def _commutator_case(name, request):
             g0=request.getfixturevalue("xxigauss11"),
             t_values=t_values,
         )
+    if name == "abelian_bundle":
+        chart, grid, f, g = bundle_setup()
+        return gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=t_values)
     if name == "heisenberg":
         # 11^3 nodes take many blocks of the product loop
         grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 10) for _ in range(3)))
@@ -322,9 +350,9 @@ def _commutator_case(name, request):
         grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.5, 16), gl.Axis.centered(3.5, 16)))
         f = gl.SymbolSpec.gaussian(0, 2, xi_widths=[2.5, 2.5])
         g = gl.SymbolSpec.gaussian(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6])
-    return gl.DeformationField(
-        chart=request.getfixturevalue(name), grid=grid, f0=f, g0=g, t_values=t_values
-    )
+    # the built-in ax_plus_b with the custom chart's box
+    chart = gl.builtin_chart("ax_plus_b", half_width=4.0) if name == "ax_plus_b" else request.getfixturevalue(name)
+    return gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=t_values)
 
 
 def _on_threads(callers: int, compute):
@@ -354,11 +382,12 @@ def test_scaled_commutator_shares_the_transport_exactly(chart_name, callers, req
         assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
 
 
-# 1 << 11 makes the blocks of both built-in cases one node wide, 1 << 12
-# makes heisenberg blocks three nodes wide, 1 << 20 puts pair in one block
+# 1 << 11 makes the blocks of heisenberg, pair and the bundle one node wide
+# and those of ax+b 7 nodes of one line, 1 << 12 makes heisenberg blocks
+# three nodes wide, 1 << 20 puts every case but heisenberg in one block
 @pytest.mark.parametrize("budget", [1 << 11, 1 << 12, 1 << 20])
 @pytest.mark.parametrize("callers", [1, 3])
-@pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b"])
+@pytest.mark.parametrize("chart_name", ["heisenberg", "pair", "custom_ax_plus_b", "ax_plus_b", "abelian_bundle"])
 def test_block_size_does_not_change_the_product(chart_name, callers, budget, request, monkeypatch):
     # every node sum runs over the same contiguous row whatever the blocks, and
     # forward substitution solves each point on its own
@@ -380,19 +409,60 @@ def test_consecutive_products_do_not_alias(request):
     assert first.values.tobytes() == kept.tobytes()
 
 
-def test_transport_points_are_coordinate_major(request):
-    field = _commutator_case("heisenberg", request)
+@pytest.mark.parametrize("chart_name", ["heisenberg", "pair"])
+def test_transported_coordinates_span_the_axes_they_depend_on(chart_name, request):
+    # the layout is (base node, output axes, integration axes); a block of
+    # 2 * 11 * 11 heisenberg output nodes takes two first-axis slices
+    field = _commutator_case(chart_name, request)
     t = 0.1
     transport = deformation._Transport(field.chart, field.grid, t)
+    rows = 242 if chart_name == "heisenberg" else 3
+    _, (start, block, sizes), *_ = deformation._node_blocks(field.grid.fiber_shape, rows)
+    points = transport.solve(block)
+    K, n, m = len(transport.rho), field.chart.base_dim, field.chart.fiber_dim
+    batch, count = (K,) + sizes + field.grid.fiber_shape, int(np.prod(sizes))
+    if chart_name == "heisenberg":
+        assert batch == (1, 2, 11, 11, 11, 11, 11)
+        # w1 = t xi1 - t eta1 and w2 read one output and one integration axis, w3 every axis
+        assert [p.shape for p in points] == [(1, 2, 1, 1, 11, 1, 1), (1, 1, 11, 1, 1, 11, 1), batch]
+    else:
+        assert batch == (K, 3, 65) and K == 65
+        # w = t xi - t eta reads no base node
+        assert [p.shape for p in points] == [(1, 3, 65)]
+    # the values are those of a solve on interleaved (..., m) points
     eta = field.grid.fiber_points_flat()
-    H = eta.shape[0]
-    points = transport.solve(2, 5)
-    assert points.shape == (1, 3, H, 3)
-    assert np.moveaxis(points, -1, 0).flags.c_contiguous
-    # the values are those of a solve on interleaved points
-    u = np.zeros((1, 1, 1, 0))
-    want = gl.solve_product(field.chart, u, t * eta[None, None], t * eta[None, 2:5, None])
-    assert points.tobytes() == (want / t).tobytes()
+    H = len(eta)
+    u = transport.base.reshape(K, 1, 1, n)
+    want = gl.solve_product(field.chart, u, t * eta[None, None], t * eta[None, start : start + count, None])
+    got = np.stack([np.broadcast_to(p, batch).reshape(K, count, H) for p in points], axis=-1)
+    assert got.shape == (K, count, H, m)
+    assert got.tobytes() == (want / t).tobytes()
+
+
+@pytest.mark.parametrize("coordinate", [0, 1, 2])
+def test_planes_solve_and_check_like_interleaved_points(coordinate, heisenberg):
+    # solve_product on Planes gives each coordinate at its own shape, the
+    # values of the solve on the (..., m) array of the same points
+    rng = np.random.default_rng(coordinate)
+    u = Planes(())
+    v = Planes(rng.uniform(-1, 1, (1, 5) if l == coordinate else (1, 1)) for l in range(3))
+    target = Planes(rng.uniform(-1, 1, (4, 1)) for _ in range(3))
+    got = gl.solve_product(heisenberg, u, v, target)
+    assert isinstance(got, Planes) and got.shape == (4, 5, 3)
+    full = lambda planes: np.stack([np.broadcast_to(p, (4, 5)) for p in planes], axis=-1)
+    want = gl.solve_product(heisenberg, np.zeros((4, 5, 0)), full(v), full(target))
+    assert full(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chart_name", ["custom_ax_plus_b", "heisenberg"])
+def test_a_newton_chart_transports_like_its_closed_form(chart_name, request):
+    # without a closed-form solver the transport's planes are broadcast to each block for Newton
+    field = _commutator_case(chart_name, request)
+    newton = replace(field, chart=replace(field.chart, product_solver=None))
+    t = field.t_values[1]
+    want = gl.scaled_commutator(field, t).values
+    got = gl.scaled_commutator(newton, t).values
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_scaled_commutator_memory_is_bounded_by_its_blocks(request):

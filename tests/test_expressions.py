@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import groupoidlab as gl
 from groupoidlab import charts
 from groupoidlab.errors import ConfigError
-from groupoidlab.expressions import _fold, _neg, compile_expression, compile_vector, derivative
+from groupoidlab.expressions import Planes, _fold, _neg, compile_expression, compile_vector, derivative
 
 from conftest import CUSTOM_AX_PLUS_B
 from test_deformation import CUSTOM_HEISENBERG, SINGULAR_AT_V1_ONE
@@ -44,6 +44,25 @@ def test_vector_writes_coordinate_major_planes():
         assert got[..., k].tobytes() == compile_expression(tree, 0, 2)(v=v, w=w).tobytes()
     out = np.moveaxis(np.full((3, 5, 4), np.nan), 0, -1)
     assert f(v=v, w=w, out=out) is out and out.tobytes() == got.tobytes()
+
+
+def test_planes_evaluate_each_tree_at_the_shape_of_what_it_reads():
+    trees = [["+", "v1", "w1"], ["*", "v2", ["exp", "w1"]], 2.0]
+    f = compile_vector(trees, 0, 2)
+    rng = np.random.default_rng(3)
+    v = Planes([rng.normal(size=(5, 1, 1)), rng.normal(size=(1, 1, 3))])
+    w = Planes([rng.normal(size=(1, 4, 1)), rng.normal(size=(5, 4, 3))])
+    got = f(v=v, w=w)
+    assert isinstance(got, Planes) and got.shape == (5, 4, 3, 3)
+    assert [p.shape for p in got] == [(5, 4, 1), (1, 4, 3), ()]
+    dense = lambda planes: np.stack([np.broadcast_to(p, (5, 4, 3)) for p in planes], axis=-1)
+    assert dense(got).tobytes() == f(v=dense(v), w=dense(w)).tobytes()
+    # out is a list whose arrays are reused where their shapes agree and replaced where not
+    out = [np.full((5, 4, 1), np.nan), np.empty(2), None]
+    kept = out[0]
+    again = f(v=v, w=w, out=out)
+    assert again[0] is kept and all(a is b for a, b in zip(again, out)) and out[1].shape == (1, 4, 3)
+    assert dense(again).tobytes() == dense(got).tobytes()
 
 
 def test_unary_minus_and_division():

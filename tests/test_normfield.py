@@ -321,8 +321,8 @@ def test_norm_curve_rejects_unsupported_chart():
 
 
 def test_a_custom_chart_never_takes_the_pair_kernel():
-    # a custom chart's kind is "custom" whatever its spec says, so a custom
-    # bundle over a line is no pair chart and has no norm curve
+    # only pair_chart marks a chart as a pair groupoid, so a custom bundle over
+    # a line is no pair chart and has no norm curve, whatever its spec says
     spec = {
         "name": "custom_bundle",
         "base_dim": 1,
@@ -334,7 +334,7 @@ def test_a_custom_chart_never_takes_the_pair_kernel():
         "kind": "pair",
     }
     chart = gl.chart_from_spec(spec)
-    assert chart.kind == "custom"
+    assert not chart.is_pair and gl.builtin_chart("pair", n=1).is_pair
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 32),))
     with pytest.raises(GroupoidLabError, match="norm curves support"):
         gl.norm_curve(gl.SymbolSpec.gaussian(1, 1), chart, (0.2, 0.1), grid)
@@ -427,12 +427,12 @@ def test_regular_action_matrix_applies_the_deformed_product(
 
 
 @pytest.mark.parametrize("budget", [1 << 10, 1 << 13, 1 << 20])
-@pytest.mark.parametrize("chart_name", ["ax_plus_b", "heisenberg"])
+@pytest.mark.parametrize("chart_name", ["ax_plus_b", "heisenberg", "abelian_bundle"])
 def test_regular_action_matrix_does_not_depend_on_its_blocks(chart_name, budget, monkeypatch):
     # each entry sums its terms in node order whatever the row blocks and the
     # scatter chunks within them; 1 << 10 makes heisenberg blocks one row wide,
-    # 1 << 20 puts both charts in one block
-    chart = gl.builtin_chart(chart_name)
+    # 1 << 20 puts every chart in one block
+    chart = gl.builtin_chart(chart_name, **({"n": 0, "m": 2} if chart_name == "abelian_bundle" else {}))
     m = chart.fiber_dim
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(1.5, 8) for _ in range(m)))
     f = gl.SymbolSpec.gaussian(0, m, xi_widths=1.3, xi_centers=[0.2, -0.1, -0.3][:m])

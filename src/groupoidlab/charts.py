@@ -11,17 +11,17 @@ from expression trees by :func:`chart_from_spec`; the built-ins are short
 spec builders.
 
 All maps are vectorized: they accept arrays whose last axis is the coordinate
-axis and broadcast over leading batch axes, and return such arrays.  They
-also accept :class:`groupoidlab.expressions.Planes`, one array per component,
-and then return Planes whose component ``k`` has the broadcast shape of the
-components its tree reads: the deformed product passes each coordinate at the
-shape of the grid axes it depends on, so a coordinate that reads few axes is
-computed at their size.  ``product`` and ``product_solver`` also take a
-keyword-only ``out`` that overlaps no input: a float64 array of the result's
-shape, or with Planes a list of per-component arrays that are reused where
-their shapes agree (see :func:`groupoidlab.expressions.compile_vector`); so a
-caller that solves many blocks of one shape reuses its arrays.  All
-operations here are pure functions of their arguments (and ``out``).
+axis and broadcast over leading batch axes, and return a new C-order such
+array.  They also accept :class:`groupoidlab.expressions.Planes`, one array
+per component, and then return Planes whose component ``k`` has the
+broadcast shape of the components its tree reads: the deformed product
+passes each coordinate at the shape of the grid axes it depends on, so a
+coordinate that reads few axes is computed at their size.  ``product`` and
+``product_solver`` also take a keyword-only ``out`` that overlaps no input: a
+list of per-component arrays that are reused where their shapes agree (see
+:func:`groupoidlab.expressions.compile_vector`); so a caller that solves many
+blocks of one shape reuses its arrays.  All operations here are pure
+functions of their arguments (and ``out``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, SamplingError, SingularJacobianError, json_number
 from .expressions import (
-    Planes, _broadcast, _tree_uses, compile_expression, compile_solver, compile_vector, derivative, split
+    Planes, _broadcast, _tree_uses, compile_expression, compile_solver, compile_vector, derivative, split, stack
 )
 
 Array = np.ndarray
@@ -64,7 +64,8 @@ class GroupoidChart:
     is); it is None otherwise, and :func:`solve_product` runs Newton.  A
     custom chart's ``inverse`` is used where given, else the product solve.
     ``product(u, v, w, *, out=None)`` and ``product_solver(u, v, target, *,
-    out=None)`` write into ``out`` when given (see the module docs).
+    out=None)`` write into the Planes list ``out`` when given (see the module
+    docs).
     ``is_pair`` marks the pair groupoids of :func:`pair_chart`, whose norm
     curve takes the kernel on the base grid.
 
@@ -105,8 +106,6 @@ def _as_box(box, dim: int) -> Array:
 
 def _in_box(points: Array, box: Array) -> Array:
     points = np.asarray(points, dtype=float)
-    if box.shape[0] == 0:
-        return np.ones(points.shape[:-1], dtype=bool)
     lo, hi = box[:, 0], box[:, 1]
     return np.all((points >= lo) & (points <= hi), axis=-1)
 
@@ -147,13 +146,6 @@ def source_coords(chart: GroupoidChart, u, v) -> Array:
     return check_box(out, chart.base_box, "source_map(u, v)")
 
 
-def _product_residual(chart: GroupoidChart, u, v, w, target, out: Array) -> Array:
-    """``product(u, v, w) - target``, written into the caller's ``out``."""
-    chart.product(u, v, w, out=out)
-    out -= target
-    return out
-
-
 def _worst_residual(chart: GroupoidChart, u, v, w, target, out) -> float:
     """``max |product(u, v, w) - target|`` over every point, NaN where any residual is.
 
@@ -167,15 +159,6 @@ def _worst_residual(chart: GroupoidChart, u, v, w, target, out) -> float:
     return float(np.max(worst))
 
 
-def _broadcast_points(points, batch: tuple) -> Array:
-    """``points``, an array or Planes, broadcast to ``batch`` in a new ``batch + (dim,)`` array."""
-    planes = split(points)
-    full = np.empty(batch + (len(planes),))
-    for k, plane in enumerate(planes):
-        full[..., k] = plane
-    return full
-
-
 def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None) -> Array:
     """Solve ``product(u, v, w) = target`` for ``w`` (batched).
 
@@ -183,13 +166,14 @@ def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None
     exact ``product_w_jacobian`` from ``w = target - v``.  Every point is
     checked: the closed form's residual, Newton's for at most
     :data:`SOLVE_MAX_ITER` iterations, against :data:`SOLVE_TOL`; a residual
-    that is not finite fails the check.  ``out`` receives ``w`` and
-    ``residual`` the residual: float64 arrays of the broadcast batch shape
-    times ``fiber_dim``, or, where an argument is
-    :class:`~groupoidlab.expressions.Planes`, lists of per-component arrays
-    reused where their shapes agree; a caller that solves many blocks of one
-    shape passes its own.  Given Planes the result is Planes; Newton
-    broadcasts them to the whole batch.  Raises ConvergenceError,
+    that is not finite fails the check.  The closed form writes ``w`` into
+    ``out`` and its contract check the product into ``residual``: lists of
+    per-component arrays reused where their shapes agree, so a caller that
+    solves many blocks of one shape passes its own.  Given arrays the result
+    is a new ``(..., fiber_dim)`` array.  Given
+    :class:`~groupoidlab.expressions.Planes` it is Planes; Newton broadcasts
+    them to the whole batch.  Newton takes no ``out``: each iteration
+    allocates its product and step.  Raises ConvergenceError,
     SingularJacobianError or DomainError (iterate left the fiber box).
     """
     if chart.product_solver is not None:
@@ -200,17 +184,14 @@ def solve_product(chart: GroupoidChart, u, v, target, *, out=None, residual=None
         return w
     if any(isinstance(a, Planes) for a in (u, v, target)):
         batch = np.broadcast_shapes(*(np.shape(a)[:-1] for a in (u, v, target)))
-        return split(solve_product(chart, *(_broadcast_points(a, batch) for a in (u, v, target))))
+        return split(solve_product(chart, *(stack(split(a), batch) for a in (u, v, target))))
 
     u, v, target = (np.asarray(a, dtype=float) for a in (u, v, target))
     shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], target.shape[:-1]) + (chart.fiber_dim,)
-    if out is None:
-        out = np.empty(shape)
-    if residual is None:
-        residual = np.empty(shape)
-    w = np.subtract(target, v, out=out)
+    w = np.subtract(target, v, out=np.empty(shape))
     for _ in range(SOLVE_MAX_ITER):
-        _product_residual(chart, u, v, w, target, residual)
+        residual = chart.product(u, v, w)
+        residual -= target
         worst = float(np.max(np.abs(residual))) if residual.size else 0.0
         if worst <= SOLVE_TOL:
             return w
@@ -278,8 +259,6 @@ class AxiomReport(NamedTuple):
 
 
 def _sample_box(rng: np.random.Generator, box: Array, count: int, shrink: float) -> Array:
-    if box.shape[0] == 0:
-        return np.empty((count, 0), dtype=float)
     center = 0.5 * (box[:, 0] + box[:, 1])
     half = 0.5 * (box[:, 1] - box[:, 0]) * shrink
     return center + (2.0 * rng.random((count, box.shape[0])) - 1.0) * half
@@ -388,14 +367,6 @@ def _max_abs(arr: Array) -> float:
 # built-in catalog
 # ---------------------------------------------------------------------------
 
-def _resolve_weight(mu_e, dim: int):
-    """The unit weight of an expression tree in u, or of None (constant 1)."""
-    if mu_e is None:
-        return lambda u: np.ones(np.shape(u)[:-1])
-    expr = compile_expression(mu_e, dim, 0, slots="u")
-    return lambda u: expr(u=np.asarray(u, dtype=float))
-
-
 def _builtin(name, source_map, product, half_width, mu_e=None, **params) -> GroupoidChart:
     n, m = len(source_map), len(product)
     box = lambda dim: [[-half_width, half_width]] * dim
@@ -425,7 +396,7 @@ def abelian_bundle_chart(n: int, m: int, half_width: float = 10.0, mu_e=None) ->
 def heisenberg_chart(half_width: float = 6.0) -> GroupoidChart:
     """Heisenberg group in exponential coordinates (base dimension 0)."""
     twist = ["*", 0.5, ["-", ["*", "v1", "w2"], ["*", "v2", "w1"]]]
-    # summed as twist + (v3 + w3), in one scratch plane; validate and algebroid bytes depend on the order
+    # summed as twist + (v3 + w3); validate and algebroid bytes depend on the order
     product = _additive(2) + [["+", ["+", "v3", "w3"], twist]]
     return _builtin("heisenberg", [], product, half_width)
 
@@ -495,6 +466,7 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         inv_vec = compile_vector(inv_exprs, n, m, slots="uv")
         inverse_fn = lambda u, v: inv_vec(u=u, v=v)
 
+    weight = spec.get("unit_weight")  # None (a built-in's default) weighs 1
     return GroupoidChart(
         name=str(spec.get("name", "custom")),
         base_dim=n,
@@ -502,7 +474,7 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         source_map=lambda u, v: source_fn(u=u, v=v),
         product=lambda u, v, w, *, out=None: product_fn(u=u, v=v, w=w, out=out),
         product_w_jacobian=w_jacobian,
-        unit_weight=_resolve_weight(spec.get("unit_weight"), n),
+        unit_weight=compile_expression(1.0 if weight is None else weight, n, 0, slots="u"),
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),
         fiber_box=np.asarray(spec["fiber_box"], dtype=float).reshape(m, 2),
         inverse=inverse_fn,

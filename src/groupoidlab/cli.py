@@ -10,8 +10,9 @@ Commands map one-to-one onto the package operations:
 * ``deform``        the classical-limit error table over the t sweep,
 * ``normfield``     the operator-norm curve with its t = 0 value.
 
-Exit codes: 0 all configured thresholds pass, 1 computation failure or a
-failed threshold, 2 config or usage error.  Output files are byte-identical
+Exit codes: 0 all configured thresholds pass, 1 computation failure (an
+allocation that does not fit in memory too) or a failed threshold, 2 config
+or usage error.  Output files are byte-identical
 across reruns; timing goes to stderr only.
 
 Each ``_cmd_*`` imports its own layer when it runs (``charts`` for
@@ -349,7 +350,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except (GroupoidLabError, OSError) as exc:
+    except (GroupoidLabError, OSError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         if args.output is not None:
             try:

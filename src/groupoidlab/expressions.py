@@ -14,7 +14,7 @@ a numpy array whose last axis holds the components, or :class:`Planes`, one
 array per component, which broadcast against each other.  Every node is
 evaluated at the broadcast shape of the components it reads, so a subtree
 that reads few grid axes costs only their size.  An operation writes into its
-caller's array or into scratch that each thread reuses as a stack.
+caller's array where that has the node's shape, else into a new array.
 :func:`derivative` differentiates a tree exactly into another tree, and
 :func:`compile_solver` solves a product that is affine and triangular in w.
 """
@@ -22,8 +22,6 @@ caller's array or into scratch that each thread reuses as a stack.
 from __future__ import annotations
 
 import functools
-import math
-import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,44 +68,34 @@ def split(points) -> Planes:
     return Planes(points[..., k] for k in range(points.shape[-1]))
 
 
-def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
-    """Compile a tree to ``f(u, v, w)`` acting on (..., dim) arrays.
+def stack(planes, batch: tuple) -> np.ndarray:
+    """Arrays ``planes`` broadcast to ``batch`` in a new C-order ``batch + (len(planes),)`` array."""
+    full = np.empty(batch + (len(planes),))
+    for k, plane in enumerate(planes):
+        full[..., k] = plane
+    return full
 
+
+def compile_expression(tree, base_dim: int, fiber_dim: int, slots: str = "uvw"):
+    """Compile a tree to ``f(u, v, w)``: the one component of :func:`compile_vector`.
+
+    Given ``(..., dim)`` arrays the value is a ``(...)`` array, given
+    :class:`Planes` an array of the shape of the components the tree reads.
     ``slots`` limits which coordinate groups may appear, e.g. ``"u"`` for a
     weight expression that must only depend on the base point.
     """
-    body = _compile_body(tree, base_dim, fiber_dim, slots)
-
-    def evaluate(u=None, v=None, w=None):
-        value = _run(body, _environment([tree], slots, u, v, w))
-        # The result spans the batch shape of every array present, also where
-        # the tree reads only some of them (or none: a constant).
-        batch = _batch_shape(u, v, w)
-        return np.array(value, dtype=float) if batch is None else np.broadcast_to(value, batch).copy()
-
-    return evaluate
+    vector = compile_vector([tree], base_dim, fiber_dim, slots)
+    return lambda u=None, v=None, w=None: split(vector(u, v, w))[0]
 
 
 class _Node(NamedTuple):
-    """A compiled tree: ``run(env)`` of a leaf gives its value, ``run(env, dest, top)`` of an
+    """A compiled tree: ``run(env)`` of a leaf gives its value, ``run(env, dest)`` of an
     operation writes ``dest``, an array of the broadcast shape of the components ``uses``
     (sorted ``(group, index)`` pairs)."""
 
     uses: tuple
     leaf: bool
     run: Callable
-
-
-_SCRATCH = threading.local()
-
-
-def _scratch(top: int, shape: tuple) -> np.ndarray:
-    """``shape`` float64 array at offset ``top`` of this thread's scratch: a stack that only
-    grows, so it keeps what one tree evaluation held live at once."""
-    size, buffer = math.prod(shape), getattr(_SCRATCH, "buffer", None)
-    if buffer is None or buffer.size < top + size:
-        buffer = _SCRATCH.buffer = np.empty(top + size)
-    return buffer[top : top + size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,29 +111,23 @@ def _shape(node: _Node, env: dict) -> tuple:
     return shape
 
 
-def _run(node: _Node, env: dict, dest=None, top: int = 0):
+def _run(node: _Node, env: dict, dest=None):
     """Value of ``node``: a leaf's own (a float or a coordinate plane), else written into
-    ``dest`` when that has the node's shape, else into scratch from ``top``."""
+    ``dest`` when that has the node's shape, else into a new array."""
     if node.leaf:
         return node.run(env)
     shape = _shape(node, env)
-    if dest is None or dest.shape != shape:
-        dest = _scratch(top, shape)
-        top += dest.size
-    return node.run(env, dest, top)
+    return node.run(env, dest if dest is not None and dest.shape == shape else np.empty(shape))
 
 
 def _chain(ufunc, args: list) -> Callable:
-    """``run`` of ``((a0 op a1) op a2) ...``: a0 or a1 goes into ``dest``, the others into scratch."""
+    """``run`` of ``((a0 op a1) op a2) ...``: a0 or a1 goes into ``dest``, the others into new arrays."""
 
-    def run(env, dest, top):
-        acc, held = None, 0
+    def run(env, dest):
+        acc = None
         for arg in args:
-            value = _run(arg, env, None if acc is dest else dest, top + held)
-            if acc is None:
-                acc, held = value, 0 if arg.leaf or value is dest else value.size
-            else:
-                acc, held = ufunc(acc, value, out=dest), 0
+            value = _run(arg, env, None if acc is dest else dest)
+            acc = value if acc is None else ufunc(acc, value, out=dest)
         return acc
 
     return run
@@ -173,7 +155,7 @@ def _compile_body(tree, base_dim: int, fiber_dim: int, slots: str) -> _Node:
             if len(args) != 1:
                 raise ConfigError([f"operator {op!r} takes one argument"])
             fn, (arg,) = _UNARY.get(op, np.negative), args
-            return _Node(uses, False, lambda env, dest, top: fn(_run(arg, env, dest, top), out=dest))
+            return _Node(uses, False, lambda env, dest: fn(_run(arg, env, dest), out=dest))
         if op not in _CHAINED:
             raise ConfigError([f"unknown operator {op!r}"])
         if op in "+*" and len(args) < 2:
@@ -196,12 +178,6 @@ def _environment(trees, slots: str, u, v, w) -> dict:
     if missing:
         raise ConfigError([f"expression needs coordinate group(s) {missing}"])
     return {s: None if a is None else split(a) for s, a in env.items()}
-
-
-def _batch_shape(*arrays):
-    """Broadcast batch shape (all axes but the last) of the arrays given, or None."""
-    present = [np.shape(a)[:-1] for a in arrays if a is not None]
-    return np.broadcast_shapes(*present) if present else None
 
 
 def _tree_uses(tree, name: str) -> bool:
@@ -260,11 +236,6 @@ def _neg(tree):
     return 0.0 if tree == 0.0 else ["neg", tree]
 
 
-def _planes(count: int, batch: tuple) -> np.ndarray:
-    """A ``batch + (count,)`` float64 array whose last axis is outermost in memory."""
-    return np.moveaxis(np.empty((count,) + batch), 0, -1)
-
-
 def _reused(out, k: int, shape: tuple) -> np.ndarray:
     """``out[k]`` where it has ``shape``, else a new array that replaces it in the list ``out`` (or None)."""
     if out is None:
@@ -274,40 +245,40 @@ def _reused(out, k: int, shape: tuple) -> np.ndarray:
     return out[k]
 
 
+def _result(values: list, groups: tuple):
+    """The components ``values`` as :class:`Planes` where a group is, else stacked to the
+    broadcast batch shape (all axes but the last) of the groups given."""
+    if any(isinstance(a, Planes) for a in groups):
+        return Planes(values)
+    return stack(values, np.broadcast_shapes(*(np.shape(a)[:-1] for a in groups if a is not None)))
+
+
 def compile_vector(trees, base_dim: int, fiber_dim: int, slots: str = "uvw"):
     """Compile a list of trees into ``f(u, v, w, *, out=None)``.
 
-    Where every group given is an array, the result is ``(..., len(trees))``:
-    component ``k`` is written into plane ``k`` of one ``(len(trees),) +
-    batch`` float64 array, so the result is a view whose coordinate axis is
-    outermost in memory; a caller that evaluates many batches of one shape
-    passes such a view (or any float64 array of the result's shape) as
-    ``out`` and gets it back.  Where a group is :class:`Planes`, the result is
-    Planes, component ``k`` an array of the broadcast shape of the components
-    its tree reads; ``out`` is then a list of arrays (or Nones), one per
-    component: component ``k`` is written into ``out[k]`` where that has its
-    shape, else into a new array that replaces ``out[k]``, so a caller that
-    passes one list for many batches of one shape allocates once.  ``out``
-    must not overlap ``u``, ``v`` or ``w``.  Each tree is evaluated into its
-    component; its temporaries come from scratch that this thread keeps and
-    reuses, so a call with ``out`` allocates no array of the batch shape.
+    Each tree is evaluated per component, at the broadcast shape of the
+    components it reads.  Where a group is :class:`Planes`, the result is
+    Planes, component ``k`` an array of that shape.  ``out`` is a list of
+    arrays (or Nones), one per component: component ``k`` is written into
+    ``out[k]`` where that has its shape, else into a new array that replaces
+    ``out[k]``, so a caller that passes one list for many batches of one
+    shape allocates once.  ``out`` must not overlap ``u``, ``v`` or ``w``.
+    Where every group given is a ``(..., dim)`` array, the result is a new
+    C-order ``(..., len(trees))`` array that spans the batch shape of them
+    all, also where a tree reads none of them.  Temporaries are new arrays.
     """
     bodies = [_compile_body(t, base_dim, fiber_dim, slots) for t in trees]
 
     def evaluate(u=None, v=None, w=None, *, out=None):
         env = _environment(trees, slots, u, v, w)
-        planes = any(isinstance(a, Planes) for a in (u, v, w))
-        if not planes and out is None:
-            batch = _batch_shape(u, v, w)
-            out = _planes(len(trees), () if batch is None else batch)
         values = []
         for k, body in enumerate(bodies):
-            dest = _reused(out, k, _shape(body, env)) if planes else out[..., k]
+            dest = _reused(out, k, _shape(body, env))
             value = _run(body, env, dest)
             if value is not dest:
                 dest[...] = value
             values.append(dest)
-        return Planes(values) if planes else out
+        return _result(values, (u, v, w))
 
     return evaluate
 
@@ -324,9 +295,9 @@ def compile_solver(trees, jacobian, base_dim: int, fiber_dim: int):
     where ``J_ii`` is the constant 1.  The division multiplies by ``1 / J_ii``,
     evaluated at its own shape (``J`` reads no w) with ``1 / exp(x)`` as
     ``exp(-x)``; where that is not finite, ``J_ii`` vanishes and the solve
-    raises SingularJacobianError.  Given :class:`Planes`, ``w_i`` has the
-    broadcast shape of ``target_i`` and of the components the two trees
-    read.  The result and ``out`` are as in :func:`compile_vector`.
+    raises SingularJacobianError.  ``w_i`` is solved at the broadcast shape
+    of ``target_i`` and of the components the two trees read.  The result
+    and ``out`` are as in :func:`compile_vector`.
     """
     m = fiber_dim
     if any(_tree_uses(d, "w") for row in jacobian for d in row) or any(
@@ -338,18 +309,12 @@ def compile_solver(trees, jacobian, base_dim: int, fiber_dim: int):
     recips = [None if d == 1.0 else _compile_body(_reciprocal(d), base_dim, m, "uvw") for d in diagonal]
 
     def solve(u, v, target, *, out=None):
-        planes = any(isinstance(a, Planes) for a in (u, v, target))
-        if not planes and out is None:
-            out = _planes(m, np.broadcast_shapes(*(np.shape(a)[:-1] for a in (u, v, target))))
-        target, ws = split(target), []
+        targets, ws = split(target), []
         env = {"u": split(u), "v": split(v), "w": ws}  # w_j, j < i, are solved when row i reads them
         for i, (rest, recip) in enumerate(zip(rests, recips)):
-            if planes:
-                shapes = [target[i].shape, _shape(rest, env)] + ([] if recip is None else [_shape(recip, env)])
-                w = _reused(out, i, _broadcast(tuple(shapes)))
-            else:
-                w = out[..., i]
-            np.subtract(target[i], _run(rest, env, w), out=w)
+            shapes = [targets[i].shape, _shape(rest, env)] + ([] if recip is None else [_shape(recip, env)])
+            w = _reused(out, i, _broadcast(tuple(shapes)))
+            np.subtract(targets[i], _run(rest, env, w), out=w)
             if recip is not None:
                 with np.errstate(divide="ignore"):  # 1 / 0 is inf: a vanishing J_ii, raised below
                     r = _run(recip, env)
@@ -357,7 +322,7 @@ def compile_solver(trees, jacobian, base_dim: int, fiber_dim: int):
                     raise SingularJacobianError(f"product solve: d p{i + 1} / d w{i + 1} vanishes")
                 np.multiply(w, r, out=w)
             ws.append(w)
-        return Planes(ws) if planes else out
+        return _result(ws, (u, v, target))
 
     return solve
 

@@ -241,12 +241,7 @@ class SymbolSpec:
 
 def _node_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Base and fiber node arrays shaped to broadcast over ``grid.shape``."""
-    if grid.base_dim:
-        base_b = grid.base_mesh().reshape(
-            grid.base_shape + (1,) * grid.fiber_dim + (grid.base_dim,)
-        )
-    else:
-        base_b = np.zeros((1,) * grid.fiber_dim + (0,))
+    base_b = grid.base_mesh().reshape(grid.base_shape + (1,) * grid.fiber_dim + (grid.base_dim,))
     fiber_b = grid.fiber_mesh().reshape(
         (1,) * grid.base_dim + grid.fiber_shape + (grid.fiber_dim,)
     )

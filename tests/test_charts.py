@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import groupoidlab as gl
 from groupoidlab.errors import DomainError, SamplingError
+from groupoidlab.expressions import Planes, split, stack
 
 from oracles import corrupted_associativity_defect
 
@@ -96,25 +97,36 @@ def test_invert_then_compose_is_unit(name, params):
     assert residual <= 1e-10
 
 
-@pytest.mark.parametrize("name, params", ALL_BUILTINS)
-def test_maps_write_coordinate_major_points_into_out(name, params):
-    # the deformed product's layout: planar (..., m) views broadcasting over
-    # (K, A, H), and a NaN-filled out that the maps return filled, bitwise
-    chart = gl.builtin_chart(name, **params)
-    m = chart.fiber_dim
+@pytest.mark.parametrize("name, params", ALL_BUILTINS + [("cubic", {})])
+def test_array_maps_equal_their_stacked_planes(name, params):
+    # the maps evaluate (..., dim) arrays per component, as they do Planes, and
+    # stack the components once; "cubic" is solved by Newton.  The unit weight
+    # (1 on every built-in) is a constant tree, and where the base dimension
+    # is 0 no tree reads the u given: both results still span the batch shape.
+    chart = _one_chart(CUBIC, fiber_dim=1) if name == "cubic" else gl.builtin_chart(name, **params)
+    n, m = chart.base_dim, chart.fiber_dim
     rng = np.random.default_rng(6)
-    planar = lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
-    u = planar(rng.uniform(-1, 1, (5, 1, 1, chart.base_dim)))
-    v = planar(rng.uniform(-1, 1, (1, 1, 7, m)))
-    target = planar(rng.uniform(-1, 1, (1, 4, 1, m)))
-    shape = (5, 4, 7, m)
-    out = np.moveaxis(np.full((m, 5, 4, 7), np.nan), 0, -1)
-    w = chart.product_solver(u, v, target, out=out)
-    assert w is out
-    assert w.tobytes() == np.broadcast_to(chart.product_solver(u, v, target), shape).tobytes()
-    out = np.moveaxis(np.full((m, 5, 4, 7), np.nan), 0, -1)
-    assert chart.product(u, v, w, out=out) is out
-    assert out.tobytes() == np.broadcast_to(chart.product(u, v, w), shape).tobytes()
+    planes = lambda shapes: Planes(rng.uniform(-0.5, 0.5, shape) for shape in shapes)
+    u = planes([(5, 1, 1), (1, 4, 1)][:n])
+    v = planes([(1, 1, 7), (5, 1, 1), (1, 4, 7)][:m])
+    target = planes([(1, 4, 1), (5, 1, 7), (1, 1, 1)][:m])
+    arrays = [stack(p, np.broadcast_shapes((5, 1, 1), p.shape[:-1])) for p in (u, v, target)]
+    w = gl.solve_product(chart, *arrays)
+    pairs = [
+        (chart.source_map(*arrays[:2]), chart.source_map(u, v), arrays[:2]),
+        (w, gl.solve_product(chart, u, v, target), arrays),
+        (chart.product(*arrays[:2], w), chart.product(u, v, split(w)), arrays[:2] + [w]),
+    ]
+    for want, got, inputs in pairs:
+        batch = np.broadcast_shapes(*(a.shape[:-1] for a in inputs))
+        assert isinstance(got, Planes) and want.shape == batch + (len(got),)
+        assert want.flags.c_contiguous and want.tobytes() == stack(got, batch).tobytes()
+    weight = chart.unit_weight(arrays[0])
+    assert weight.shape == (5, 1 + 3 * (n > 1), 1)
+    assert weight.tobytes() == np.broadcast_to(chart.unit_weight(u), weight.shape).tobytes()
+
+
+CUBIC = [["+", "v1", "w1", ["*", 0.4, "w1", "w1", "w1"]]]  # not affine in w1: Newton
 
 
 def _one_chart(product, fiber_dim=2):
@@ -135,8 +147,7 @@ def test_the_solver_is_derived_only_for_affine_lower_triangular_products():
     for name, params in ALL_BUILTINS:
         assert gl.builtin_chart(name, **params).product_solver is not None
     assert corrupted_chart().product_solver is not None  # 1 + 0.01 v1^2 on the diagonal
-    cubic = [["+", "v1", "w1", ["*", 0.4, "w1", "w1", "w1"]]]
-    assert _one_chart(cubic, fiber_dim=1).product_solver is None  # not affine: Newton
+    assert _one_chart(CUBIC, fiber_dim=1).product_solver is None  # not affine: Newton
     upper = [["+", "v1", "w1", "w2"], ["+", "v2", "w2"]]
     assert _one_chart(upper).product_solver is None  # upper triangular: Newton
     lower = [["+", "v1", "w1"], ["+", "v2", "w2", ["*", 3.0, "v1", "w1"]]]
@@ -158,12 +169,13 @@ def test_the_derived_solver_reads_no_unsolved_coordinate():
     # NaN-filled, reused out must not leak into w1
     chart = _one_chart([["+", "v1", "w1", ["*", 0.0, "w2"]], ["+", "v2", ["*", ["exp", "v1"], "w2"]]])
     rng = np.random.default_rng(9)
-    u, v, target = np.zeros((6, 0)), rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
-    out = np.moveaxis(np.full((2, 6), np.nan), 0, -1)
+    u, v, target = Planes(), split(rng.uniform(-1, 1, (6, 2))), split(rng.uniform(-1, 1, (6, 2)))
+    out = [np.full(6, np.nan), np.full(6, np.nan)]
+    kept = list(out)
     for _ in range(2):
         w = gl.solve_product(chart, u, v, target, out=out)
-        assert w is out and np.all(np.isfinite(w))
-        np.testing.assert_allclose(w[:, 0], target[:, 0] - v[:, 0], rtol=1e-15)
+        assert all(a is b for a, b in zip(w, kept)) and np.all(np.isfinite(w))
+        np.testing.assert_allclose(w[0], target[0] - v[0], rtol=1e-15)
 
 
 def test_compose_deterministic(pair1):

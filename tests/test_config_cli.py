@@ -259,6 +259,23 @@ def test_report_write_failure_exits_1_without_traceback(blocked, tmp_path, capsy
     assert (out / "validate_error.json").is_file() == (len(blocked) == 1)
 
 
+def test_an_allocation_that_does_not_fit_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError (_ArrayMemoryError) for an array larger than the
+    # address space allows, e.g. a huge sample_count or grid
+    from groupoidlab import charts
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 8.73 TiB for an array")
+
+    monkeypatch.setattr(charts, "validate_axioms", too_large)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", VALIDATE, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "computation failed: Unable to allocate 8.73 TiB for an array\n", err
+    error = json.loads((out / "validate_error.json").read_text())
+    assert error == {"command": "validate", "error": "Unable to allocate 8.73 TiB for an array"}
+
+
 def test_main_prints_the_timing_and_one_line_per_check(tmp_path, capsys):
     path = str(CONFIGS / "corrupted_validate.json")
     assert main(["validate", "--config", path, "--output", str(tmp_path)]) == 1

@@ -368,7 +368,7 @@ def _on_threads(callers: int, compute):
 
 
 # callers: threads of the caller's own that run the product at once; each
-# call has its own block arrays, and chart evaluation keeps its scratch per thread
+# call has its own block arrays, and chart evaluation keeps no state between calls
 @pytest.mark.parametrize("callers", [1, 3])
 @pytest.mark.parametrize("chart_name", ["heisenberg", "custom_ax_plus_b"])
 def test_scaled_commutator_shares_the_transport_exactly(chart_name, callers, request):

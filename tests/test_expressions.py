@@ -33,19 +33,6 @@ def test_vector_broadcasts_over_batches():
     np.testing.assert_allclose(out[..., 1], v[..., 1] * np.exp(w[..., 0]))
 
 
-def test_vector_writes_coordinate_major_planes():
-    trees = [["+", "v1", "w1"], ["*", "v2", ["exp", "w1"]], 2.0]
-    f = compile_vector(trees, 0, 2)
-    rng = np.random.default_rng(2)
-    v, w = rng.normal(size=(5, 1, 2)), rng.normal(size=(1, 4, 2))
-    got = f(v=v, w=w)
-    assert got.shape == (5, 4, 3) and np.moveaxis(got, -1, 0).flags.c_contiguous
-    for k, tree in enumerate(trees):
-        assert got[..., k].tobytes() == compile_expression(tree, 0, 2)(v=v, w=w).tobytes()
-    out = np.moveaxis(np.full((3, 5, 4), np.nan), 0, -1)
-    assert f(v=v, w=w, out=out) is out and out.tobytes() == got.tobytes()
-
-
 def test_planes_evaluate_each_tree_at_the_shape_of_what_it_reads():
     trees = [["+", "v1", "w1"], ["*", "v2", ["exp", "w1"]], 2.0]
     f = compile_vector(trees, 0, 2)

@@ -20,35 +20,21 @@ G = gl.SymbolSpec.gaussian
 
 
 def studies():
+    """``(name, (chart, grid, f0, g0, t_values))`` per chart: the arguments of the limit table."""
     pair = gl.builtin_chart("pair", n=1)
     pair_grid = gl.GridSpec(base=(gl.Axis.centered(6.0, 64),), fiber=(gl.Axis.centered(8.0, 64),))
-    yield "pair1", gl.DeformationField(
-        chart=pair,
-        grid=pair_grid,
-        f0=G(1, 1),
-        g0=G(1, 1, x_powers=[1], xi_powers=[1]),
-        t_values=(0.4, 0.2, 0.1, 0.05, 0.025),
-    )
+    yield "pair1", (pair, pair_grid, G(1, 1), G(1, 1, x_powers=[1], xi_powers=[1]), (0.4, 0.2, 0.1, 0.05, 0.025))
 
     axb = gl.builtin_chart("ax_plus_b", half_width=4.0)
     axb_grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.7, 24), gl.Axis.centered(3.7, 24)))
-    yield "ax_plus_b", gl.DeformationField(
-        chart=axb,
-        grid=axb_grid,
-        f0=G(0, 2, xi_widths=[2.5, 2.5]),
-        g0=G(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6]),
-        t_values=(0.4, 0.2, 0.1, 0.05, 0.025),
-    )
+    f, g = G(0, 2, xi_widths=[2.5, 2.5]), G(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6])
+    yield "ax_plus_b", (axb, axb_grid, f, g, (0.4, 0.2, 0.1, 0.05, 0.025))
 
     heis = gl.builtin_chart("heisenberg")
     heis_grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.7, 16) for _ in range(3)))
-    yield "heisenberg", gl.DeformationField(
-        chart=heis,
-        grid=heis_grid,
-        f0=G(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2]),
-        g0=G(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3]),
-        t_values=(0.2, 0.1, 0.05),
-    )
+    f = G(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
+    g = G(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
+    yield "heisenberg", (heis, heis_grid, f, g, (0.2, 0.1, 0.05))
 
 
 def main():
@@ -59,8 +45,8 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     series = []
-    for name, field in studies():
-        table = gl.classical_limit_error_table(field)
+    for name, study in studies():
+        table = gl.classical_limit_error_table(*study)
         rows = [[t, e, r] for t, e, r in table.rows]
         write_csv(out / f"{name}.csv", ["t", "error", "ratio"], rows)
         series.append((name, [r[0] for r in rows], [r[1] for r in rows]))

@@ -39,10 +39,8 @@ _EXPORTS = {
     ),
     "config": ("RunConfig", "Tolerances", "build_config", "load_config"),
     "deformation": (
-        "DeformationField",
         "LimitTable",
         "classical_limit_error_table",
-        "deformed_convolution",
         "deformed_product",
         "haar_density",
         "left_invariance_residual",

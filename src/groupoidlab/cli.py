@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, limit_sweep_problems, load_config
 from .errors import ConfigError, DecayWarning, GroupoidLabError
 from .grids import boundary_fraction, scale_of
 from .reports import Check, ReportBundle, write_csv, write_json
@@ -161,21 +161,13 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_deform(config: RunConfig) -> ReportBundle:
-    from .deformation import DeformationField, classical_limit_error_table, limit_sweep_problems
+    from .deformation import classical_limit_error_table
 
-    config.require_symbols("f", "g")
-    chart, grid, tol = config.chart, config.grid, config.tolerances
-    problems = limit_sweep_problems(config.t_values)
-    if problems:
-        raise ConfigError(problems)
-    field = DeformationField(
-        chart=chart,
-        grid=grid,
-        f0=config.symbols["f"],
-        g0=config.symbols["g"],
-        t_values=config.t_values,
+    config.require_symbols("f", "g", problems=limit_sweep_problems(config.t_values))
+    tol = config.tolerances
+    table = classical_limit_error_table(
+        config.chart, config.grid, config.symbols["f"], config.symbols["g"], config.t_values
     )
-    table = classical_limit_error_table(field)
     errors = [r[1] for r in table.rows]
     ratios = table.ratios()
     degenerate = all(e <= tol.degenerate for e in errors)
@@ -221,12 +213,9 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
 def _cmd_normfield(config: RunConfig) -> ReportBundle:
     from .normfield import norm_curve
 
-    config.require_symbols("f")
-    chart, grid, tol = config.chart, config.grid, config.tolerances
-    if not config.t_values:
-        raise ConfigError(["normfield needs a t sweep"])
-    f = config.symbols["f"]
-    curve = norm_curve(f, chart, config.t_values, grid)
+    config.require_symbols("f", problems=[] if config.t_values else ["normfield needs a t sweep"])
+    tol = config.tolerances
+    curve = norm_curve(config.symbols["f"], config.chart, config.t_values, config.grid)
     deltas = curve.deltas()
     checks = [
         Check("deltas_decreasing", curve.deltas_decreasing(), float(len(deltas)), 0.0, "monotone"),

@@ -64,10 +64,13 @@ class RunConfig:
     strict: bool
     tolerances: Tolerances
 
-    def require_symbols(self, *names: str):
+    def require_symbols(self, *names: str, problems: Sequence[str] = ()):
+        """Raise one ConfigError listing the symbols of ``names`` the config lacks and the command's ``problems``."""
         missing = [n for n in names if n not in self.symbols]
         if missing:
-            raise ConfigError([f"config is missing symbol(s) {missing} for this command"])
+            problems = [f"config is missing symbol(s) {missing} for this command", *problems]
+        if problems:
+            raise ConfigError(problems)
 
 
 def _unknown_keys(cfg: dict, allowed: tuple, what: str, problems: list[str]) -> list[str]:
@@ -187,6 +190,21 @@ def sweep_problems(t_values: Sequence[float]) -> list[str]:
     return problems
 
 
+def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
+    """Violations of the limit-study rule: at least three t values, geometric within 1e-2.
+
+    A sweep with a zero t has no ratios to compare; :func:`sweep_problems` reports the zero.
+    """
+    if len(t_values) < 3:
+        return ["the limit sweep needs at least three t values"]
+    if 0.0 in t_values:
+        return []
+    ratios = [b / a for a, b in zip(t_values, t_values[1:])]
+    if max(ratios) - min(ratios) > 1e-2 * abs(ratios[0]):
+        return ["t values must form a geometric progression"]
+    return []
+
+
 def deformation_domain_problems(
     chart: GroupoidChart, grid: GridSpec, t_values: Sequence[float]
 ) -> list[str]:
@@ -227,14 +245,8 @@ def build_config(raw: dict, strict: bool = False) -> RunConfig:
     chart = _build_chart(raw, problems)
     grid = _build_grid(raw, chart, problems)
 
-    seed = raw.get("seed", 2024)
-    if not _integer(seed) or seed < 0:
-        problems.append("seed must be a nonnegative integer")
-        seed = 2024
-    sample_count = raw.get("sample_count", 100)
-    if not _integer(sample_count) or sample_count < 1:
-        problems.append("sample_count must be a positive integer")
-        sample_count = 100
+    seed = _count(raw, "seed", 2024, 0, "seed must be a nonnegative integer", problems)
+    sample_count = _count(raw, "sample_count", 100, 1, "sample_count must be a positive integer", problems)
 
     tol_cfg = raw.get("tolerances", {})
     tolerances = Tolerances()
@@ -305,8 +317,16 @@ def build_config(raw: dict, strict: bool = False) -> RunConfig:
     )
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _count(raw: dict, key: str, default: int, least: int, requirement: str, problems: list[str]) -> int:
+    """``raw[key]`` (``default`` if absent), an integer of at least ``least``; a violation reads as ``default``."""
+    try:
+        value = json_number(raw.get(key, default), requirement, integer=True)
+        if value >= least:
+            return value
+        problems.append(requirement)
+    except (TypeError, ValueError) as exc:
+        problems.append(str(exc))
+    return default
 
 
 def _finite_number(value) -> bool:

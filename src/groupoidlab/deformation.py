@@ -53,21 +53,23 @@ in node order; the sum is the same for any block size, so the values are too.
 As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
 ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
+The study's entry points, :func:`deformed_product` and :func:`scaled_commutator`
+at one ``t`` and :func:`classical_limit_error_table` over a sweep, take the
+chart, the grid and the symbols ``f0`` and ``g0`` as plain arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .charts import GroupoidChart, _in_box, _sample_box, solve_product
-from .config import deformation_domain_problems
+from .config import deformation_domain_problems, limit_sweep_problems
 from .errors import DomainError, GroupoidLabError, SingularJacobianError
 from .expressions import Planes
-from .grids import GridSpec, SampledSymbol, scale_of
+from .grids import GridSpec, SampledSymbol, axis_plane, scale_of
 from .poisson import TWO_PI_I, poisson_bracket
 from .symbols import SymbolSpec
 
@@ -125,34 +127,6 @@ def left_invariance_residual(chart: GroupoidChart, sample_count: int = 100, seed
     return float(np.max(np.abs(lhs - rhs)))
 
 
-# ---------------------------------------------------------------------------
-# deformation field
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeformationField:
-    """Chart, grid, symbol pair and scale sweep for the limit study.
-
-    The sections are constant in blow-up coordinates: at every ``t`` the same
-    coordinate expressions ``f0`` and ``g0`` are used.  Every ``t`` must keep
-    all evaluation points inside the chart boxes, and the sweep must follow
-    the rule of :func:`groupoidlab.config.sweep_problems` (t nonzero, |t|
-    strictly decreasing).
-    """
-
-    chart: GroupoidChart
-    grid: GridSpec
-    f0: SymbolSpec
-    g0: SymbolSpec
-    t_values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
-        problems = deformation_domain_problems(self.chart, self.grid, self.t_values)
-        if problems:
-            raise GroupoidLabError("; ".join(problems))
-
-
 def _node_blocks(shape: tuple, rows: int):
     """Blocks of about ``rows`` nodes of the C-order node grid ``shape``: ``(start, slices, sizes)``.
 
@@ -176,13 +150,6 @@ def _node_blocks(shape: tuple, rows: int):
             slices = tuple(slice(i, i + 1) for i in prefix) + (slice(lo, hi),) + whole
             yield start, slices, (1,) * len(prefix) + (hi - lo,) + shape[j:]
             start += (hi - lo) * inner
-
-
-def _axis_plane(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """``values`` along ``axis`` of an ``ndim``-axis layout, size 1 on every other axis."""
-    shape = [1] * ndim
-    shape[axis] = values.size
-    return values.reshape(shape)
 
 
 class _Transport:
@@ -210,10 +177,10 @@ class _Transport:
         self.fiber_pts = grid.fiber_points_flat()  # (H, m)
         self.base = grid.base_points_flat()[:, None]  # (K, 1, n)
         m, ndim = grid.fiber_dim, 1 + 2 * grid.fiber_dim
-        self.u = Planes(_axis_plane(x, 0, ndim) for x in self.base[:, 0].T)
+        self.u = Planes(axis_plane(x, 0, ndim) for x in self.base[:, 0].T)
         nodes = [t * ax.nodes for ax in grid.fiber]
-        self.v_eta = Planes(_axis_plane(x, 1 + m + l, ndim) for l, x in enumerate(nodes))
-        self._xi = [_axis_plane(x, 1 + l, ndim) for l, x in enumerate(nodes)]  # t xi
+        self.v_eta = Planes(axis_plane(x, 1 + m + l, ndim) for l, x in enumerate(nodes))
+        self._xi = [axis_plane(x, 1 + l, ndim) for l, x in enumerate(nodes)]  # t xi
         self.rho = haar_density(chart, self.base, t * self.fiber_pts[None])  # (K, H)
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
         self._buffers: dict = {}
@@ -324,18 +291,14 @@ def deformed_product(
     return SampledSymbol(values=values.reshape(grid.shape), grid=grid)
 
 
-def deformed_convolution(field: DeformationField, t: float) -> SampledSymbol:
-    return deformed_product(field.chart, field.grid, field.f0, field.g0, t)
-
-
-def scaled_commutator(field: DeformationField, t: float) -> SampledSymbol:
+def scaled_commutator(chart: GroupoidChart, grid: GridSpec, f0: Operand, g0: Operand, t: float) -> SampledSymbol:
     """(f *_t g - g *_t f) / t, the quantity whose ``t -> 0`` limit is checked.
 
     Both orderings share one transport; the values equal those of two
     :func:`deformed_product` calls bit for bit.
     """
-    fg, gf = _deformed_products(field.chart, field.grid, [(field.f0, field.g0), (field.g0, field.f0)], t)
-    return SampledSymbol(values=((fg - gf) / t).reshape(field.grid.shape), grid=field.grid)
+    fg, gf = _deformed_products(chart, grid, [(f0, g0), (g0, f0)], t)
+    return SampledSymbol(values=((fg - gf) / t).reshape(grid.shape), grid=grid)
 
 
 class LimitTable(NamedTuple):
@@ -360,41 +323,36 @@ class LimitTable(NamedTuple):
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
-    """Violations of the limit-study rule: at least three t values, geometric within 1e-2."""
-    if len(t_values) < 3:
-        return ["the limit sweep needs at least three t values"]
-    ratios = [b / a for a, b in zip(t_values, t_values[1:])]
-    if max(ratios) - min(ratios) > 1e-2 * abs(ratios[0]):
-        return ["t values must form a geometric progression"]
-    return []
-
-
-def classical_limit_error_table(field: DeformationField) -> LimitTable:
+def classical_limit_error_table(
+    chart: GroupoidChart, grid: GridSpec, f0: Operand, g0: Operand, t_values: Sequence[float]
+) -> LimitTable:
     """Convergence table of the scaled commutator toward the bracket limit.
 
-    The bracket target carries the chart's unit weight, as the deformed
-    product's Haar density does.
+    The sections are constant in blow-up coordinates: the same coordinate
+    expressions ``f0`` and ``g0`` are used at every ``t``.  The bracket
+    target carries the chart's unit weight, as the deformed product's Haar
+    density does.  The sweep's domain rule and limit rule
+    (:func:`groupoidlab.config.deformation_domain_problems`,
+    :func:`groupoidlab.config.limit_sweep_problems`) are checked together,
+    before any computation.
     """
-    ts = field.t_values
-    problems = limit_sweep_problems(ts)
+    problems = deformation_domain_problems(chart, grid, t_values) + limit_sweep_problems(t_values)
     if problems:
         raise GroupoidLabError("; ".join(problems))
 
-    bracket = poisson_bracket(field.f0, field.g0, field.chart, field.grid)
+    bracket = poisson_bracket(f0, g0, chart, grid)
     target = bracket.values / TWO_PI_I
     bracket_sup = scale_of(bracket.values)
 
     rows = []
     prev_err = None
     last_sup = 0.0
-    for t in ts:
-        commutator = scaled_commutator(field, t)
+    for t in t_values:
+        commutator = scaled_commutator(chart, grid, f0, g0, t)
         err = float(np.max(np.abs(commutator.values - target)))
         ratio = float("nan") if prev_err in (None, 0.0) else err / prev_err
         rows.append((float(t), err, ratio))
         prev_err = err
         last_sup = float(np.max(np.abs(commutator.values)))
 
-    observed = last_sup / bracket_sup if bracket_sup > 0 else float("nan")
-    return LimitTable(rows=tuple(rows), bracket_sup=bracket_sup, observed_constant=observed)
+    return LimitTable(rows=tuple(rows), bracket_sup=bracket_sup, observed_constant=last_sup / bracket_sup)

@@ -189,13 +189,18 @@ class GridSpec(_GridFields):
         )
 
 
+def axis_plane(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` along ``axis`` of an ``ndim``-axis layout, size 1 on every other axis."""
+    shape = [1] * ndim
+    shape[axis] = values.size
+    return values.reshape(shape)
+
+
 def _tensor_weights(axes: tuple[Axis, ...]) -> np.ndarray:
     """Tensor product of the axes' trapezoid weights, shaped like their node grid."""
     out = np.ones(tuple(ax.count for ax in axes))
     for axis_index, ax in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[axis_index] = ax.count
-        out = out * ax.trapezoid_weights().reshape(shape)
+        out = out * axis_plane(ax.trapezoid_weights(), axis_index, len(axes))
     return out
 
 
@@ -227,11 +232,8 @@ class SampledSymbol(NamedTuple):
 
     def fiber_multiply(self, index: int) -> "SampledSymbol":
         """Multiply by the fiber coordinate ``xi_index`` at every node."""
-        ax = self.grid.fiber[index]
-        shape = [1] * self.values.ndim
-        shape[self.grid.base_dim + index] = ax.count
-        vals = self.values * ax.nodes.reshape(shape)
-        return SampledSymbol(values=vals, grid=self.grid)
+        nodes = axis_plane(self.grid.fiber[index].nodes, self.grid.base_dim + index, self.values.ndim)
+        return SampledSymbol(values=self.values * nodes, grid=self.grid)
 
     def derivative(self, kind: str, index: int) -> "SampledSymbol":
         """Stencil partial derivative; ``kind`` is ``"x"`` or ``"xi"``."""

@@ -41,7 +41,7 @@ import numpy as np
 
 from .charts import GroupoidChart
 from .errors import DecayWarning, GridMismatchError, GroupoidLabError
-from .grids import Axis, GridSpec, SampledSymbol, boundary_fraction, require_same_grid, scale_of
+from .grids import Axis, GridSpec, SampledSymbol, axis_plane, boundary_fraction, require_same_grid, scale_of
 from .symbols import SymbolSpec, eval_symbol
 
 if TYPE_CHECKING:
@@ -384,10 +384,7 @@ def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np
                 c_ijk = structure[..., i, j, k]
                 if not np.any(c_ijk != 0.0):
                     continue
-                ax = grid.fiber[k]
-                shape = [1] * len(grid.shape)
-                shape[grid.base_dim + k] = ax.count
-                zeta_k = ax.nodes.reshape(shape)
+                zeta_k = axis_plane(grid.fiber[k].nodes, grid.base_dim + k, len(grid.shape))
                 structure_part += (
                     _with_fiber_axes(c_ijk, grid)
                     * zeta_k

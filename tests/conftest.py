@@ -70,16 +70,11 @@ def heis_limit_table16(heisenberg, heis_grid16):
     the same chart, grid, symbols and sweep.
     """
     start = time.perf_counter()
-    field = gl.DeformationField(
-        chart=heisenberg,
-        grid=heis_grid16,
-        f0=gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2]),
-        g0=gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3]),
-        t_values=(0.2, 0.1, 0.05),
-    )
+    f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.1, 1.2, 1.1], xi_centers=[0.3, 0.0, -0.2])
+    g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[1, 0, 0], xi_widths=[1.2, 1.1, 1.3])
     with warnings.catch_warnings():  # set up before the per-test filter above applies
         warnings.simplefilter("ignore", DecayWarning)
-        table = gl.classical_limit_error_table(field)
+        table = gl.classical_limit_error_table(heisenberg, heis_grid16, f, g, (0.2, 0.1, 0.05))
     return table, time.perf_counter() - start
 
 

@@ -66,14 +66,8 @@ def test_c2_classical_limit_pair():
     start = time.perf_counter()
     chart = gl.builtin_chart("pair", n=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(6.0, 64),), fiber=(gl.Axis.centered(8.0, 64),))
-    field = gl.DeformationField(
-        chart=chart,
-        grid=grid,
-        f0=G(1, 1),
-        g0=G(1, 1, x_powers=[1], xi_powers=[1]),
-        t_values=(0.2, 0.1, 0.05),
-    )
-    table = gl.classical_limit_error_table(field)
+    f, g = G(1, 1), G(1, 1, x_powers=[1], xi_powers=[1])
+    table = gl.classical_limit_error_table(chart, grid, f, g, (0.2, 0.1, 0.05))
     elapsed = time.perf_counter() - start
     ratios = table.ratios()
     ok = table.errors_decreasing() and all(0.35 <= r <= 0.65 for r in ratios)
@@ -115,21 +109,15 @@ def test_c3_degenerate_flat_bundle():
     start = time.perf_counter()
     chart = gl.builtin_chart("abelian_bundle", n=1, m=1)
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 32),), fiber=(gl.Axis.centered(8.0, 64),))
-    field = gl.DeformationField(
-        chart=chart,
-        grid=grid,
-        f0=G(1, 1, xi_widths=1.2),
-        g0=G(1, 1, xi_powers=[1]),
-        t_values=(0.4, 0.2, 0.1, 0.05),
-    )
-    reference = gl.deformed_convolution(field, field.t_values[0])
+    f, g, t_values = G(1, 1, xi_widths=1.2), G(1, 1, xi_powers=[1]), (0.4, 0.2, 0.1, 0.05)
+    reference = gl.deformed_product(chart, grid, f, g, t_values[0])
     drift = 0.0
     commutator_sup = 0.0
-    for t in field.t_values:
-        conv = gl.deformed_convolution(field, t)
+    for t in t_values:
+        conv = gl.deformed_product(chart, grid, f, g, t)
         drift = max(drift, float(np.max(np.abs(conv.values - reference.values))))
         commutator_sup = max(
-            commutator_sup, float(np.max(np.abs(gl.scaled_commutator(field, t).values)))
+            commutator_sup, float(np.max(np.abs(gl.scaled_commutator(chart, grid, f, g, t).values)))
         )
     elapsed = time.perf_counter() - start
     ok = drift <= 1e-10 and commutator_sup <= 1e-10

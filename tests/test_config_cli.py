@@ -644,6 +644,9 @@ MALFORMED = [
     ("boolean_seed", minimal_config(seed=True), "seed must be a nonnegative integer"),
     ("workers_key", minimal_config(workers=1), "unknown config key(s) ['workers']"),
     ("boolean_sample_count", minimal_config(sample_count=True), "sample_count must be a positive integer"),
+    ("fractional_seed", minimal_config(seed=2024.5), "seed must be a nonnegative integer"),
+    ("fractional_sample_count", minimal_config(sample_count=100.5), "sample_count must be a positive integer"),
+    ("zero_sample_count", minimal_config(sample_count=0.0), "sample_count must be a positive integer"),
     ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unknown grid key(s) ['quadrature']"),
     # a JSON boolean is not a number wherever a number is read
     ("boolean_half_width", _grid_override(base=[{"half_width": True, "intervals": 16}]), "half_width must be a number"),
@@ -683,16 +686,41 @@ def test_malformed_config_exits_2(raw, violation, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# an integral float reads as its integer, as an axis's intervals do
+@pytest.mark.parametrize("key, value", [("seed", 2024.0), ("sample_count", 100.0)])
+def test_integral_float_counts_are_accepted(key, value):
+    read = getattr(gl.build_config(minimal_config(**{key: value})), key)
+    assert read == value and type(read) is int
+
+
+@pytest.mark.parametrize(
+    "command, overrides, violations",
+    [
+        ("deform", {"t_values": [0.2, 0.1], "symbols": {"f": []}}, ["['g']", "at least three t values"]),
+        ("normfield", {"t_values": [], "symbols": {"g": []}}, ["['f']", "normfield needs a t sweep"]),
+    ],
+)
+def test_the_cli_lists_every_command_violation(command, overrides, violations, tmp_path, capsys):
+    # the missing symbols and the command's own sweep rule, in one run
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_pair1_deform(**overrides)))
+    assert main([command, "--config", str(path)]) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+    assert len(lines) == 2
+    assert all(want in line for want, line in zip(violations, lines)), lines
+
+
+# three t values each, so the limit table's own rule (three or more, geometric) is not what rejects them
 @pytest.mark.parametrize(
     "sweep, accepted",
-    [([0.1, 0.2], False), ([0.2, 0.0], False), ([-0.4, -0.2, -0.1], True)],
+    [([0.1, 0.2, 0.4], False), ([0.4, 0.2, 0.0], False), ([-0.4, -0.2, -0.1], True)],
 )
 def test_config_field_and_norm_curve_share_the_sweep_rule(sweep, accepted):
     f = gl.SymbolSpec.gaussian(1, 1)
     config = gl.build_config(minimal_config())
     attempts = [
         lambda: gl.build_config(minimal_config(t_values=sweep)),
-        lambda: gl.DeformationField(config.chart, config.grid, f, f, tuple(sweep)),
+        lambda: gl.classical_limit_error_table(config.chart, config.grid, f, f, sweep),
         lambda: gl.norm_curve(f, config.chart, sweep, config.grid),
     ]
     verdicts = []

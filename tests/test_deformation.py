@@ -2,6 +2,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -150,14 +151,14 @@ def test_the_contract_check_covers_every_point(coordinate, heisenberg, request):
         return w
 
     chart = replace(heisenberg, product_solver=moved)
-    field = replace(_commutator_case("heisenberg", request), chart=chart)
+    case = _commutator_case("heisenberg", request)._replace(chart=chart)
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(1.5, 8) for _ in range(3)))
     f = gl.SymbolSpec.gaussian(0, 3, xi_widths=1.3)
-    gl.scaled_commutator(field, 0.1)
+    case.commutator(0.1)
     gl.group_regular_norm(f, chart, 0.3, grid)
     shift[0] = 1e-9
     with pytest.raises(ConvergenceError, match="violates its contract"):
-        gl.scaled_commutator(field, 0.1)
+        case.commutator(0.1)
     with pytest.raises(ConvergenceError, match="violates its contract"):
         gl.group_regular_norm(f, chart, 0.3, grid)
 
@@ -174,12 +175,12 @@ def test_haar_density_rejects_a_nan_jacobian():
 def test_custom_specs_give_the_builtins_scaled_commutator_bitwise(spec, builtin, request):
     # one chart implementation: the built-ins are specs too, solved by the same forward substitution
     half_width = spec["fiber_box"][0][1]
-    field = _commutator_case("heisenberg" if builtin == "heisenberg" else "custom_ax_plus_b", request)
-    custom = replace(field, chart=gl.chart_from_spec(spec))
-    reference = replace(field, chart=gl.builtin_chart(builtin, half_width=half_width))
-    t = field.t_values[1]
-    got = gl.scaled_commutator(custom, t).values
-    assert got.tobytes() == gl.scaled_commutator(reference, t).values.tobytes()
+    case = _commutator_case("heisenberg" if builtin == "heisenberg" else "custom_ax_plus_b", request)
+    custom = case._replace(chart=gl.chart_from_spec(spec))
+    reference = case._replace(chart=gl.builtin_chart(builtin, half_width=half_width))
+    t = case.t_values[1]
+    got = custom.commutator(t).values
+    assert got.tobytes() == reference.commutator(t).values.tobytes()
 
 
 # -- haar density ---------------------------------------------------------------
@@ -291,12 +292,11 @@ def test_flat_bundle_matches_fiber_convolution():
 
 def test_flat_bundle_t_independent_and_commutative():
     chart, grid, f, g = bundle_setup()
-    field = gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=(0.4, 0.2, 0.1, 0.05))
-    reference = gl.deformed_convolution(field, 0.4)
+    reference = gl.deformed_product(chart, grid, f, g, 0.4)
     for t in (0.2, 0.1, 0.05):
-        other = gl.deformed_convolution(field, t)
+        other = gl.deformed_product(chart, grid, f, g, t)
         assert np.max(np.abs(other.values - reference.values)) <= 1e-12 * gl.scale_of(reference.values)
-        commutator = gl.scaled_commutator(field, t)
+        commutator = gl.scaled_commutator(chart, grid, f, g, t)
         assert np.max(np.abs(commutator.values)) <= 1e-10
 
 
@@ -321,26 +321,30 @@ def test_kernel_composition_oracle_at_unit_scale(pair1):
 
 
 def test_real_symbols_give_real_commutator(pair1, pair1_grid64, gauss11, xxigauss11):
-    field = gl.DeformationField(
-        chart=pair1, grid=pair1_grid64, f0=gauss11, g0=xxigauss11, t_values=(0.2, 0.1, 0.05)
-    )
-    commutator = gl.scaled_commutator(field, 0.1)
+    commutator = gl.scaled_commutator(pair1, pair1_grid64, gauss11, xxigauss11, 0.1)
     assert np.max(np.abs(commutator.values.imag)) <= 1e-12 * gl.scale_of(commutator.values)
+
+
+class Case(NamedTuple):
+    """A classical-limit case: the arguments of ``classical_limit_error_table``."""
+
+    chart: gl.GroupoidChart
+    grid: gl.GridSpec
+    f0: gl.SymbolSpec
+    g0: gl.SymbolSpec
+    t_values: tuple
+
+    def commutator(self, t):
+        return gl.scaled_commutator(self.chart, self.grid, self.f0, self.g0, t)
 
 
 def _commutator_case(name, request):
     t_values = (0.2, 0.1, 0.05)
     if name == "pair":
-        return gl.DeformationField(
-            chart=request.getfixturevalue("pair1"),
-            grid=request.getfixturevalue("pair1_grid64"),
-            f0=request.getfixturevalue("gauss11"),
-            g0=request.getfixturevalue("xxigauss11"),
-            t_values=t_values,
-        )
+        fixtures = ("pair1", "pair1_grid64", "gauss11", "xxigauss11")
+        return Case(*map(request.getfixturevalue, fixtures), t_values)
     if name == "abelian_bundle":
-        chart, grid, f, g = bundle_setup()
-        return gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=t_values)
+        return Case(*bundle_setup(), t_values)
     if name == "heisenberg":
         # 11^3 nodes take many blocks of the product loop
         grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 10) for _ in range(3)))
@@ -352,7 +356,7 @@ def _commutator_case(name, request):
         g = gl.SymbolSpec.gaussian(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6])
     # the built-in ax_plus_b with the custom chart's box
     chart = gl.builtin_chart("ax_plus_b", half_width=4.0) if name == "ax_plus_b" else request.getfixturevalue(name)
-    return gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=t_values)
+    return Case(chart, grid, f, g, t_values)
 
 
 def _on_threads(callers: int, compute):
@@ -374,11 +378,11 @@ def _on_threads(callers: int, compute):
 def test_scaled_commutator_shares_the_transport_exactly(chart_name, callers, request):
     # both orderings read one transport per t; the values are those of two
     # separate products, bit for bit
-    field = _commutator_case(chart_name, request)
-    t = field.t_values[0]
-    fg = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, t)
-    gf = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, t)
-    for commutator in _on_threads(callers, lambda: gl.scaled_commutator(field, t)):
+    case = _commutator_case(chart_name, request)
+    t = case.t_values[0]
+    fg = gl.deformed_product(case.chart, case.grid, case.f0, case.g0, t)
+    gf = gl.deformed_product(case.chart, case.grid, case.g0, case.f0, t)
+    for commutator in _on_threads(callers, lambda: case.commutator(t)):
         assert commutator.values.tobytes() == ((fg.values - gf.values) / t).tobytes()
 
 
@@ -391,20 +395,20 @@ def test_scaled_commutator_shares_the_transport_exactly(chart_name, callers, req
 def test_block_size_does_not_change_the_product(chart_name, callers, budget, request, monkeypatch):
     # every node sum runs over the same contiguous row whatever the blocks, and
     # forward substitution solves each point on its own
-    field = _commutator_case(chart_name, request)
-    t = field.t_values[1]
-    default = gl.scaled_commutator(field, t).values
+    case = _commutator_case(chart_name, request)
+    t = case.t_values[1]
+    default = case.commutator(t).values
     monkeypatch.setattr(deformation, "_BLOCK_POINTS", budget)
-    for blocked in _on_threads(callers, lambda: gl.scaled_commutator(field, t).values):
+    for blocked in _on_threads(callers, lambda: case.commutator(t).values):
         assert blocked.tobytes() == default.tobytes()
 
 
 def test_consecutive_products_do_not_alias(request):
     # the block arrays are reused inside a product, never handed out
-    field = _commutator_case("heisenberg", request)
-    first = gl.deformed_product(field.chart, field.grid, field.f0, field.g0, 0.1)
+    case = _commutator_case("heisenberg", request)
+    first = gl.deformed_product(case.chart, case.grid, case.f0, case.g0, 0.1)
     kept = first.values.copy()
-    second = gl.deformed_product(field.chart, field.grid, field.g0, field.f0, 0.1)
+    second = gl.deformed_product(case.chart, case.grid, case.g0, case.f0, 0.1)
     assert not np.shares_memory(first.values, second.values)
     assert first.values.tobytes() == kept.tobytes()
 
@@ -413,14 +417,14 @@ def test_consecutive_products_do_not_alias(request):
 def test_transported_coordinates_span_the_axes_they_depend_on(chart_name, request):
     # the layout is (base node, output axes, integration axes); a block of
     # 2 * 11 * 11 heisenberg output nodes takes two first-axis slices
-    field = _commutator_case(chart_name, request)
+    case = _commutator_case(chart_name, request)
     t = 0.1
-    transport = deformation._Transport(field.chart, field.grid, t)
+    transport = deformation._Transport(case.chart, case.grid, t)
     rows = 242 if chart_name == "heisenberg" else 3
-    _, (start, block, sizes), *_ = deformation._node_blocks(field.grid.fiber_shape, rows)
+    _, (start, block, sizes), *_ = deformation._node_blocks(case.grid.fiber_shape, rows)
     points = transport.solve(block)
-    K, n, m = len(transport.rho), field.chart.base_dim, field.chart.fiber_dim
-    batch, count = (K,) + sizes + field.grid.fiber_shape, int(np.prod(sizes))
+    K, n, m = len(transport.rho), case.chart.base_dim, case.chart.fiber_dim
+    batch, count = (K,) + sizes + case.grid.fiber_shape, int(np.prod(sizes))
     if chart_name == "heisenberg":
         assert batch == (1, 2, 11, 11, 11, 11, 11)
         # w1 = t xi1 - t eta1 and w2 read one output and one integration axis, w3 every axis
@@ -430,10 +434,10 @@ def test_transported_coordinates_span_the_axes_they_depend_on(chart_name, reques
         # w = t xi - t eta reads no base node
         assert [p.shape for p in points] == [(1, 3, 65)]
     # the values are those of a solve on interleaved (..., m) points
-    eta = field.grid.fiber_points_flat()
+    eta = case.grid.fiber_points_flat()
     H = len(eta)
     u = transport.base.reshape(K, 1, 1, n)
-    want = gl.solve_product(field.chart, u, t * eta[None, None], t * eta[None, start : start + count, None])
+    want = gl.solve_product(case.chart, u, t * eta[None, None], t * eta[None, start : start + count, None])
     got = np.stack([np.broadcast_to(p, batch).reshape(K, count, H) for p in points], axis=-1)
     assert got.shape == (K, count, H, m)
     assert got.tobytes() == (want / t).tobytes()
@@ -457,21 +461,21 @@ def test_planes_solve_and_check_like_interleaved_points(coordinate, heisenberg):
 @pytest.mark.parametrize("chart_name", ["custom_ax_plus_b", "heisenberg"])
 def test_a_newton_chart_transports_like_its_closed_form(chart_name, request):
     # without a closed-form solver the transport's planes are broadcast to each block for Newton
-    field = _commutator_case(chart_name, request)
-    newton = replace(field, chart=replace(field.chart, product_solver=None))
-    t = field.t_values[1]
-    want = gl.scaled_commutator(field, t).values
-    got = gl.scaled_commutator(newton, t).values
+    case = _commutator_case(chart_name, request)
+    newton = case._replace(chart=replace(case.chart, product_solver=None))
+    t = case.t_values[1]
+    want = case.commutator(t).values
+    got = newton.commutator(t).values
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_scaled_commutator_memory_is_bounded_by_its_blocks(request):
     # 13^3 nodes: a whole (H, H, m) transport would be 116 MB
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 12) for _ in range(3)))
-    field = replace(_commutator_case("heisenberg", request), grid=grid)
+    case = _commutator_case("heisenberg", request)._replace(grid=grid)
     tracemalloc.start()
     try:
-        gl.scaled_commutator(field, 0.1)
+        case.commutator(0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,37 +537,48 @@ def test_associativity_at_fixed_scale(pair1):
     assert coarse / fine >= 2.0  # first-kind interpolation error, O(h^2)
 
 
-# -- field validation -------------------------------------------------------------
+# -- sweep validation -------------------------------------------------------------
+# three or more t values each, so the limit rule's length is not what rejects them
 
 def test_field_rejects_zero_and_increasing_t(pair1, pair1_grid64, gauss11):
-    with pytest.raises(GroupoidLabError, match="nonzero"):
-        gl.DeformationField(chart=pair1, grid=pair1_grid64, f0=gauss11, g0=gauss11, t_values=(0.2, 0.0))
+    # a zero t is reported as such, not met by a division in the ratio test
+    for t_values in ((0.2, 0.1, 0.0), (0.0, 0.1, 0.2)):
+        with pytest.raises(GroupoidLabError, match="nonzero"):
+            gl.classical_limit_error_table(pair1, pair1_grid64, gauss11, gauss11, t_values)
     with pytest.raises(GroupoidLabError, match="decrease"):
-        gl.DeformationField(chart=pair1, grid=pair1_grid64, f0=gauss11, g0=gauss11, t_values=(0.1, 0.2))
+        gl.classical_limit_error_table(pair1, pair1_grid64, gauss11, gauss11, (0.1, 0.2, 0.4))
 
 
 def test_field_rejects_out_of_box_scale(gauss11):
     chart = gl.builtin_chart("pair", n=1, half_width=3.0)
     grid = gl.GridSpec(base=(gl.Axis.centered(2.0, 16),), fiber=(gl.Axis.centered(8.0, 64),))
     with pytest.raises(GroupoidLabError, match="outside its box"):
-        gl.DeformationField(chart=chart, grid=grid, f0=gauss11, g0=gauss11, t_values=(0.5, 0.25))
+        gl.classical_limit_error_table(chart, grid, gauss11, gauss11, (0.5, 0.25, 0.125))
 
 
 def test_table_requires_geometric_sweep(pair1, pair1_grid64, gauss11, xxigauss11):
-    field = gl.DeformationField(
-        chart=pair1, grid=pair1_grid64, f0=gauss11, g0=xxigauss11, t_values=(0.2, 0.1, 0.07)
-    )
     with pytest.raises(GroupoidLabError, match="geometric"):
-        gl.classical_limit_error_table(field)
+        gl.classical_limit_error_table(pair1, pair1_grid64, gauss11, xxigauss11, (0.2, 0.1, 0.07))
+
+
+@pytest.mark.parametrize("t_values", [(0.2, 0.1), (0.2, 0.1, 0.07), (0.5, 0.25, 0.125), (0.0, 0.1, 0.2)])
+def test_table_rejects_a_sweep_before_any_computation(t_values, monkeypatch, gauss11):
+    # each sweep breaks one rule: the limit rule's length, its ratios, the chart box, the zero
+    chart = gl.builtin_chart("pair", n=1, half_width=3.0)
+    grid = gl.GridSpec(base=(gl.Axis.centered(2.0, 16),), fiber=(gl.Axis.centered(8.0, 16),))
+
+    def computed(*args):
+        raise AssertionError("the bracket was computed before the sweep was checked")
+
+    monkeypatch.setattr(deformation, "poisson_bracket", computed)
+    with pytest.raises(GroupoidLabError):
+        gl.classical_limit_error_table(chart, grid, gauss11, gauss11, t_values)
 
 
 # -- the limit itself --------------------------------------------------------------
 
 def test_classical_limit_additive_chart(pair1, pair1_grid64, gauss11, xxigauss11):
-    field = gl.DeformationField(
-        chart=pair1, grid=pair1_grid64, f0=gauss11, g0=xxigauss11, t_values=(0.2, 0.1, 0.05)
-    )
-    table = gl.classical_limit_error_table(field)
+    table = gl.classical_limit_error_table(pair1, pair1_grid64, gauss11, xxigauss11, (0.2, 0.1, 0.05))
     assert table.errors_decreasing()
     for ratio in table.ratios():
         assert 0.35 <= ratio <= 0.65
@@ -575,8 +590,7 @@ def test_classical_limit_ax_plus_b_first_order():
     grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.5, 24), gl.Axis.centered(3.5, 24)))
     f = gl.SymbolSpec.gaussian(0, 2, xi_widths=[2.5, 2.5])
     g = gl.SymbolSpec.gaussian(0, 2, xi_powers=[1, 0], xi_widths=[3.0, 2.6])
-    field = gl.DeformationField(chart=chart, grid=grid, f0=f, g0=g, t_values=(0.2, 0.1, 0.05))
-    table = gl.classical_limit_error_table(field)
+    table = gl.classical_limit_error_table(chart, grid, f, g, (0.2, 0.1, 0.05))
     assert table.errors_decreasing()
     for ratio in table.ratios():
         assert 0.35 <= ratio <= 0.65

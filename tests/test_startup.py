@@ -75,11 +75,11 @@ def test_only_the_float_table_commands_load_the_formatter(tmp_path):
 
 @pytest.mark.parametrize("command, config", [("deform", "pair1_deform.json"), ("normfield", "pair1_normfield.json")])
 def test_only_the_rebuilt_classes_are_dataclasses(command, config):
-    # the benchmark's tracer and the tests rebuild charts, configs and fields
-    # with dataclasses.replace, and SymbolSpec keeps its own + and -; every
-    # other record is a NamedTuple, which builds without generated code
+    # the benchmark's tracer and the tests rebuild charts and configs with
+    # dataclasses.replace, and SymbolSpec keeps its own + and -; every other
+    # record is a NamedTuple, which builds without generated code
     names = _modules_after(_run_command(command, config), DATACLASSES)
-    assert set(names) == {"GroupoidChart", "RunConfig", "DeformationField", "SymbolSpec"}
+    assert set(names) == {"GroupoidChart", "RunConfig", "SymbolSpec"}
 
 
 def test_the_trace_targets_resolve_and_configs_rebuild_after_importing_the_cli():

@@ -75,7 +75,6 @@ _EXPORTS = {
         "fourier_transform",
         "inverse_fourier",
         "poisson_bracket",
-        "poisson_bracket_both_orders",
         "select_dual_grid",
         "unit_weight_on_grid",
     ),

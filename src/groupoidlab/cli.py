@@ -10,6 +10,11 @@ Commands map one-to-one onto the package operations:
 * ``deform``        the classical-limit error table over the t sweep,
 * ``normfield``     the operator-norm curve with its t = 0 value.
 
+One parser reads ``<command>`` and the five options every command takes,
+in any order.  ``cli`` keeps no rule of its own: :func:`load_config` checks
+the file, the ``--seed`` override and the command's rules in one pass, so a
+bad run lists every violation at once.
+
 Exit codes: 0 all configured thresholds pass, 1 computation failure (an
 allocation that does not fit in memory too) or a failed threshold, 2 config
 or usage error.  Output files are byte-identical
@@ -30,17 +35,14 @@ import argparse
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, limit_sweep_problems, load_config
+from .config import RunConfig, command_problems, load_config
 from .errors import ConfigError, DecayWarning, GroupoidLabError
-from .grids import boundary_fraction, scale_of
+from .grids import boundary_fraction
 from .reports import Check, ReportBundle, write_csv, write_json
-
-COMMANDS = ("validate", "algebroid", "bracket", "fourier-check", "deform", "normfield")
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +95,12 @@ def _cmd_algebroid(config: RunConfig) -> ReportBundle:
 
 
 def _cmd_bracket(config: RunConfig) -> ReportBundle:
-    from .poisson import DUAL_DECAY_THRESHOLD, poisson_bracket_both_orders
+    from .poisson import DUAL_DECAY_THRESHOLD, poisson_bracket
 
-    config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
-    forward, backward = poisson_bracket_both_orders(config.symbols["f"], config.symbols["g"], chart, grid)
-    antisym = float(np.max(np.abs(forward.values + backward.values))) / scale_of(
-        forward.values, backward.values
-    )
+    forward = poisson_bracket(config.symbols["f"], config.symbols["g"], chart, grid)
+    # the (g, f) bracket is -forward bit for bit, so the two cancel wherever the values are finite
+    antisym = 0.0 if np.isfinite(forward.values).all() else float("nan")
 
     header = [f"x_{j + 1}" for j in range(grid.base_dim)]
     header += [f"xi_{i + 1}" for i in range(grid.fiber_dim)]
@@ -125,7 +125,6 @@ def _cmd_bracket(config: RunConfig) -> ReportBundle:
 def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
     from .poisson import fourier_check
 
-    config.require_symbols("f", "g")
     chart, grid, tol = config.chart, config.grid, config.tolerances
     result = fourier_check(config.symbols["f"], config.symbols["g"], chart, grid)
     roundtrip, convtheo = result.roundtrip, result.convolution_theorem
@@ -163,7 +162,6 @@ def _cmd_fourier_check(config: RunConfig) -> ReportBundle:
 def _cmd_deform(config: RunConfig) -> ReportBundle:
     from .deformation import classical_limit_error_table
 
-    config.require_symbols("f", "g", problems=limit_sweep_problems(config.t_values))
     tol = config.tolerances
     table = classical_limit_error_table(
         config.chart, config.grid, config.symbols["f"], config.symbols["g"], config.t_values
@@ -213,7 +211,6 @@ def _cmd_deform(config: RunConfig) -> ReportBundle:
 def _cmd_normfield(config: RunConfig) -> ReportBundle:
     from .normfield import norm_curve
 
-    config.require_symbols("f", problems=[] if config.t_values else ["normfield needs a t sweep"])
     tol = config.tolerances
     curve = norm_curve(config.symbols["f"], config.chart, config.t_values, config.grid)
     deltas = curve.deltas()
@@ -274,10 +271,13 @@ def run_command(
 
     Returns the bundle; ``bundle.passed`` drives the exit status and
     ``bundle.seconds`` is the command's wall time.  Under ``config.strict``
-    every DecayWarning the command raises is an error.
+    every DecayWarning the command raises is an error.  A config that breaks
+    the command's rules (:func:`groupoidlab.config.command_problems`) raises
+    one ConfigError listing them.
     """
-    if name not in _IMPLEMENTATIONS:
-        raise ConfigError([f"unknown command {name!r}; have {sorted(_IMPLEMENTATIONS)}"])
+    problems = command_problems(name, config.symbols, config.t_values)
+    if problems:
+        raise ConfigError(problems)
     start = time.perf_counter()
     with warnings.catch_warnings():
         if config.strict:
@@ -310,30 +310,18 @@ def main(argv=None) -> int:
         prog="groupoidlab",
         description="chart-level groupoid laws, brackets, deformation and norm curves",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--output", default=None, help="directory for report files")
-        p.add_argument("--plot", action="store_true", help="emit SVG plots")
-        p.add_argument("--strict", action="store_true", help="promote decay warnings to errors")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed override")
+    parser.add_argument("command", choices=tuple(_IMPLEMENTATIONS))
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--output", default=None, help="directory for report files")
+    parser.add_argument("--plot", action="store_true", help="emit SVG plots")
+    parser.add_argument("--strict", action="store_true", help="promote decay warnings to errors")
+    parser.add_argument("--seed", type=int, default=None, help="sampling seed override")
     args = parser.parse_args(argv)
     if args.output is not None and Path(args.output).exists() and not Path(args.output).is_dir():
         parser.error(f"--output {args.output} exists and is not a directory")
 
     try:
-        config = load_config(args.config, strict=args.strict)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(["seed must be a nonnegative integer"])
-            config = replace(config, seed=args.seed)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return 2
-
-    try:
+        config = load_config(args.config, strict=args.strict, seed=args.seed, command=args.command)
         bundle = run_command(args.command, config, args.output, args.plot)
     except ConfigError as exc:
         for violation in exc.violations:

@@ -4,8 +4,10 @@ A config names a chart (built-in with parameters, or a custom expression
 chart), a grid, the symbols, the parameter sweep and the sampling seed.
 Validation happens before any computation and collects every violation it
 can find rather than stopping at the first; a key that its object does not
-read (its ``*_KEYS`` tuple) is one.  The t-sweep rules live here too; the
-deformation layers import them from this module.
+read (its ``*_KEYS`` tuple) is one.  A run's inputs are all checked here, in
+one pass: the file, the ``--seed`` override and the rules of the command
+that reads them (:data:`COMMAND_RULES`).  The t-sweep rules live here too;
+the deformation and norm layers import them from this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .charts import BUILTIN_CHARTS, FD_STEP, GroupoidChart, builtin_chart, chart_from_spec
 from .errors import ConfigError, json_number
@@ -24,6 +26,8 @@ from .symbols import SymbolSpec, decay_problems, parse_symbol
 
 MIN_AXIS_INTERVALS = 8
 MAX_GRID_NODES = 1 << 24  # one complex sample on this many nodes takes 256 MiB
+# past about 2^60 validate's candidate arrays exceed numpy's size limit, a ValueError, not a MemoryError
+MAX_SAMPLE_COUNT = 1 << 40
 KEYS = ("chart", "grid", "symbols", "t_values", "seed", "sample_count", "tolerances")
 BUILTIN_CHART_KEYS = ("builtin", "params")
 CUSTOM_CHART_KEYS = ("custom",)
@@ -63,14 +67,6 @@ class RunConfig:
     sample_count: int
     strict: bool
     tolerances: Tolerances
-
-    def require_symbols(self, *names: str, problems: Sequence[str] = ()):
-        """Raise one ConfigError listing the symbols of ``names`` the config lacks and the command's ``problems``."""
-        missing = [n for n in names if n not in self.symbols]
-        if missing:
-            problems = [f"config is missing symbol(s) {missing} for this command", *problems]
-        if problems:
-            raise ConfigError(problems)
 
 
 def _unknown_keys(cfg: dict, allowed: tuple, what: str, problems: list[str]) -> list[str]:
@@ -205,6 +201,32 @@ def limit_sweep_problems(t_values: Sequence[float]) -> list[str]:
     return []
 
 
+def norm_sweep_problems(t_values: Sequence[float]) -> list[str]:
+    """Violations of the norm-curve rule: at least one t value."""
+    return [] if len(t_values) else ["the norm sweep needs at least one t value"]
+
+
+# command -> the symbols it reads and the rule its t sweep keeps beyond sweep_problems
+COMMAND_RULES = {
+    "validate": ((), None),
+    "algebroid": ((), None),
+    "bracket": (("f", "g"), None),
+    "fourier-check": (("f", "g"), None),
+    "deform": (("f", "g"), limit_sweep_problems),
+    "normfield": (("f",), norm_sweep_problems),
+}
+
+
+def command_problems(command: str, symbols: Container[str], t_values: Sequence[float]) -> list[str]:
+    """Violations of ``command``'s rules by a config of the named ``symbols`` and sweep ``t_values``."""
+    if command not in COMMAND_RULES:
+        return [f"unknown command {command!r}; have {sorted(COMMAND_RULES)}"]
+    names, sweep_rule = COMMAND_RULES[command]
+    missing = [name for name in names if name not in symbols]
+    problems = [f"config is missing symbol(s) {missing} for this command"] if missing else []
+    return problems + (sweep_rule(t_values) if sweep_rule else [])
+
+
 def deformation_domain_problems(
     chart: GroupoidChart, grid: GridSpec, t_values: Sequence[float]
 ) -> list[str]:
@@ -232,10 +254,13 @@ def deformation_domain_problems(
     return problems
 
 
-def build_config(raw: dict, strict: bool = False) -> RunConfig:
-    """Validate a parsed JSON document into a RunConfig; raises ConfigError.
+def build_config(raw: dict, strict: bool = False, seed: int | None = None, command: str | None = None) -> RunConfig:
+    """Validate a parsed JSON document into a RunConfig; raises one ConfigError listing every violation.
 
-    Under ``strict`` (``--strict``) a named symbol that does not decay at the grid edge is a violation.
+    Under ``strict`` (``--strict``) a named symbol that does not decay at the
+    grid edge is a violation.  A ``seed`` (``--seed``) replaces the document's
+    and is checked by the same rule; ``raw`` keeps the document's.  With a
+    ``command`` its rules (:func:`command_problems`) are checked too.
     """
     problems: list[str] = []
     if not isinstance(raw, dict):
@@ -245,8 +270,9 @@ def build_config(raw: dict, strict: bool = False) -> RunConfig:
     chart = _build_chart(raw, problems)
     grid = _build_grid(raw, chart, problems)
 
-    seed = _count(raw, "seed", 2024, 0, "seed must be a nonnegative integer", problems)
-    sample_count = _count(raw, "sample_count", 100, 1, "sample_count must be a positive integer", problems)
+    seed = _count(raw if seed is None else {"seed": seed}, "seed", 2024, 0, "seed must be a nonnegative integer", problems)
+    sample_count = _count(raw, "sample_count", 100, 1, "sample_count must be a positive integer of at most 2^40",
+                          problems, MAX_SAMPLE_COUNT)
 
     tol_cfg = raw.get("tolerances", {})
     tolerances = Tolerances()
@@ -300,6 +326,8 @@ def build_config(raw: dict, strict: bool = False) -> RunConfig:
         if strict:
             for name, spec in symbols.items():
                 problems.extend(decay_problems(spec, grid, f"symbol {name!r}"))
+    if command is not None:
+        problems.extend(command_problems(command, sym_cfg, t_values))
 
     if problems:
         raise ConfigError(problems)
@@ -317,11 +345,11 @@ def build_config(raw: dict, strict: bool = False) -> RunConfig:
     )
 
 
-def _count(raw: dict, key: str, default: int, least: int, requirement: str, problems: list[str]) -> int:
-    """``raw[key]`` (``default`` if absent), an integer of at least ``least``; a violation reads as ``default``."""
+def _count(raw: dict, key: str, default: int, least: int, requirement: str, problems: list[str], most=math.inf) -> int:
+    """``raw[key]`` (``default`` if absent), an integer from ``least`` to ``most``; a violation reads as ``default``."""
     try:
         value = json_number(raw.get(key, default), requirement, integer=True)
-        if value >= least:
+        if least <= value <= most:
             return value
         problems.append(requirement)
     except (TypeError, ValueError) as exc:
@@ -335,8 +363,8 @@ def _finite_number(value) -> bool:
     return number and abs(value) <= sys.float_info.max
 
 
-def load_config(path, strict: bool = False) -> RunConfig:
-    """Read and validate a JSON config file; ``strict`` as in :func:`build_config`."""
+def load_config(path, strict: bool = False, seed: int | None = None, command: str | None = None) -> RunConfig:
+    """Read and validate a JSON config file; ``strict``, ``seed`` and ``command`` as in :func:`build_config`."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -352,4 +380,4 @@ def load_config(path, strict: bool = False) -> RunConfig:
         raise ConfigError(
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         )
-    return build_config(raw, strict)
+    return build_config(raw, strict, seed, command)

@@ -168,8 +168,6 @@ class _Transport:
     """
 
     def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
-        if t == 0.0:
-            raise GroupoidLabError("deformed product needs t != 0")
         problems = deformation_domain_problems(chart, grid, [t])
         if problems:
             raise DomainError("; ".join(problems))
@@ -334,11 +332,11 @@ def classical_limit_error_table(
     density does.  The sweep's domain rule and limit rule
     (:func:`groupoidlab.config.deformation_domain_problems`,
     :func:`groupoidlab.config.limit_sweep_problems`) are checked together,
-    before any computation.
+    before any computation; a violation raises DomainError.
     """
     problems = deformation_domain_problems(chart, grid, t_values) + limit_sweep_problems(t_values)
     if problems:
-        raise GroupoidLabError("; ".join(problems))
+        raise DomainError("; ".join(problems))
 
     bracket = poisson_bracket(f0, g0, chart, grid)
     target = bracket.values / TWO_PI_I

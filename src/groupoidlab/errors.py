@@ -9,7 +9,11 @@ class GroupoidLabError(Exception):
 
 
 class DomainError(GroupoidLabError):
-    """A point left its coordinate box; chart maps are only defined on the boxes."""
+    """An input outside a computation's domain: a point outside its coordinate box, or a bad t sweep.
+
+    Chart maps are only defined on the boxes; the sweep rules are those of
+    :mod:`groupoidlab.config`.
+    """
 
 
 class SamplingError(GroupoidLabError):

@@ -41,8 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .charts import GroupoidChart
-from .config import sweep_problems
-from .deformation import _BLOCK_POINTS, _node_blocks, _Transport
+from .config import norm_sweep_problems, sweep_problems
 from .errors import ConvergenceError, DomainError, GroupoidLabError
 from .expressions import Planes, split
 from .grids import GridSpec, interpolation_corners
@@ -184,6 +183,9 @@ def _pair_weighted_matrix(
 ) -> np.ndarray:
     if grid.base_dim == 0:
         raise GroupoidLabError("pair kernels need a base grid")
+    problems = sweep_problems([t])
+    if problems:
+        raise DomainError("; ".join(problems))
     n = grid.base_dim
     pts = grid.base_points_flat()  # (K, n)
     K = pts.shape[0]
@@ -210,8 +212,6 @@ def _pair_row(
     f0: SymbolSpec, t: float, grid: GridSpec, mu_on_base, cstar: bool = False
 ) -> tuple[NormRow, float | None]:
     """:func:`pair_kernel_norm`, and with ``cstar`` the :func:`pair_cstar_identity_residual` of its matrix."""
-    if t == 0.0:
-        raise GroupoidLabError("pair kernel norm needs t != 0")
     weighted = _pair_weighted_matrix(f0, t, grid, mu_on_base)
     sigma, residual, _ = power_iteration_sigma(weighted)
     row = NormRow(t=float(t), value=sigma, residual=residual, size=weighted.shape[0])
@@ -278,6 +278,8 @@ def group_regular_norm(
     (multilinear interpolation spreads each transported point over its cell's
     corners).  Only base-dimension-0 charts are supported.
     """
+    from .deformation import _BLOCK_POINTS, _node_blocks, _Transport  # here, so a pair chart's curve never loads it
+
     if chart.base_dim != 0:
         raise GroupoidLabError("regular-action norms are implemented for base dimension 0")
     transport = _Transport(chart, grid, t)
@@ -343,13 +345,14 @@ def norm_curve(
     Every row carries the chart's unit weight: the pair kernels and the t = 0
     row read it on the base grid, the regular action through the Haar density.
     Each row assembles and solves its matrix once; on pair charts the first
-    row's also gives ``cstar_identity``.  An empty sweep, or one that breaks
-    the sweep rule, raises GroupoidLabError.
+    row's also gives ``cstar_identity``.  A sweep that breaks a sweep rule
+    (:func:`groupoidlab.config.norm_sweep_problems`,
+    :func:`groupoidlab.config.sweep_problems`) raises DomainError.
     """
     ts = [float(t) for t in t_values]
-    problems = sweep_problems(ts) if ts else ["a norm curve needs at least one t"]
+    problems = norm_sweep_problems(ts) + sweep_problems(ts)
     if problems:
-        raise GroupoidLabError("; ".join(problems))
+        raise DomainError("; ".join(problems))
     mu = unit_weight_on_grid(chart, grid)
     rows, cstar = [], None
     for t in ts:

@@ -257,34 +257,17 @@ def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
     operation, e.g. ``d/dxi_2 (xi_1 f)``.
     """
     mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu)[0]
+    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu)
 
 
-def poisson_bracket_both_orders(
-    f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
-) -> tuple[SampledSymbol, SampledSymbol]:
-    """:func:`poisson_bracket` of ``(f, g)`` and of ``(g, f)`` from one sampling.
-
-    The second swaps the two products of every term of the first, so it adds
-    one inverse transform and no sample or forward transform; decay warnings
-    name each sample once, by its role in ``(f, g)``.
-    """
-    mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu, both_orders=True)
-
-
-def _bracket(
-    f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray,
-    both_orders: bool = False,
-) -> tuple[SampledSymbol, ...]:
+def _bracket(f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray) -> SampledSymbol:
     """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``.
 
     In spectral space: the coefficients (``a_ij``, ``a_ij lg_j``, ``-c_ijk / 2``)
     are real functions of the base point, so each distinct operand is
     transformed once, ``c (F(a w) F(b) - F(c w) F(d))`` is summed in term order
     and one inverse transform ends it.  Swapping f and g swaps the two products
-    of every term, which negates the result bitwise; ``both_orders`` returns
-    that bracket of ``(g, f)`` after the one of ``(f, g)``.  A real bracket /
+    of every term, which negates the result bitwise.  A real bracket /
     (2 pi i) takes the real FFT, and the result's real part is +0.
     """
     _op_grid_check(f, grid)
@@ -334,18 +317,13 @@ def _bracket(
     transform = functools.cache(lambda name, weighted: spectra.transform(samples[name], weighted))
     product = lambda a, b: transform(a, True) * transform(b, False)
 
-    def bracket(terms: list) -> SampledSymbol:
-        spectrum = sum(_with_fiber_axes(w, grid) * (product(a, b) - product(c, d)) for w, a, b, c, d in terms)
-        values = np.zeros(grid.shape, dtype=complex)
-        if terms and real:  # TWO_PI_I * x would give the real part -0 where x < 0
-            values.imag = TWO_PI_I.imag * spectra.convolution(spectrum, mu)
-        elif terms:
-            values = TWO_PI_I * spectra.convolution(spectrum, mu)
-        return SampledSymbol(values=values, grid=grid)
-
-    if not both_orders:
-        return (bracket(terms),)
-    return bracket(terms), bracket([(w, c, d, a, b) for w, a, b, c, d in terms])
+    spectrum = sum(_with_fiber_axes(w, grid) * (product(a, b) - product(c, d)) for w, a, b, c, d in terms)
+    values = np.zeros(grid.shape, dtype=complex)
+    if terms and real:  # TWO_PI_I * x would give the real part -0 where x < 0
+        values.imag = TWO_PI_I.imag * spectra.convolution(spectrum, mu)
+    elif terms:
+        values = TWO_PI_I * spectra.convolution(spectrum, mu)
+    return SampledSymbol(values=values, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +419,7 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     data = None
     if is_unit_weight(mu):
         data = _algebroid_data(chart, grid)
-        sampled.append(_bracket(f, g, data, grid, mu)[0])
+        sampled.append(_bracket(f, g, data, grid, mu))
     _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
     Ff, Fg, Fconv = transforms[:3]
 

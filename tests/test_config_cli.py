@@ -647,6 +647,8 @@ MALFORMED = [
     ("fractional_seed", minimal_config(seed=2024.5), "seed must be a nonnegative integer"),
     ("fractional_sample_count", minimal_config(sample_count=100.5), "sample_count must be a positive integer"),
     ("zero_sample_count", minimal_config(sample_count=0.0), "sample_count must be a positive integer"),
+    # found by test_config_fuzz.py: validate's candidate arrays passed numpy's size limit (a traceback)
+    ("sample_count_beyond_any_array", minimal_config(sample_count=1e308), "sample_count must be a positive integer of at most 2^40"),
     ("unsupported_quadrature", _grid_override(quadrature="simpson"), "unknown grid key(s) ['quadrature']"),
     # a JSON boolean is not a number wherever a number is read
     ("boolean_half_width", _grid_override(base=[{"half_width": True, "intervals": 16}]), "half_width must be a number"),
@@ -697,17 +699,96 @@ def test_integral_float_counts_are_accepted(key, value):
     "command, overrides, violations",
     [
         ("deform", {"t_values": [0.2, 0.1], "symbols": {"f": []}}, ["['g']", "at least three t values"]),
-        ("normfield", {"t_values": [], "symbols": {"g": []}}, ["['f']", "normfield needs a t sweep"]),
+        ("normfield", {"t_values": [], "symbols": {"g": []}}, ["['f']", "the norm sweep needs at least one t value"]),
+        # the flag is checked in the same pass as the file and the command's rules
+        (
+            "deform --seed -1",
+            {"t_values": [0.2, 0.1], "symbols": {"f": []}},
+            ["seed must be a nonnegative integer", "['g']", "at least three t values"],
+        ),
     ],
 )
 def test_the_cli_lists_every_command_violation(command, overrides, violations, tmp_path, capsys):
     # the missing symbols and the command's own sweep rule, in one run
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_pair1_deform(**overrides)))
-    assert main([command, "--config", str(path)]) == 2
-    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
-    assert len(lines) == 2
+    assert main([*command.split(), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(lines) == len(violations)
     assert all(want in line for want, line in zip(violations, lines)), lines
+    assert "Traceback" not in err
+
+
+def test_a_seed_flag_replaces_a_bad_file_seed(tmp_path):
+    raw = _pair1_deform(seed=-1)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["deform", "--config", str(path), "--seed", "5", "--output", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "deform_summary.json").read_text())
+    assert summary["config_sha256"] == config_hash(raw)  # the file as read, not as overridden
+    assert gl.load_config(path, seed=5).seed == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frobnicate", "--config", str(CONFIGS / "pair1_deform.json")], ["deform"], []],
+    ids=["unknown_command", "no_config", "nothing"],
+)
+def test_a_bad_command_line_exits_2_without_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: groupoidlab") and "Traceback" not in err
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    argv = ["--config", str(CONFIGS / "pair1_deform.json"), "--output", str(tmp_path), "algebroid"]
+    assert main(argv) == 0
+    assert (tmp_path / "algebroid_summary.json").exists()
+
+
+def test_a_non_finite_bracket_fails_the_antisymmetry_check(monkeypatch, capsys):
+    # one NaN sample makes the bracket non-finite: its (g, f) bracket cancels it nowhere
+    from groupoidlab import poisson
+
+    op_values = poisson._op_values
+
+    def with_nan(op, grid, name):
+        values = np.array(op_values(op, grid, name))
+        values.reshape(-1)[values.size // 2] = np.nan
+        return values
+
+    monkeypatch.setattr(poisson, "_op_values", with_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["bracket", "--config", str(CONFIGS / "pair1_fourier.json")]) == 1
+    err = capsys.readouterr().err
+    assert "[groupoidlab] antisymmetry: FAIL (value nan" in err
+    assert "Traceback" not in err
+
+
+# every entry point that computes at one t, and a sweep through them, meet a zero t with one rule
+ZERO_T_CALLS = {
+    "deformed_product": lambda c, f: gl.deformed_product(c.chart, c.grid, f, f, 0.0),
+    "scaled_commutator": lambda c, f: gl.scaled_commutator(c.chart, c.grid, f, f, 0.0),
+    "limit_table": lambda c, f: gl.classical_limit_error_table(c.chart, c.grid, f, f, (0.2, 0.1, 0.0)),
+    "pair_kernel_norm": lambda c, f: gl.pair_kernel_norm(f, 0.0, c.grid),
+    "pair_cstar_identity_residual": lambda c, f: gl.pair_cstar_identity_residual(f, 0.0, c.grid),
+    "norm_curve": lambda c, f: gl.norm_curve(f, c.chart, (0.2, 0.0), c.grid),
+    "group_regular_norm": lambda c, f: gl.group_regular_norm(
+        gl.SymbolSpec.gaussian(0, 3), gl.builtin_chart("heisenberg"), 0.0,
+        gl.GridSpec(base=(), fiber=(gl.Axis.centered(5.0, 8),) * 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", ZERO_T_CALLS.values(), ids=ZERO_T_CALLS.keys())
+def test_a_zero_t_raises_the_sweep_rule_everywhere(call):
+    config = gl.build_config(minimal_config())
+    with pytest.raises(gl.DomainError, match="^t must be nonzero in sweep$"):
+        call(config, gl.SymbolSpec.gaussian(1, 1))
 
 
 # three t values each, so the limit table's own rule (three or more, geometric) is not what rejects them

@@ -342,7 +342,7 @@ def test_a_custom_chart_never_takes_the_pair_kernel():
 
 def test_norm_curve_rejects_an_empty_sweep(pair1):
     grid = gl.GridSpec(base=(gl.Axis.centered(4.0, 16),), fiber=(gl.Axis.centered(8.0, 32),))
-    with pytest.raises(GroupoidLabError, match="at least one t"):
+    with pytest.raises(DomainError, match="^the norm sweep needs at least one t value$"):
         gl.norm_curve(gl.SymbolSpec.gaussian(1, 1), pair1, [], grid)
 
 
@@ -440,7 +440,7 @@ def test_regular_action_matrix_does_not_depend_on_its_blocks(chart_name, budget,
     sigma = gl.normfield.power_iteration_sigma
     monkeypatch.setattr(gl.normfield, "power_iteration_sigma", lambda a: captured.append(a) or sigma(a))
     gl.group_regular_norm(f, chart, 0.3, grid)
-    monkeypatch.setattr(gl.normfield, "_BLOCK_POINTS", budget)
+    monkeypatch.setattr(gl.deformation, "_BLOCK_POINTS", budget)  # the budget group_regular_norm imports
     gl.group_regular_norm(f, chart, 0.3, grid)
     default, blocked = captured
     assert blocked.tobytes() == default.tobytes()

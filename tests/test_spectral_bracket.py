@@ -156,37 +156,13 @@ def test_spectral_bracket_is_antisymmetric_bitwise(case):
         assert not np.signbit(backward.values.real).any()
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_both_orders_are_the_two_brackets_bitwise_with_one_more_inverse(case, monkeypatch):
-    chart, grid, f, g = CASES[case]()
-    expected = [gl.poisson_bracket(a, b, chart, grid).values for a, b in ((f, g), (g, f))]
-
-    def fft_calls(bracket):
-        calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, _counted(name, getattr(np.fft, name), calls))
-        result = bracket(f, g, chart, grid)
-        monkeypatch.undo()
-        return calls, result
-
-    single, _ = fft_calls(gl.poisson_bracket)
-    both, got = fft_calls(gl.poisson_bracket_both_orders)
-    assert [s.values.tobytes() for s in got] == [e.tobytes() for e in expected]
-    assert both == single + single[-1:]
-
-
-def _decay_messages(bracket, config):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", gl.DecayWarning)
-        bracket(config.symbols["f"], config.symbols["g"], config.chart, config.grid)
-    return [str(w.message) for w in caught if issubclass(w.category, gl.DecayWarning)]
-
-
-def test_both_orders_warn_as_one_bracket():
+def test_the_bracket_warns_once_per_sample():
     # heisenberg_fourier's f is under-resolved: each of its samples warns once, named as f's
     config = gl.load_config(CONFIGS / "heisenberg_fourier.json")
-    messages = _decay_messages(gl.poisson_bracket_both_orders, config)
-    assert messages == _decay_messages(gl.poisson_bracket, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", gl.DecayWarning)
+        gl.poisson_bracket(config.symbols["f"], config.symbols["g"], config.chart, config.grid)
+    messages = [str(w.message) for w in caught if issubclass(w.category, gl.DecayWarning)]
     assert len(messages) == 3 and all(" f)" in m or " f " in m for m in messages)
 
 

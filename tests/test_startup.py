@@ -118,6 +118,15 @@ def test_normfield_loads_no_algebroid():
     assert "groupoidlab.algebroid" not in loaded
 
 
+@pytest.mark.parametrize("config, loads", [("pair1_normfield.json", False), ("ax_plus_b_deform.json", True)])
+def test_normfield_loads_the_deformation_layer_only_for_group_rows(config, loads):
+    # a pair chart's rows are kernels on the base grid; a group chart's rows
+    # assemble the regular action from the deformed product's transport
+    loaded = _modules_after(_run_command("normfield", config))
+    assert "groupoidlab.normfield" in loaded
+    assert ("groupoidlab.deformation" in loaded) == loads
+
+
 def test_deform_loads_no_norm_layer():
     loaded = _modules_after(_run_command("deform", "pair1_deform.json"))
     assert "groupoidlab.deformation" in loaded

@@ -11,7 +11,9 @@ numerical.
 The bracket functions take the chart: they tabulate the algebroid data at
 the grid's base nodes and read the unit weight from it, so the convolution
 measure and the log-weight gradient come from one weight.  Grid-level
-functions take the weight explicitly as ``mu_on_base`` (default 1).
+functions take the weight explicitly as ``mu_on_base`` (default 1).  The
+fourier-check runs the two public brackets, the ones the ``bracket`` command
+and library callers run.
 
 Conventions fixed here and validated end to end by the classical-limit and
 intertwining tests:
@@ -252,16 +254,8 @@ def poisson_bracket(f: Operand, g: Operand, chart: GroupoidChart, grid: GridSpec
     base nodes.  ``f`` and ``g`` may be analytic symbols or samples on
     ``grid``; with sampled operands the coordinate multiplications act on
     node values and the derivatives fall back to high-order central
-    stencils.  The result is antisymmetric under swapping ``f`` and ``g``
-    bitwise.  Decay warnings name the sampled symbol by operand and
+    stencils.  Decay warnings name the sampled symbol by operand and
     operation, e.g. ``d/dxi_2 (xi_1 f)``.
-    """
-    mu = unit_weight_on_grid(chart, grid)
-    return _bracket(f, g, _algebroid_data(chart, grid), grid, mu)
-
-
-def _bracket(f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np.ndarray) -> SampledSymbol:
-    """:func:`poisson_bracket` on data tabulated at the base nodes of ``grid`` and weight ``mu``.
 
     In spectral space: the coefficients (``a_ij``, ``a_ij lg_j``, ``-c_ijk / 2``)
     are real functions of the base point, so each distinct operand is
@@ -272,6 +266,8 @@ def _bracket(f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np
     """
     _op_grid_check(f, grid)
     _op_grid_check(g, grid)
+    mu = unit_weight_on_grid(chart, grid)
+    data = _algebroid_data(chart, grid)
     n, m = grid.base_dim, grid.fiber_dim
     base_shape = grid.base_shape
 
@@ -330,12 +326,18 @@ def _bracket(f: Operand, g: Operand, data: AlgebroidData, grid: GridSpec, mu: np
 # bracket on the dual side
 # ---------------------------------------------------------------------------
 
-def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np.ndarray:
-    """Minus the anchor part minus the structure-constant part (module docstring).
+def dual_poisson_bracket(F: SampledSymbol, G: SampledSymbol, chart: GroupoidChart) -> SampledSymbol:
+    """Poisson bracket of fiberwise transforms on the dual grid.
 
-    Each central-difference derivative of ``F`` and ``G`` is taken once.
+    The algebroid data comes from ``chart`` at the grid's base nodes.  The
+    result is minus the anchor part minus the structure-constant part: the
+    signs that the transform convention gives the convolution-side bracket
+    (module docstring), so :func:`fourier_check` compares the transformed
+    bracket against this one directly.  Derivatives are central differences
+    on the dual grid, each of ``F`` and ``G`` taken once.
     """
     grid = require_same_grid(F, G)
+    data = _algebroid_data(chart, grid)
     n, m = grid.base_dim, grid.fiber_dim
     base_shape = grid.base_shape
 
@@ -368,20 +370,7 @@ def _dual_bracket(F: SampledSymbol, G: SampledSymbol, data: AlgebroidData) -> np
                     * zeta_k
                     * (F_zeta[i] * G_zeta[j] - F_zeta[j] * G_zeta[i])
                 )
-    return -anchor_part - structure_part
-
-
-def dual_poisson_bracket(F: SampledSymbol, G: SampledSymbol, chart: GroupoidChart) -> SampledSymbol:
-    """Poisson bracket of fiberwise transforms on the dual grid.
-
-    The algebroid data comes from ``chart`` at the grid's base nodes.  The
-    anchor and structure-constant parts carry the signs that the transform
-    convention gives the convolution-side bracket (module docstring), so
-    :func:`fourier_check` compares the transformed bracket against this one
-    directly.  Derivatives are central differences on the dual grid.
-    """
-    data = _algebroid_data(chart, F.grid)
-    return SampledSymbol(values=_dual_bracket(F, G, data), grid=F.grid)
+    return SampledSymbol(values=-anchor_part - structure_part, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +392,8 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     * convolution theorem: ``F (f * g)`` against ``F f F g``;
     * intertwining, on a chart whose unit weight is the constant 1
       (:func:`is_unit_weight`): the transformed bracket against the
-      dual-side bracket of ``F f`` and ``F g`` (:func:`dual_poisson_bracket`),
-      both from one extraction of the algebroid data.
+      dual-side bracket of ``F f`` and ``F g`` (:func:`poisson_bracket`
+      against :func:`dual_poisson_bracket`).
 
     Each residual is a relative sup mismatch; a non-finite intertwining
     residual raises GroupoidLabError.  f, g, their convolution and (with
@@ -416,10 +405,9 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     fs = eval_symbol(f, grid, name="f")
     gs = eval_symbol(g, grid, name="g")
     sampled = [fs, gs, fiber_convolve(fs, gs, mu)]
-    data = None
-    if is_unit_weight(mu):
-        data = _algebroid_data(chart, grid)
-        sampled.append(_bracket(f, g, data, grid, mu))
+    unit = is_unit_weight(mu)
+    if unit:
+        sampled.append(poisson_bracket(f, g, chart, grid))
     _, transforms = select_dual_grid(grid, sampled, mu_on_base=mu)
     Ff, Fg, Fconv = transforms[:3]
 
@@ -428,8 +416,8 @@ def fourier_check(f: SymbolSpec, g: SymbolSpec, chart: GroupoidChart, grid: Grid
     product = Ff.values * Fg.values
     convolution = float(np.max(np.abs(Fconv.values - product))) / scale_of(Fconv.values, product)
     intertwining = None
-    if data is not None:
-        lhs, rhs = transforms[3].values, _dual_bracket(Ff, Fg, data)
+    if unit:
+        lhs, rhs = transforms[3].values, dual_poisson_bracket(Ff, Fg, chart).values
         intertwining = float(np.max(np.abs(lhs - rhs))) / scale_of(lhs, rhs)
         if not np.isfinite(intertwining):
             raise GroupoidLabError("intertwining residual is not finite")

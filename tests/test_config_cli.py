@@ -596,6 +596,13 @@ def _custom_pair_chart(unit_weight, **spec) -> dict:
     )
 
 
+def _base_axis_in_the_margin() -> dict:
+    """A base axis inside the chart's base box [-4, 4] whose end nodes lie within FD_STEP of its edges."""
+    raw = _custom_pair_chart(1.0, base_box=[[-4.0, 4.0]])
+    raw["grid"]["base"][0]["half_width"] = 3.9995
+    return raw
+
+
 def test_a_base_axis_is_centred_on_the_chart_base_box(tmp_path):
     raw = _custom_pair_chart(1.0, base_box=[[0.0, 8.0]])
     raw["grid"]["base"][0]["half_width"] = 3.0
@@ -674,6 +681,10 @@ MALFORMED = [
     # and a typo is no silent default
     ("axis_centre", _grid_override(base=[{"half_width": 4.0, "intervals": 16, "centre": 3.0}]), "unknown grid.base[0] key(s) ['centre']"),
     ("symbol_xi_width", minimal_config(symbols={"f": [{"xi_width": [0.5]}]}), "unknown symbol 'f' term 0 key(s) ['xi_width']"),
+    # rules that no other row reaches
+    ("root_not_an_object", [minimal_config()], "config root must be a JSON object"),
+    ("too_few_intervals", _grid_override(fiber=[{"half_width": 8.0, "intervals": 6}]), "grid.fiber[0]: needs at least 8 intervals"),
+    ("base_axis_in_the_margin", _base_axis_in_the_margin(), "base axis 0 leaves no 0.001 finite-difference margin"),
 ]
 
 

@@ -248,6 +248,51 @@ def test_haar_density_of_a_triangular_jacobian_is_exact_where_lu_pivots():
     assert np.array_equal(gl.haar_density(chart, u, v), chart.unit_weight(chart.source_map(u, v)))
 
 
+# the heisenberg group with the centre as first coordinate: (c, a, b) here is
+# (a, b, c) of the built-in chart, and the w-Jacobian is upper triangular
+HEISENBERG_CENTRE_FIRST = {
+    "name": "heisenberg_centre_first",
+    "base_dim": 0,
+    "fiber_dim": 3,
+    "source_map": [],
+    "product": [
+        ["+", ["+", "v1", "w1"], ["*", 0.5, ["-", ["*", "v2", "w3"], ["*", "v3", "w2"]]]],
+        ["+", "v2", "w2"],
+        ["+", "v3", "w3"],
+    ],
+    "base_box": [],
+    "fiber_box": [[-6.0, 6.0]] * 3,
+}
+
+
+def test_a_chart_not_lower_triangular_in_w_runs_newton_and_lu(heisenberg, monkeypatch):
+    chart = gl.chart_from_spec(HEISENBERG_CENTRE_FIRST)
+    assert chart.product_solver is None  # no forward substitution: Newton
+    report = gl.validate_axioms(chart)
+    assert report.max_residual <= 1e-12
+
+    determinants = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: determinants.append(a.shape) or det(a))
+    v = np.random.default_rng(6).uniform(-2.0, 2.0, (500, 3))
+    rho = gl.haar_density(chart, np.zeros((500, 0)), v)
+    monkeypatch.undo()
+    assert determinants == [(500, 3, 3)]  # the LU branch
+    np.testing.assert_allclose(rho, 1.0, rtol=0.0, atol=1e-12)
+
+    # the deformed product equals the built-in chart's with the axes permuted
+    axes = (gl.Axis.centered(4.0, 8), gl.Axis.centered(4.5, 10), gl.Axis.centered(5.0, 12))
+    grid = gl.GridSpec(base=(), fiber=axes)
+    permuted_grid = gl.GridSpec(base=(), fiber=(axes[2], axes[0], axes[1]))
+    f = {"xi_widths": [1.1, 1.2, 1.0], "xi_centers": [0.3, 0.0, -0.2]}
+    g = {"xi_powers": [1, 0, 0], "xi_widths": [1.2, 1.1, 1.3]}
+    symbol = lambda kw, order=(0, 1, 2): gl.SymbolSpec.gaussian(0, 3, **{k: [x[i] for i in order] for k, x in kw.items()})
+    expected = gl.deformed_product(heisenberg, grid, symbol(f), symbol(g), 0.1)
+    got = gl.deformed_product(chart, permuted_grid, symbol(f, (2, 0, 1)), symbol(g, (2, 0, 1)), 0.1)
+    atol = charts.SOLVE_TOL * expected.sup  # Newton's residual bound
+    np.testing.assert_allclose(got.values.transpose(1, 2, 0), expected.values, rtol=0.0, atol=atol)
+
+
 def test_haar_density_normalized_at_units():
     chart = gl.builtin_chart("pair", n=1, mu_e=["exp", ["-", ["*", "u1", "u1"]]])
     u = np.array([[0.5], [-0.3]])

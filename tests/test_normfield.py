@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import groupoidlab as gl
+from groupoidlab import normfield
 from groupoidlab.cli import main
-from groupoidlab.errors import DomainError, GroupoidLabError
+from groupoidlab.errors import ConvergenceError, DomainError, GroupoidLabError
 
 from oracles import (
     ax_plus_b_density,
@@ -150,6 +151,48 @@ def test_zero_fiber_norm_homogeneous_bitwise():
     one = gl.zero_fiber_norm(f, grid, mu)
     two = gl.zero_fiber_norm(f.scaled(2.0), grid, mu)
     assert two.value == 2.0 * one.value
+
+
+def _counted_transforms(monkeypatch, scale=lambda call: 1.0) -> list:
+    """Count zero_fiber_norm's transforms on refined dual grids; ``scale(call)`` multiplies each."""
+    calls = []
+    transform = normfield.fourier_transform
+
+    def counted(f, mu_on_base, dual):
+        calls.append(dual)
+        F = transform(f, mu_on_base, dual)
+        return F._replace(values=F.values * scale(len(calls)))
+
+    monkeypatch.setattr(normfield, "fourier_transform", counted)
+    return calls
+
+
+def test_zero_fiber_norm_refines_until_an_off_node_peak_settles(monkeypatch):
+    # the transform of xi * Gaussian peaks between the conjugate grid's nodes:
+    # the sup moves on the first three refinements and settles on the fourth
+    grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.0, 16),))
+    f = gl.SymbolSpec.gaussian(0, 1, xi_powers=[1])
+    calls = _counted_transforms(monkeypatch)
+    row = gl.zero_fiber_norm(f, grid)
+    assert len(calls) == 4 and row.size == calls[-1].fiber_shape[0] == 257
+    samples = gl.eval_symbol(f, grid).values
+    oracle = dense_transform_sup(samples, grid.fiber[0].nodes, grid.fiber[0].trapezoid_weights())
+    # nested grids keep the old peak node, so the stop rule can read a change of
+    # 0 while the node sup is still 3e-4 below the dense one
+    assert oracle * (1 - 1e-3) <= row.value <= oracle
+
+
+def test_a_zero_fiber_sup_that_never_settles_raises(monkeypatch, capsys):
+    calls = _counted_transforms(monkeypatch, scale=lambda call: 2.0**call)
+    grid = gl.GridSpec(base=(), fiber=(gl.Axis.centered(3.0, 16),))
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        gl.zero_fiber_norm(gl.SymbolSpec.gaussian(0, 1), grid)
+    assert len(calls) == 6
+    config = Path(__file__).parent.parent / "configs" / "pair1_normfield.json"
+    assert main(["normfield", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "computation failed: dual-grid sup did not settle" in err
+    assert "Traceback" not in err
 
 
 def test_pair_kernel_norm_zero_symbol():

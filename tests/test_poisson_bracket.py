@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -201,10 +202,36 @@ def test_intertwining_requires_unit_weight():
     assert gl.fourier_check(f, f, chart, grid).intertwining is None
 
 
+def test_fourier_check_cli_skips_intertwining_without_unit_weight(tmp_path, monkeypatch, capsys):
+    # pair1_fourier with a unit weight that is not 1: two checks, two rows, and
+    # neither bracket is computed
+    raw = json.loads((CONFIGS / "pair1_fourier.json").read_text())
+    raw["chart"]["params"]["mu_e"] = ["exp", ["*", 0.1, "u1"]]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(raw))
+
+    def no_bracket(*args):
+        raise AssertionError("a bracket was computed")
+
+    monkeypatch.setattr(poisson, "poisson_bracket", no_bracket)
+    monkeypatch.setattr(poisson, "dual_poisson_bracket", no_bracket)
+    assert main(["fourier-check", "--config", str(path), "--output", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "fourier_check_summary.json").read_text())
+    results = summary["results"]
+    assert results["intertwining_residual"] is None and results["selected_signs"] is None
+    assert results["intertwining_skipped"] == "unit weight is not constant 1"
+    assert [c["name"] for c in summary["checks"]] == ["roundtrip", "convolution_theorem"]
+    assert summary["passed"] is True
+    rows = (tmp_path / "fourier_check.csv").read_text().splitlines()
+    assert rows[0] == "check,residual" and [r.split(",")[0] for r in rows[1:]] == ["roundtrip", "convolution_theorem"]
+
+
 def test_intertwining_without_a_finite_residual_fails(pair_setup, monkeypatch, capsys):
     chart, grid, _ = pair_setup
 
-    monkeypatch.setattr(poisson, "_dual_bracket", lambda F, G, data: np.full(F.values.shape, np.nan + 0j))
+    nan_bracket = lambda F, G, chart: gl.SampledSymbol(np.full(F.values.shape, np.nan + 0j), F.grid)
+    monkeypatch.setattr(poisson, "dual_poisson_bracket", nan_bracket)
     f = gl.SymbolSpec.gaussian(1, 1)
     with pytest.raises(GroupoidLabError, match="intertwining residual is not finite"):
         gl.fourier_check(f, f, chart, grid)
@@ -249,8 +276,9 @@ def test_a_sign_error_in_the_dual_bracket_fails_the_check(case, request, pair_se
     assert gl.fourier_check(f, g, chart, grid).intertwining <= bound
     assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 0
 
-    dual_bracket = poisson._dual_bracket
-    monkeypatch.setattr(poisson, "_dual_bracket", lambda F, G, data: -dual_bracket(F, G, data))
+    dual_bracket = poisson.dual_poisson_bracket
+    flipped = lambda F, G, chart: gl.SampledSymbol(-dual_bracket(F, G, chart).values, F.grid)
+    monkeypatch.setattr(poisson, "dual_poisson_bracket", flipped)
     assert abs(gl.fourier_check(f, g, chart, grid).intertwining - 2.0) <= 1e-2
     assert main(["fourier-check", "--config", str(CONFIGS / config)]) == 1
 

@@ -67,7 +67,12 @@ class GroupoidChart:
     out=None)`` write into the Planes list ``out`` when given (see the module
     docs).
     ``is_pair`` marks the pair groupoids of :func:`pair_chart`, whose norm
-    curve takes the kernel on the base grid.
+    curve takes the kernel on the base grid.  ``translation_axes`` are the
+    fiber axes ``l`` along which a shift of ``v`` is a left translation that
+    keeps the source: ``product(u, v + a e_l, w) = product(u, v, w) + a e_l``
+    and ``source_map(u, v + a e_l) = source_map(u, v)``, so a product solve
+    reads ``v_l`` and ``target_l`` only through ``target_l - v_l``;
+    :func:`chart_from_spec` derives them.
 
     The chart is assumed to intersect the unit space exactly in the zero
     fiber section; that is a property of the data supplied and is documented
@@ -84,6 +89,7 @@ class GroupoidChart:
     base_box: Array
     fiber_box: Array
     is_pair: bool = False
+    translation_axes: tuple = ()
     inverse: Optional[Callable[[Array, Array], Array]] = None
     product_solver: Optional[Callable[[Array, Array, Array], Array]] = None
     params: dict = field(default_factory=dict)
@@ -434,6 +440,9 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
     compiles the product's derivative trees, and ``product_solver`` is the
     forward substitution of :func:`groupoidlab.expressions.compile_solver`
     where the product is affine and lower triangular in w, else None (Newton).
+    ``translation_axes`` are the axes ``l`` whose derivative trees show the
+    translation exactly: ``d product_i / d v_l`` is the constant 1.0 for
+    ``i = l`` and 0.0 otherwise, and every ``d source_map_j / d v_l`` is 0.0.
     ``params`` default to ``{"spec": "custom"}``; the built-ins pass theirs.
     """
     n = json_number(spec["base_dim"], "base_dim must be an integer", integer=True)
@@ -466,6 +475,9 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         inv_vec = compile_vector(inv_exprs, n, m, slots="uv")
         inverse_fn = lambda u, v: inv_vec(u=u, v=v)
 
+    # d/dv_l of the product trees, then of the source trees: e_l, then zeros
+    shift = lambda l: [derivative(e, f"v{l + 1}") for e in [*product_exprs, *source_exprs]]
+    translation_axes = tuple(l for l in range(m) if shift(l) == [float(i == l) for i in range(m)] + [0.0] * n)
     weight = spec.get("unit_weight")  # None (a built-in's default) weighs 1
     return GroupoidChart(
         name=str(spec.get("name", "custom")),
@@ -477,6 +489,7 @@ def chart_from_spec(spec: dict, params: Optional[dict] = None) -> GroupoidChart:
         unit_weight=compile_expression(1.0 if weight is None else weight, n, 0, slots="u"),
         base_box=np.asarray(spec["base_box"], dtype=float).reshape(n, 2),
         fiber_box=np.asarray(spec["fiber_box"], dtype=float).reshape(m, 2),
+        translation_axes=translation_axes,
         inverse=inverse_fn,
         product_solver=compile_solver(product_exprs, jacobian, n, m),
         params={"spec": "custom"} if params is None else params,

@@ -50,6 +50,41 @@ shape.  On a block :func:`scaled_commutator` evaluates both orderings,
 assembles the matrix of ``g -> f *_t g``.  The product sums each output value
 over the contiguous integration nodes with einsum's vector partial sums, not
 in node order; the sum is the same for any block size, so the values are too.
+
+Difference axes
+---------------
+Along a translation axis ``l`` of a group chart
+(:attr:`~groupoidlab.charts.GroupoidChart.translation_axes`: a shift of
+``v_l`` shifts the product's ``l``-th coordinate and nothing else),
+``product(t eta, w) = t xi`` is ``product(t eta', w) = t xi'`` with ``eta'_l
+= 0`` and ``xi'_l = xi_l - eta_l``: the transport reads ``xi_l`` and
+``eta_l`` only through their difference, and the ``eta_l``-sum is a
+correlation.  So :func:`deformed_product` and :func:`scaled_commutator`
+transport a group chart on a layout whose last translation axis is a
+difference axis: its output axis holds the ``2N - 1`` node differences
+``t step (k - N + 1)``, its integration axis the one node 0, and every
+other axis is laid out as above.  That is ``N^(m-1) (2N - 1)`` points
+instead of ``N^(2m)`` on an ``N^m`` grid (714K instead of 4.8M on
+heisenberg 13^3), each solved, checked against the solver's contract and
+evaluated once.  An output row, the ``N`` output nodes of the difference
+axis at one node of the other axes, is one GEMM of fixed shape, the
+``(2N - 1, H / N)`` values by the ``(H / N, N)`` coefficients, and output
+node ``i`` adds entry ``(i - j + N - 1, j)`` of the product over ``j`` in
+order, so the sums do not depend on the block size (nor, with OpenBLAS,
+on its thread count: 1 and 2 threads gave the same bits).  A block is a
+product set of whole rows, about ``_BLOCK_POINTS`` transported points or
+product entries, whichever a row has more of; a row that alone exceeds the
+budget is a block.  Only the last translation axis is laid out so: with two
+difference axes a row's product would hold every difference of both against
+every node of both, which no block budget bounds.  Charts with a base
+keep the plain layout: a pair chart's source map moves with ``v``, so it
+has no translation axis, and a bundle's ``w`` already reads no base axis;
+on the flat bundle of ``configs/abelian_degenerate.json`` the difference
+layout ran slower and moved the roundoff commutator that
+``benchmarks/reference.json`` pins exactly.  So does
+:func:`groupoidlab.normfield.group_regular_norm`, whose matrix needs every
+pair of nodes.
+
 As ``t -> 0`` the scaled commutator ``(f *_t g - g *_t f) / t`` converges to
 ``1/(2 pi i)`` times the bracket under the chart's unit weight;
 :func:`classical_limit_error_table` measures that convergence.
@@ -61,7 +96,7 @@ chart, the grid and the symbols ``f0`` and ``g0`` as plain arguments.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,12 +110,13 @@ from .symbols import SymbolSpec
 
 Operand = Union[SymbolSpec, SampledSymbol]
 
-# transported points (K * H per output node) in one block of output nodes:
-# each full-size (K, A, H) float64 array of a block takes 0.5 MB, so the
-# passes of one symbol evaluation run in cache.  The t sweeps of heisenberg
-# 13^3 + pair 129^2 in one process, best of 7 on a 2-core host: 1 << 15
-# 0.28 + 0.08 s, 1 << 16 0.26 + 0.07 s, 1 << 17 0.24 + 0.06 s, where each
-# doubling doubles the arrays a block holds
+# transported points (K * H per output node, or per difference row its
+# points or product entries) in one block of output nodes: each full-size
+# float64 array of a block takes 0.5 MB, so the passes of one symbol
+# evaluation run in cache.  The scaled-commutator t sweeps (0.2, 0.1, 0.05)
+# of heisenberg 13^3 (difference layout) + pair 129^2 in one process, best
+# of 7 on a 2-core host: 1 << 15 0.055 + 0.087 s, 1 << 16 0.042 + 0.070 s,
+# 1 << 17 0.059 + 0.085 s, where each doubling doubles the arrays a block holds
 _BLOCK_POINTS = 1 << 16
 
 
@@ -156,41 +192,89 @@ class _Transport:
     """The part of the deformed product that depends on ``t`` and the grid only.
 
     Setup checks ``t`` and the domain and takes the Haar density at the
-    integration nodes; :meth:`solve` transports a block of output nodes and
-    :meth:`evaluate` reads a symbol at the transported points.  Points are
-    :class:`~groupoidlab.expressions.Planes` on the layout ``(K, output axes,
-    integration axes)`` (see the module docs): the base nodes ``u`` span the
-    first axis, ``v_eta = t eta`` one integration axis a coordinate, and the
-    solved ``w / t`` the axes its coordinate depends on.  The block's points,
-    its contract-check residual, its symbol values and their two exponent
-    arrays are allocated once and reused by every later block of the same
-    shape.
+    integration nodes; :meth:`blocks` cuts the output into blocks,
+    :meth:`solve` transports a block, :meth:`evaluate` reads a symbol at the
+    transported points and :meth:`contract` weighs and sums those values.
+    Points are :class:`~groupoidlab.expressions.Planes` on the layout ``(K,
+    output axes, integration axes)`` (see the module docs): the base nodes
+    ``u`` span the first axis, ``v_eta = t eta`` one integration axis a
+    coordinate, and the solved ``w / t`` the axes its coordinate depends on.
+    A ``difference`` axis (a translation axis of a group chart) comes after
+    the other grid axes on both sides, with its ``2N - 1`` node differences
+    on the output side and the one node 0 on the integration side; the
+    coefficients and the output then run over the nodes in that axis order.
+    The block's points, its contract-check residual, its symbol values and
+    their two exponent arrays are allocated once and reused by every later
+    block of the same shape.
     """
 
-    def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float):
+    def __init__(self, chart: GroupoidChart, grid: GridSpec, t: float, difference: Optional[int] = None):
         problems = deformation_domain_problems(chart, grid, [t])
         if problems:
             raise DomainError("; ".join(problems))
-        self.chart, self.t = chart, t
+        self.chart, self.t, self.difference = chart, t, difference
         self.fiber_pts = grid.fiber_points_flat()  # (H, m)
         self.base = grid.base_points_flat()[:, None]  # (K, 1, n)
         m, ndim = grid.fiber_dim, 1 + 2 * grid.fiber_dim
         self.u = Planes(axis_plane(x, 0, ndim) for x in self.base[:, 0].T)
-        nodes = [t * ax.nodes for ax in grid.fiber]
-        self.v_eta = Planes(axis_plane(x, 1 + m + l, ndim) for l, x in enumerate(nodes))
-        self._xi = [axis_plane(x, 1 + l, ndim) for l, x in enumerate(nodes)]  # t xi
+        # the grid axes in layout order, and the output and integration nodes of each
+        self.order = sorted(range(m), key=lambda l: l == difference)
+        xi, eta = [t * ax.nodes for ax in grid.fiber], [t * ax.nodes for ax in grid.fiber]
+        if difference is not None:  # t xi - t eta = t step (k - N + 1), at eta = 0
+            ax = grid.fiber[difference]
+            xi[difference], eta[difference] = t * ax.step * np.arange(1 - ax.count, ax.count), np.zeros(1)
+        self._position = [self.order.index(l) for l in range(m)]
+        self._xi = [axis_plane(x, 1 + q, ndim) for x, q in zip(xi, self._position)]
+        self.v_eta = Planes(axis_plane(x, 1 + m + q, ndim) for x, q in zip(eta, self._position))
+        self.output_shape = tuple(xi[l].size for l in self.order)
+        self.node_shape = tuple(eta[l].size for l in self.order)
+        self._grid_shape = grid.fiber_shape
+        self.lanes = 1 if difference is None else grid.fiber[difference].count  # nodes an output row holds
         self.rho = haar_density(chart, self.base, t * self.fiber_pts[None])  # (K, H)
         self.weights = grid.fiber_weights().reshape(-1)  # (H,)
         self._buffers: dict = {}
         self._points, self._residual = [None] * m, [None] * m
 
     def coefficient(self, f0: Operand) -> np.ndarray:
-        """``(K, H)`` coefficients ``f0 * rho * weight``, in ``f0``'s dtype; ``f0`` is read at nodes only."""
+        """Coefficients ``f0 * rho * weight`` in ``f0``'s dtype; ``f0`` is read at nodes only.
+
+        ``(K, H)``, or with a difference axis ``(H / N, N)`` in layout order, the
+        ``N`` nodes of the difference axis last.
+        """
         if isinstance(f0, SymbolSpec):
             values = f0.evaluate(self.base, self.fiber_pts[None])
         else:
             values = f0.values.reshape(self.rho.shape)
-        return values * self.rho * self.weights
+        coeff = values * self.rho * self.weights
+        if self.difference is None:
+            return coeff
+        return coeff.reshape(self._grid_shape).transpose(self.order).reshape(-1, self.lanes)
+
+    def in_grid_order(self, out: np.ndarray) -> np.ndarray:
+        """The ``(K, H)`` output ``out`` of layout order in grid order."""
+        if self.difference is None:
+            return out
+        layout = [self._grid_shape[l] for l in self.order]
+        return out.reshape(layout).transpose(self._position).reshape(out.shape)
+
+    def blocks(self):
+        """The output in blocks ``(start, stop, block, sizes)`` of about ``_BLOCK_POINTS`` points each.
+
+        A block is the product set ``block`` of output-axis slices, of
+        ``sizes``: the output rows of :func:`_node_blocks` on the axes before
+        the difference axis, which each block takes whole.  A row holds one
+        node on the plain layout, ``N`` with a difference axis, and its
+        transported points (``K * H`` per node on the plain layout) and its
+        product matrix count against the budget; a row never splits.  The
+        block's outputs are the nodes ``start:stop`` in layout order.
+        """
+        K, H = self.rho.shape
+        whole = () if self.difference is None else self.output_shape[-1:]
+        row = K * math.prod(whole) * max(H // self.lanes, self.lanes)
+        rows = self.output_shape[: len(self.output_shape) - len(whole)]
+        for start, block, sizes in _node_blocks(rows, max(1, _BLOCK_POINTS // row)):
+            stop = start + math.prod(sizes)
+            yield start * self.lanes, stop * self.lanes, block + (slice(None),) * len(whole), sizes + whole
 
     def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """The array ``name`` of ``shape``: the head of a flat buffer kept for later blocks."""
@@ -204,8 +288,8 @@ class _Transport:
 
         The arrays are overwritten by the next call of the same shape.
         """
-        index = lambda l, s: (slice(None),) * (1 + l) + (s,)
-        target = Planes(x[index(l, s)] for l, (x, s) in enumerate(zip(self._xi, block)))
+        index = lambda q, s: (slice(None),) * (1 + q) + (s,)
+        target = Planes(x[index(q, block[q])] for x, q in zip(self._xi, self._position))
         w = solve_product(self.chart, self.u, self.v_eta, target, out=self._points, residual=self._residual)
         for plane in w:
             plane /= self.t
@@ -222,6 +306,28 @@ class _Transport:
         scratch = (self._buffer("exponent", batch), self._buffer("square", batch))
         return g0.evaluate(sigma, points, out=self._buffer("values", batch, g0.dtype), scratch=scratch)
 
+    def contract(self, coeff: np.ndarray, values: np.ndarray, sizes: tuple) -> np.ndarray:
+        """``(K, nodes)`` outputs of a block of ``sizes``: its symbol ``values`` weighed by ``coeff`` and summed.
+
+        On the plain layout each output is one einsum sum over the
+        contiguous integration nodes of its row.  With a difference axis each
+        row is one GEMM of fixed shape, ``(2N - 1, H / N)`` values by the
+        ``(H / N, N)`` coefficients, and output node ``i`` of the row adds
+        entry ``(i - j + N - 1, j)`` of the product over ``j`` in order.
+        """
+        K, H = self.rho.shape
+        # the values span every axis of the block unless no coordinate reads
+        # one (a chart that breaks the unit laws); broadcast_to spreads them
+        values = np.broadcast_to(values, (K,) + sizes + self.node_shape)
+        if self.difference is None:
+            return np.einsum("kh,kah->ka", coeff, values.reshape(K, -1, H), optimize=False)
+        n = self.lanes
+        products = np.matmul(values.reshape(-1, 2 * n - 1, H // n), coeff)  # K = 1
+        out = np.zeros(products.shape[:1] + (n,), products.dtype)
+        for j in range(n):
+            out += products[:, n - 1 - j : 2 * n - 1 - j, j]
+        return out.reshape(1, -1)
+
 
 def _deformed_products(
     chart: GroupoidChart,
@@ -231,41 +337,38 @@ def _deformed_products(
 ) -> list[np.ndarray]:
     """``(K, H)`` values of ``f *_t g`` for every ``(f, g)`` in ``pairs``.
 
-    The output nodes go in product-set blocks of about ``_BLOCK_POINTS``
-    transported points, ``K * H`` per node, so a block's points and symbol
+    A group chart with translation axes transports on the layout whose
+    difference axis is the last of them; any other chart on the plain
+    layout.  The output goes in the transport's blocks of about
+    ``_BLOCK_POINTS`` transported points, so a block's points and symbol
     values stay in cache; each block is transported once and every pair reads
     it.  A real ``g0`` is contracted with the real and, for a complex ``f0``,
-    the imaginary part of the coefficient in float64 einsums.  Each output
-    value is one einsum sum over the contiguous integration-node axis of one
-    block row, which sums with vector partial sums, not in node order; the
-    row and so the sum are the same whatever the blocks, so the values do not
-    depend on the block size.
+    the imaginary part of the coefficient in float64.  Each output value is
+    summed over one row of the block, and the row and its sums are the same
+    whatever the blocks, so the values do not depend on the block size.
     """
-    transport = _Transport(chart, grid, t)
+    difference = chart.translation_axes[-1] if chart.base_dim == 0 and chart.translation_axes else None
+    transport = _Transport(chart, grid, t, difference)
     K, H = transport.rho.shape
     sigma = chart.source_map(transport.u, transport.v_eta)
-    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # (K, H) in each f0's dtype
+    coeffs = [transport.coefficient(f0) for f0, _ in pairs]  # in each f0's dtype
     parts = [
         (c, np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag) if np.iscomplexobj(c) else None)
         for c in coeffs
     ]
 
     outs = [np.zeros((K, H), dtype=complex) for _ in pairs]
-    for start, block, sizes in _node_blocks(grid.fiber_shape, max(1, _BLOCK_POINTS // (K * H))):
-        points, count = transport.solve(block), math.prod(sizes)
-        stop = start + count
+    for start, stop, block, sizes in transport.blocks():
+        points = transport.solve(block)
         for (_, g0), (coeff, real, imag), out in zip(pairs, parts, outs):
-            # the values span every axis of the block unless no coordinate reads
-            # one (a chart that breaks the unit laws); broadcast_to spreads them
             values = transport.evaluate(g0, sigma, points)
-            values = np.broadcast_to(values, (K,) + sizes + grid.fiber_shape).reshape(K, count, H)
             if np.iscomplexobj(values):
-                out[:, start:stop] = np.einsum("kh,kah->ka", coeff, values, optimize=False)
+                out[:, start:stop] = transport.contract(coeff, values, sizes)
             else:
-                out.real[:, start:stop] = np.einsum("kh,kah->ka", real, values, optimize=False)
+                out.real[:, start:stop] = transport.contract(real, values, sizes)
                 if imag is not None:
-                    out.imag[:, start:stop] = np.einsum("kh,kah->ka", imag, values, optimize=False)
-    return outs
+                    out.imag[:, start:stop] = transport.contract(imag, values, sizes)
+    return [transport.in_grid_order(out) for out in outs]
 
 
 def deformed_product(

@@ -40,6 +40,23 @@ CUSTOM_AX_PLUS_B = {
 }
 
 
+# the heisenberg group with the centre as first coordinate: (c, a, b) here is
+# (a, b, c) of the built-in chart, and the w-Jacobian is upper triangular
+HEISENBERG_CENTRE_FIRST = {
+    "name": "heisenberg_centre_first",
+    "base_dim": 0,
+    "fiber_dim": 3,
+    "source_map": [],
+    "product": [
+        ["+", ["+", "v1", "w1"], ["*", 0.5, ["-", ["*", "v2", "w3"], ["*", "v3", "w2"]]]],
+        ["+", "v2", "w2"],
+        ["+", "v3", "w3"],
+    ],
+    "base_box": [],
+    "fiber_box": [[-6.0, 6.0]] * 3,
+}
+
+
 @pytest.fixture(scope="session")
 def custom_ax_plus_b():
     return gl.chart_from_spec(CUSTOM_AX_PLUS_B)

@@ -6,6 +6,7 @@ import groupoidlab as gl
 from groupoidlab.errors import DomainError, SamplingError
 from groupoidlab.expressions import Planes, split, stack
 
+from conftest import CUSTOM_AX_PLUS_B, HEISENBERG_CENTRE_FIRST
 from oracles import corrupted_associativity_defect
 
 ALL_BUILTINS = [
@@ -176,6 +177,34 @@ def test_the_derived_solver_reads_no_unsolved_coordinate():
         w = gl.solve_product(chart, u, v, target, out=out)
         assert all(a is b for a, b in zip(w, kept)) and np.all(np.isfinite(w))
         np.testing.assert_allclose(w[0], target[0] - v[0], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "chart, axes",
+    [
+        (gl.builtin_chart("heisenberg"), (2,)),
+        (gl.builtin_chart("ax_plus_b"), (1,)),
+        (gl.chart_from_spec(CUSTOM_AX_PLUS_B), (1,)),
+        (gl.chart_from_spec(HEISENBERG_CENTRE_FIRST), (0,)),
+        (gl.builtin_chart("pair", n=1), ()),  # the source u + v moves with v
+        (gl.builtin_chart("pair", n=2), ()),
+        (corrupted_chart(), ()),  # d p1 / d v1 = 1 + 0.02 v1 w1
+        (gl.builtin_chart("abelian_bundle", n=1, m=2), (0, 1)),
+        (gl.builtin_chart("abelian_bundle", n=0, m=1), (0,)),
+    ],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_translation_axes_are_the_shifts_of_v_that_translate_the_product(chart, axes):
+    assert chart.translation_axes == axes
+    rng = np.random.default_rng(7)
+    n, m = chart.base_dim, chart.fiber_dim
+    u = rng.uniform(-1.0, 1.0, (200, n))
+    v, w = rng.uniform(-1.0, 1.0, (2, 200, m))
+    a = rng.uniform(-1.0, 1.0, (200, 1))
+    for l in axes:
+        shift = a * np.eye(m)[l]
+        np.testing.assert_allclose(chart.product(u, v + shift, w), chart.product(u, v, w) + shift, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(chart.source_map(u, v + shift), chart.source_map(u, v))
 
 
 def test_compose_deterministic(pair1):

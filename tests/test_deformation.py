@@ -12,7 +12,7 @@ from groupoidlab import charts, deformation
 from groupoidlab.errors import ConvergenceError, GroupoidLabError, SingularJacobianError
 from groupoidlab.expressions import Planes
 
-from conftest import CUSTOM_AX_PLUS_B
+from conftest import CUSTOM_AX_PLUS_B, HEISENBERG_CENTRE_FIRST
 from oracles import (
     heisenberg_deformed_gaussians,
     kernel_composition_additive,
@@ -151,6 +151,7 @@ def test_the_contract_check_covers_every_point(coordinate, heisenberg, request):
         return w
 
     chart = replace(heisenberg, product_solver=moved)
+    assert chart.translation_axes == (2,)  # the commutator's layout has a difference axis, the norm's none
     case = _commutator_case("heisenberg", request)._replace(chart=chart)
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(1.5, 8) for _ in range(3)))
     f = gl.SymbolSpec.gaussian(0, 3, xi_widths=1.3)
@@ -246,23 +247,6 @@ def test_haar_density_of_a_triangular_jacobian_is_exact_where_lu_pivots():
     v = np.random.default_rng(0).uniform(-5.5, 5.5, (2000, 3))
     u = np.zeros((2000, 0))
     assert np.array_equal(gl.haar_density(chart, u, v), chart.unit_weight(chart.source_map(u, v)))
-
-
-# the heisenberg group with the centre as first coordinate: (c, a, b) here is
-# (a, b, c) of the built-in chart, and the w-Jacobian is upper triangular
-HEISENBERG_CENTRE_FIRST = {
-    "name": "heisenberg_centre_first",
-    "base_dim": 0,
-    "fiber_dim": 3,
-    "source_map": [],
-    "product": [
-        ["+", ["+", "v1", "w1"], ["*", 0.5, ["-", ["*", "v2", "w3"], ["*", "v3", "w2"]]]],
-        ["+", "v2", "w2"],
-        ["+", "v3", "w3"],
-    ],
-    "base_box": [],
-    "fiber_box": [[-6.0, 6.0]] * 3,
-}
 
 
 def test_a_chart_not_lower_triangular_in_w_runs_newton_and_lu(heisenberg, monkeypatch):
@@ -448,6 +432,76 @@ def test_block_size_does_not_change_the_product(chart_name, callers, budget, req
         assert blocked.tobytes() == default.tobytes()
 
 
+def _difference_case(name, request):
+    """A classical-limit case on a group chart with a translation axis, and the chart without it."""
+    if name == "heisenberg_centre_first":  # Newton on a grid of 5 x 7 x 9 nodes
+        axes = (gl.Axis.centered(4.0, 4), gl.Axis.centered(4.5, 6), gl.Axis.centered(5.0, 8))
+        f = gl.SymbolSpec.gaussian(0, 3, xi_widths=[1.0, 1.1, 1.2], xi_centers=[-0.2, 0.3, 0.0])
+        g = gl.SymbolSpec.gaussian(0, 3, xi_powers=[0, 1, 0], xi_widths=[1.3, 1.2, 1.1])
+        chart = gl.chart_from_spec(HEISENBERG_CENTRE_FIRST)
+        case = Case(chart, gl.GridSpec(base=(), fiber=axes), f, g, (0.2, 0.1, 0.05))
+    else:
+        case = _commutator_case(name, request)
+    return case, case._replace(chart=replace(case.chart, translation_axes=()))
+
+
+@pytest.mark.parametrize("chart_name", ["heisenberg", "ax_plus_b", "custom_ax_plus_b", "heisenberg_centre_first"])
+@pytest.mark.parametrize("t", [0.2, 0.1, 0.05, -0.1])
+def test_the_difference_layout_matches_the_plain_layout(chart_name, t, request):
+    # one transport per node difference of the translation axis is the same
+    # quadrature as the plain layout's transport per pair of nodes
+    case, plain = _difference_case(chart_name, request)
+    assert case.chart.base_dim == 0 and case.chart.translation_axes
+    pairs = ((case.f0, case.g0), (case.g0, case.f0), (case.f0, gl.eval_symbol(case.g0, case.grid)))
+    got = [gl.deformed_product(case.chart, case.grid, f, g, t).values for f, g in pairs]
+    for (f, g), values in zip(pairs, got):
+        want = gl.deformed_product(plain.chart, plain.grid, f, g, t).values
+        assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
+    # the commutator's roundoff is that of its terms f *_t g / t and g *_t f / t
+    scale = max(np.max(np.abs(values)) for values in got[:2]) / abs(t)
+    assert np.max(np.abs(case.commutator(t).values - plain.commutator(t).values)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("chart_name", ["heisenberg", "custom_ax_plus_b", "heisenberg_centre_first"])
+def test_a_budget_below_one_difference_row_takes_a_row_a_block(chart_name, request, monkeypatch):
+    # 1 << 8 points is less than one row of every case; a row, the N output
+    # nodes of the difference axis, never splits: the row's product matrix
+    # keeps its shape, so the values keep their bits
+    case, _ = _difference_case(chart_name, request)
+    t = case.t_values[1]
+    default = case.commutator(t).values
+    monkeypatch.setattr(deformation, "_BLOCK_POINTS", 1 << 8)
+    transport = deformation._Transport(case.chart, case.grid, t, case.chart.translation_axes[-1])
+    blocks = list(transport.blocks())
+    H, n = len(transport.weights), transport.lanes
+    assert len(blocks) == H // n and all(stop - start == n for start, stop, _, _ in blocks)
+    assert case.commutator(t).values.tobytes() == default.tobytes()
+
+
+def test_the_difference_layout_spans_the_axes_each_coordinate_depends_on(request):
+    # heisenberg's centre is its difference axis: the output axes are
+    # (xi1, xi2, 2N - 1 differences), the integration axes (eta1, eta2, the node 0)
+    case = _commutator_case("heisenberg", request)
+    t = 0.1
+    transport = deformation._Transport(case.chart, case.grid, t, 2)
+    (start, stop, block, sizes), *_ = transport.blocks()
+    assert (start, stop, sizes) == (0, 242, (2, 11, 21))  # 22 rows of 11 output nodes
+    points = transport.solve(block)
+    batch = (1,) + sizes + (11, 11, 1)
+    # w1 and w2 read one output and one integration axis, w3 every axis
+    assert [p.shape for p in points] == [(1, 2, 1, 1, 11, 1, 1), (1, 1, 11, 1, 1, 11, 1), batch]
+    # the values are those of a solve on interleaved (..., m) points: t xi3
+    # runs over the differences t step k, k = -10..10, and t eta3 is 0
+    nodes = [t * ax.nodes for ax in case.grid.fiber[:2]]
+    differences = t * case.grid.fiber[2].step * np.arange(-10, 11)
+    target = np.stack(np.meshgrid(nodes[0][:2], nodes[1], differences, indexing="ij"), axis=-1)
+    v = np.stack(np.meshgrid(*nodes, [0.0], indexing="ij"), axis=-1)[:, :, 0]
+    want = gl.solve_product(case.chart, np.zeros((1, 1, 1, 1, 1, 0)), v, target[:, :, :, None, None])
+    got = np.stack([np.broadcast_to(p, batch)[0, ..., 0] for p in points], axis=-1)
+    assert got.shape == want.shape == (2, 11, 21, 11, 11, 3)
+    assert got.tobytes() == (want / t).tobytes()
+
+
 def test_consecutive_products_do_not_alias(request):
     # the block arrays are reused inside a product, never handed out
     case = _commutator_case("heisenberg", request)
@@ -518,6 +572,7 @@ def test_scaled_commutator_memory_is_bounded_by_its_blocks(request):
     # 13^3 nodes: a whole (H, H, m) transport would be 116 MB
     grid = gl.GridSpec(base=(), fiber=tuple(gl.Axis.centered(5.5, 12) for _ in range(3)))
     case = _commutator_case("heisenberg", request)._replace(grid=grid)
+    assert case.chart.translation_axes == (2,)  # blocks of whole difference rows
     tracemalloc.start()
     try:
         case.commutator(0.1)
